@@ -28,6 +28,7 @@ from inputs import CONFIG
 from spans import NullTracer, Tracer
 
 SETUP_REPEATS = 3
+FUSION_PROBES = 3
 BUILDERS = {
     "mono_rooms": inputs.mono_rooms,
     "stream_revisit": inputs.stream_revisit,
@@ -223,6 +224,20 @@ def _count_pairs(span, gset, spec):
     span.counts["cube_pairs"], span.counts["ellipsoid_pairs"] = counts.pair_counts(gset, spec)
 
 
+def _fusion_counts(span, gset, stats, before):
+    """Counts at a fuse_frame boundary; the 27-cell candidates when the bank
+    means it was fused into (``before``) are given."""
+    span.counts.update(incoming=len(gset), matched=stats.matched, inserted=stats.inserted)
+    if before is not None and len(before):
+        _, span.counts["candidates"] = counts.hash_counts(before, gset.means, CONFIG.fusion.epsilon)
+
+
+def _bank_counts(span, members, with_cells: bool):
+    span.counts["bank_size"] = len(members)
+    if with_cells:
+        span.counts["cells"], _ = counts.hash_counts(members.means, [], CONFIG.fusion.epsilon)
+
+
 def _score(tracer, pred, gt, mask):
     with tracer.span("metrics.confusion") as span:
         cc = so.confusion(pred, gt, mask)
@@ -230,6 +245,32 @@ def _score(tracer, pred, gt, mask):
         report = so.iou_miou(cc)
     span.counts["evaluated_voxels"] = cc.evaluated
     return report
+
+
+def probe_fusion(pool, tally, tracer, probes: int = FUSION_PROBES):
+    """mono_rooms never fuses. So that its traced run still measures the
+    fusion layer on its inputs, fuse the Gaussians of a few of its frames
+    into a bank that already holds that frame (43.2k into 43.2k, all
+    matching). These spans are outside every measured operation."""
+    for k, f in enumerate(pool[:probes]):
+        tracer.op = f"fusion-probe-{k}"
+        try:
+            gset = so.frame_gaussians(f.depth, f.classes, f.cam, CONFIG)
+            bank = so.GaussianMemoryBank(CONFIG.attributes.num_classes, CONFIG.fusion)
+            bank.fuse_frame(gset)
+            before = bank.means.copy()
+            with tracer.span("fusion.fuse_frame") as span:
+                stats = bank.fuse_frame(gset)
+            _fusion_counts(span, gset, stats, before)
+            with tracer.span("fusion.to_set") as span:
+                members = bank.to_set()
+            _bank_counts(span, members, with_cells=True)
+            problems = checks.fusion_stats(stats, len(gset)) + checks.bank(bank, 2)
+            if len(bank) != len(gset):
+                problems.append(f"bank size {len(bank)} != {len(gset)} inserted")
+        except Exception as exc:  # a failed operation; the run goes on
+            problems = _failure(exc)
+        tally.record(problems)
 
 
 def traced_mono(pool, seconds, tally, tracer, reference):
@@ -259,7 +300,6 @@ def traced_mono(pool, seconds, tally, tracer, reference):
 def traced_stream(stream, seconds, tally, tracer, reference):
     """Drive the bank by hand as run_streaming does. The first pass also
     computes the spatial-hash and pair counts (same for every pass)."""
-    eps = CONFIG.fusion.epsilon
     n = len(stream.frames)
     deadline = perf_counter() + seconds
     op = passes = 0
@@ -277,9 +317,7 @@ def traced_stream(stream, seconds, tally, tracer, reference):
                     gset = frame_gaussians(tracer, depth, classes, cam)
                     with tracer.span("fusion.fuse_frame") as span:
                         stats = bank.fuse_frame(gset)
-                span.counts.update(incoming=len(gset), matched=stats.matched, inserted=stats.inserted)
-                if first and len(before):
-                    _, span.counts["candidates"] = counts.hash_counts(before, gset.means, eps)
+                _fusion_counts(span, gset, stats, before)
                 frame_problems.append(checks.fusion_stats(stats, len(gset)))
                 inserted += stats.inserted
             tracer.op = op
@@ -288,9 +326,8 @@ def traced_stream(stream, seconds, tally, tracer, reference):
                 with tracer.span("fusion.to_set") as span:
                     members = bank.to_set()
                 pred, splat_span = _splat(tracer, members, stream.grid)
-            span.counts["bank_size"] = len(members)
+            _bank_counts(span, members, with_cells=first)
             if first:
-                span.counts["cells"], _ = counts.hash_counts(members.means, [], eps)
                 _count_pairs(splat_span, members, stream.grid)
             with tracer.span("score"):
                 _score(tracer, pred, stream.gt, stream.mask)
@@ -308,8 +345,8 @@ def traced_stream(stream, seconds, tally, tracer, reference):
 
 def per_layer(tracer: Tracer, untraced_frame_s) -> dict:
     """Per-layer metrics from the spans: medians per call of self time and
-    of the counts, ratios over the whole run. 0 where the workload never
-    calls the layer."""
+    of the counts, ratios over the whole run. Shares count only measured
+    operations, so the fusion probe of mono_rooms is not in them."""
     self_ns = tracer.self_ns()
 
     def spans(name):
@@ -329,10 +366,12 @@ def per_layer(tracer: Tracer, untraced_frame_s) -> dict:
     def ratio(num, den):
         return num / den if den else 0.0
 
-    ops_ns = sum(s.ns for s in tracer.spans if s.parent is None and s.name in OP_ROOTS)
+    roots = [s for s in tracer.spans if s.parent is None and s.name in OP_ROOTS]
+    measured_ops = {s.op for s in roots}
+    ops_ns = sum(s.ns for s in roots)
 
     def share(name):
-        return ratio(sum(self_ns[s.id] for s in spans(name)), ops_ns)
+        return ratio(sum(self_ns[s.id] for s in spans(name) if s.op in measured_ops), ops_ns)
 
     paired = [s for s in spans("splatting.splat") if "cube_pairs" in s.counts]
     fuses = spans("fusion.fuse_frame")

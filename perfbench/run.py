@@ -107,6 +107,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool, tiny: bool = Fals
         data = measure.BUILDERS[workload](seed, tracer, tiny)
         start = perf_counter()
         reference = (measure.run_mono if mono else measure.run_stream)(data, 0, tally)
+        if mono:
+            measure.probe_fusion(data, tally, tracer)
         remaining = max(0.0, seconds - (perf_counter() - start))
         (measure.traced_mono if mono else measure.traced_stream)(
             data, remaining, tally, tracer, reference)

@@ -66,6 +66,8 @@ def test_tiny_run_passes_every_check(workload, trace):
     assert result["failed"] == 0 and result["correct"]
     for name, metric in result["metrics"].items():
         assert np.isfinite(metric["value"]), name
+        if metric["unit"] in ("s", "ms", "us", "ns.computed"):
+            assert metric["value"] > 0, name  # every layer is timed on every workload
 
 
 def test_traced_run_splits_work_as_the_workloads_intend():
@@ -73,7 +75,9 @@ def test_traced_run_splits_work_as_the_workloads_intend():
     revisit = tiny("stream_revisit", trace=True)["metrics"]
     assert mono["splatting.splat.share"]["value"] > 0.5
     assert revisit["fusion.fuse_frame.share"]["value"] > revisit["splatting.splat.share"]["value"]
-    assert mono["fusion.fuse_frame.ms"]["value"] == 0.0
+    # mono_rooms fuses only in the probe outside its measured operations
+    assert mono["fusion.fuse_frame.share"]["value"] == 0.0
+    assert mono["fusion.fuse_frame.match_ratio"]["value"] == 1.0
 
 
 def test_computed_counts_match_the_code_they_describe():
