@@ -103,6 +103,19 @@ def test_computed_counts_match_the_code_they_describe():
     assert inside < cube <= n * spec.num_voxels
 
 
+def test_tail_ignores_a_spell_over_a_few_repetitions():
+    import measure
+
+    inputs = [i % 10 for i in range(120)]
+    frame_s = [0.25 + 0.002 * k for k in inputs]
+    spell = frame_s[:40] + [0.4] * 12 + frame_s[52:]
+    quiet, _, fewest, most = measure.tail(frame_s, inputs)
+    assert (fewest, most) == (12, 12)
+    assert quiet == pytest.approx(1e3 * frame_s[7])
+    assert measure.tail(spell, inputs)[0] == quiet
+    assert measure.raw_tail([1e3 * s for s in spell])[0] == pytest.approx(400.0)
+
+
 def _corrupt_labels(pred):
     pred.labels[0, 0, 0] = pred.spec.num_classes
     return pred
