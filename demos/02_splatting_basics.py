@@ -36,9 +36,9 @@ print(f"\noccupancy scores, slice z={iz} (tenths, '.' = 0):")
 for row in grid.scores[:, :, iz].T[::-1]:
     print("  " + "".join("." if s < 0.05 else str(min(9, int(s * 10))) for s in row))
 
-# Culling: the kernel only touches voxels inside its support box.
-lo, hi = so.neighbor_cull(g, spec)
-print(f"\nsupport box spans voxels {lo} .. {hi} (half-open)")
+# Culling: the kernel only reaches voxel centers within 7 standard deviations.
+touched = np.argwhere(grid.scores > 0)
+print(f"\nnonzero scores span voxels {touched.min(axis=0)} .. {touched.max(axis=0) + 1} (half-open)")
 
 # Superposition is monotone: adding a second kernel never lowers any score.
 g2 = so.GaussianPrimitive([0.5, 0.8, 0.4], [0.1] * 3, [1, 0, 0, 0], 0.7,

@@ -84,8 +84,6 @@ from .splatting import (
     DEFAULT_THETA_OCC,
     GridSpec,
     OccupancyGrid,
-    classify_voxel,
-    neighbor_cull,
     splat,
 )
 

@@ -5,10 +5,6 @@ render, sample, splat, stream, eval, prune, bench-index. Every command
 accepts --config (flat key = value file) with individual flags taking
 precedence; results and diagnostics print as "key = value" lines. Exit code
 0 on success, 1 with a single-line message on error.
-
---threads is accepted on every command for interface stability. The
-implementation is vectorized and runs the same deterministic code path for
-any thread count.
 """
 
 from __future__ import annotations
@@ -279,8 +275,6 @@ def _cmd_bench_index(args) -> int:
 
 def _add_common(parser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; results are identical")
 
 
 def _add_camera_flags(parser) -> None:

@@ -20,6 +20,7 @@ format with # comments.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -37,6 +38,11 @@ _OGRID_MAGIC = b"OGRID1"
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
+    # Checked against the file size first, so a corrupt header count fails
+    # here instead of allocating a buffer of that size.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise ValueError(f"truncated file while reading {what}: need {count} bytes, {left} left")
     data = f.read(count)
     if len(data) != count:
         raise ValueError(f"truncated file while reading {what}")
@@ -173,24 +179,27 @@ def save_scene(path, scene: SyntheticScene) -> None:
 
 def load_scene(path) -> SyntheticScene:
     payload = json.loads(Path(path).read_text())
-    return SyntheticScene(
-        extent=np.asarray(payload["extent"], dtype=np.float64),
-        shell_thickness=float(payload["shell_thickness"]),
-        boxes=tuple(
-            Box(np.asarray(b["min"]), np.asarray(b["max"]), int(b["label"]))
-            for b in payload.get("boxes", ())
-        ),
-        patches=tuple(
-            WallPatch(
-                axis=int(p["axis"]), side=p["side"],
-                lo=tuple(p["lo"]), hi=tuple(p["hi"]), label=int(p["label"]),
-            )
-            for p in payload.get("patches", ())
-        ),
-        floor_label=int(payload.get("floor_label", 2)),
-        ceiling_label=int(payload.get("ceiling_label", 1)),
-        wall_label=int(payload.get("wall_label", 3)),
-    )
+    try:
+        return SyntheticScene(
+            extent=np.asarray(payload["extent"], dtype=np.float64),
+            shell_thickness=float(payload["shell_thickness"]),
+            boxes=tuple(
+                Box(np.asarray(b["min"]), np.asarray(b["max"]), int(b["label"]))
+                for b in payload.get("boxes", ())
+            ),
+            patches=tuple(
+                WallPatch(
+                    axis=int(p["axis"]), side=p["side"],
+                    lo=tuple(p["lo"]), hi=tuple(p["hi"]), label=int(p["label"]),
+                )
+                for p in payload.get("patches", ())
+            ),
+            floor_label=int(payload.get("floor_label", 2)),
+            ceiling_label=int(payload.get("ceiling_label", 1)),
+            wall_label=int(payload.get("wall_label", 3)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: scene JSON lacks field {exc.args[0]!r}") from None
 
 
 def parse_config(text: str) -> dict:

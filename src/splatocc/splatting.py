@@ -7,14 +7,16 @@ The occupancy score uses the complement product
 
 which is bounded in [0, 1], monotone under adding Gaussians, and reduces to
 a * g for a single kernel. Semantics accumulate opacity-weighted softmax
-masses per class; the voxel label is the argmax over semantic classes when
-the score clears ``theta_occ``, otherwise 0 (empty).
+masses per class; the voxel label is the argmax over semantic classes (ties
+go to the lowest class id) when the score clears ``theta_occ``, otherwise 0
+(empty).
 
-Neighbor culling restricts each Gaussian to an axis-aligned voxel box. The
-box radius is expressed in Mahalanobis units; the splatter uses a wide
-default (7) so the dropped tail, exp(-24.5) per kernel, stays orders of
-magnitude below any score tolerance anyone would test against, while
-standalone culling queries default to the conventional radius 3.
+``splat`` evaluates every Gaussian the same way. Its box is the cube of
+half-width ``SPLAT_CUTOFF * max(scale)`` around the mean, clipped to the
+grid, which contains the ellipsoid of ``SPLAT_CUTOFF`` (7) standard
+deviations; pairs outside that ellipsoid are dropped. The dropped tail,
+exp(-24.5) per kernel, stays orders of magnitude below any score tolerance
+anyone would test against.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussians import GaussianPrimitive, GaussianSet, WORLD_FRAME
+from .gaussians import GaussianSet, WORLD_FRAME
 
 DEFAULT_THETA_OCC = 0.5
-CULL_MAHALANOBIS = 3.0
 SPLAT_CUTOFF = 7.0
 
 # Guard (in voxel-index units) against ties like a radius landing exactly on
@@ -151,48 +152,19 @@ def _cull_bounds(means, radii, spec: GridSpec):
     return lo, hi
 
 
-def neighbor_cull(g: GaussianPrimitive, spec: GridSpec,
-                  mahalanobis: float = CULL_MAHALANOBIS):
-    """Voxel index box (lo, hi half-open) that covers every center within
-    ``mahalanobis`` standard deviations of the kernel.
-
-    Conservative: uses the axis-aligned bound mahalanobis * max(scale), which
-    contains the rotated ellipsoid. Clipped to the grid; may be empty.
-    """
-    radius = np.array([mahalanobis * float(np.max(g.scale))])
-    lo, hi = _cull_bounds(g.mean[None, :], radius, spec)
-    lo = np.clip(lo[0], 0, spec.dims)
-    hi = np.clip(hi[0], 0, spec.dims)
-    if np.any(hi <= lo):
-        lo = hi = np.zeros(3, dtype=np.int64)
-    return lo, hi
-
-
-def classify_voxel(score: float, masses, theta_occ: float = DEFAULT_THETA_OCC) -> int:
-    """Label for one voxel: 0 when the score is below theta_occ, otherwise
-    the semantic class (1..num_classes-1) with the largest mass; ties break
-    to the lowest class id."""
-    masses = np.asarray(masses, dtype=np.float64)
-    if masses.ndim != 1 or masses.size < 2 or np.any(masses < 0):
-        raise ValueError("masses must be a non-negative vector of length >= 2")
-    if score < theta_occ:
-        return 0
-    semantic = masses[1:]
-    if not np.any(semantic > 0):
-        return 0
-    return int(np.argmax(semantic)) + 1
-
-
 def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OCC,
-          cutoff: float = SPLAT_CUTOFF, keep_masses: bool = False) -> OccupancyGrid:
+          keep_masses: bool = False) -> OccupancyGrid:
     """Rasterize a world-frame GaussianSet into an occupancy grid.
 
-    Gaussians are grouped by culled-box shape so each group evaluates as one
-    batched kernel computation scattered into the grid with bincount. Pair
-    contributions beyond ``cutoff`` Mahalanobis units are dropped; at the
-    default of 7 the dropped tail is exp(-24.5) per Gaussian, so results
+    Every Gaussian is evaluated at the voxel centers of its culled box.
+    Gaussians whose boxes have the same shape share one table of integer
+    voxel offsets and are evaluated together in chunks of at most
+    ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs, without materialising voxel
+    centers. Pairs within ``SPLAT_CUTOFF`` Mahalanobis units scatter into
+    the grid with one bincount for the score and one per class, so results
     agree with an unculled brute-force evaluation to well below 1e-6 even
-    for thousands of kernels.
+    for thousands of kernels. ``keep_masses`` also returns the per-class
+    masses, shaped ``spec.dims + (num_classes,)``.
     """
     if gset.frame != WORLD_FRAME:
         raise ValueError("splat requires a world-frame GaussianSet")
@@ -203,99 +175,71 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
 
     nv = spec.num_voxels
     log_free = np.zeros(nv)
-    masses = np.zeros((nv, spec.num_classes))
+    # Class-major, like soft below, so each class's scatter reads and adds
+    # contiguous rows.
+    masses = np.zeros((spec.num_classes, nv))
 
-    n = len(gset)
-    if n:
-        radii = cutoff * gset.scales.max(axis=1)
-        lo, hi = _cull_bounds(gset.means, radii, spec)
+    if len(gset):
         dims = np.asarray(spec.dims)
+        lo, hi = _cull_bounds(gset.means, SPLAT_CUTOFF * gset.scales.max(axis=1), spec)
         lo = np.clip(lo, 0, dims)
-        hi = np.clip(hi, 0, dims)
-        spans = hi - lo
-        alive = np.all(spans > 0, axis=1)
+        spans = np.clip(hi, 0, dims) - lo
+        alive = np.flatnonzero(np.all(spans > 0, axis=1))
 
-        # Whitening maps: local = (p - mean) @ white has unit covariance, so
-        # the Mahalanobis distance is just its squared norm.
+        # Whitening: (p - mean) @ white has unit covariance, so the squared
+        # Mahalanobis distance is its squared norm. The center of voxel
+        # lo + o whitens to first + step @ o for an integer offset o.
         white = gset.rotation_matrices() / gset.scales[:, None, :]
+        corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
+        first = np.matmul(corner[:, None, :], white).transpose(0, 2, 1)
+        step = spec.voxel_size * white.transpose(0, 2, 1)
         z = gset.logits - gset.logits.max(axis=1, keepdims=True)
         ez = np.exp(z)
-        soft = ez / ez.sum(axis=1, keepdims=True)
-        cutoff_sq = cutoff * cutoff
-
-        # Kernels whose box covers a large grid fraction evaluate over the
-        # whole grid so their class masses accumulate as one matmul instead
-        # of per-class scatters.
-        volumes = spans.prod(axis=1)
-        dense = alive & (volumes * 4 >= nv)
-        dense_rows = np.flatnonzero(dense)
-        if dense_rows.size:
-            centers = spec.voxel_centers()
-            chunk = max(1, _CHUNK_PAIRS // nv)
-            for start in range(0, dense_rows.size, chunk):
-                rows = dense_rows[start:start + chunk]
-                w = white[rows]
-                local = np.matmul(centers, w)
-                local -= np.matmul(gset.means[rows][:, None, :], w)
-                np.square(local, out=local)
-                m2 = local.sum(axis=2)
-                ok = m2 <= cutoff_sq
-                m2 *= -0.5
-                contrib = np.exp(m2, out=m2)
-                contrib *= gset.opacities[rows][:, None]
-                contrib[~ok] = 0.0
-                with np.errstate(divide="ignore"):
-                    log_free += np.log1p(-contrib).sum(axis=0)
-                masses += contrib.T @ soft[rows]
-
-        shapes = {}
-        for i in np.flatnonzero(alive & ~dense):
-            shapes.setdefault(tuple(spans[i]), []).append(i)
-
+        soft = np.ascontiguousarray((ez / ez.sum(axis=1, keepdims=True)).T)
         strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
-        for shape, members in shapes.items():
-            per_box = shape[0] * shape[1] * shape[2]
-            offs = np.stack(
-                np.meshgrid(*(np.arange(s) for s in shape), indexing="ij"), axis=-1
-            ).reshape(-1, 3)
-            chunk = max(1, _CHUNK_PAIRS // per_box)
-            members = np.asarray(members)
-            for start in range(0, members.size, chunk):
-                rows = members[start:start + chunk]
-                idx = lo[rows][:, None, :] + offs[None, :, :]
-                centers = spec.origin + (idx + 0.5) * spec.voxel_size
-                w = white[rows]
-                local = np.matmul(centers, w)
-                local -= np.matmul(gset.means[rows][:, None, :], w)
+        base = lo @ strides
+        cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
+
+        # Boxes of one shape share an offset table; members keep set order.
+        shapes, group = np.unique(spans[alive], axis=0, return_inverse=True)
+        group = group.reshape(-1)  # numpy 2.0.0 returns it as a column
+        order = alive[np.argsort(group, kind="stable")]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(group))))
+        for shape, begin, end in zip(shapes, bounds[:-1], bounds[1:]):
+            offs = np.indices(shape).reshape(3, -1)
+            flat_offs = strides @ offs
+            offs = offs.astype(np.float64)
+            chunk = max(1, _CHUNK_PAIRS // offs.shape[1])
+            for start in range(begin, end, chunk):
+                rows = order[start:min(start + chunk, end)]
+                local = np.matmul(step[rows], offs)
+                local += first[rows]
                 np.square(local, out=local)
-                m2 = local.sum(axis=2)
+                m2 = local.sum(axis=1)
                 ok = m2 <= cutoff_sq
                 if not ok.any():
                     continue
                 m2 *= -0.5
                 contrib = np.exp(m2, out=m2)
                 contrib *= gset.opacities[rows][:, None]
-                flat = (idx @ strides)[ok]
+                flat = (base[rows][:, None] + flat_offs)[ok]
                 kept = contrib[ok]
                 with np.errstate(divide="ignore"):
                     log_free += np.bincount(flat, weights=np.log1p(-kept), minlength=nv)
-                src = np.broadcast_to(np.arange(rows.size)[:, None], ok.shape)[ok]
-                soft_rows = soft[rows]
+                src = np.broadcast_to(rows[:, None], ok.shape)[ok]
                 for c in range(spec.num_classes):
-                    masses[:, c] += np.bincount(
-                        flat, weights=kept * soft_rows[src, c], minlength=nv
-                    )
+                    masses[c] += np.bincount(flat, weights=kept * soft[c].take(src), minlength=nv)
 
     scores = 1.0 - np.exp(log_free)
-    semantic = masses[:, 1:]
+    semantic = masses[1:]
     labels = np.where(
-        (scores >= theta_occ) & (semantic.max(axis=1) > 0),
-        np.argmax(semantic, axis=1) + 1,
+        (scores >= theta_occ) & (semantic.max(axis=0) > 0),
+        np.argmax(semantic, axis=0) + 1,
         0,
     )
     return OccupancyGrid(
         spec=spec,
         labels=labels.reshape(spec.dims),
         scores=scores.reshape(spec.dims),
-        masses=masses.reshape(spec.dims + (spec.num_classes,)) if keep_masses else None,
+        masses=masses.T.reshape(spec.dims + (spec.num_classes,)) if keep_masses else None,
     )

@@ -63,6 +63,45 @@ def naive_splat(gset, spec, theta_occ=0.5):
     return scores, labels, masses
 
 
+# Box radius, in standard deviations, of the standalone culling query.
+CULL_MAHALANOBIS = 3.0
+
+
+def neighbor_cull(g, spec, mahalanobis=CULL_MAHALANOBIS):
+    """Voxel index box (lo, hi half-open) that covers every center within
+    ``mahalanobis`` standard deviations of one GaussianPrimitive.
+
+    Conservative: uses the axis-aligned bound mahalanobis * max(scale), which
+    contains the rotated ellipsoid. Clipped to the grid; both corners are
+    zero when the box is empty.
+    """
+    radius = mahalanobis * float(np.max(g.scale)) / spec.voxel_size
+    lo = np.zeros(3, dtype=np.int64)
+    hi = np.zeros(3, dtype=np.int64)
+    for a in range(3):
+        t = (g.mean[a] - spec.origin[a]) / spec.voxel_size - 0.5
+        lo[a] = min(max(int(np.ceil(t - radius - 1e-9)), 0), spec.dims[a])
+        hi[a] = min(max(int(np.floor(t + radius + 1e-9)) + 1, 0), spec.dims[a])
+    if np.any(hi <= lo):
+        lo[:] = hi[:] = 0
+    return lo, hi
+
+
+def classify_voxel(score, masses, theta_occ=0.5):
+    """Label for one voxel: 0 when the score is below theta_occ, otherwise
+    the semantic class (1..num_classes-1) with the largest mass; ties break
+    to the lowest class id."""
+    masses = np.asarray(masses, dtype=np.float64)
+    if masses.ndim != 1 or masses.size < 2 or np.any(masses < 0):
+        raise ValueError("masses must be a non-negative vector of length >= 2")
+    if score < theta_occ:
+        return 0
+    semantic = masses[1:]
+    if not np.any(semantic > 0):
+        return 0
+    return int(np.argmax(semantic)) + 1
+
+
 def linear_radius_scan(means, center, eps):
     """Brute-force closed-ball neighbor search."""
     diff = np.asarray(means, dtype=np.float64) - np.asarray(center, dtype=np.float64)

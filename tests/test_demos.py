@@ -1,0 +1,32 @@
+"""The narrative demos run to completion against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 04 (two-view fusion) and 06 (index timings at 50k points) are left out:
+# each takes longer than these four together.
+DEMOS = (
+    "01_camera_and_sampling.py",
+    "02_splatting_basics.py",
+    "03_monocular_room.py",
+    "05_losses.py",
+)
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

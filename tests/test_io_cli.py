@@ -1,5 +1,8 @@
 """File formats (bit-identical round trips) and the command-line interface."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,23 @@ class TestCli:
                      "--out", str(tmp_path / "x.gset")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_scene_without_shell_thickness_is_one_line_error(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({"extent": [4.0, 4.8, 2.88]}))
+        code = main(["render", "--scene", str(scene_path), "--pose", "0.3,2.4,1.44",
+                     "--out", str(tmp_path / "d.dmap")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "shell_thickness" in err[0]
+
+    def test_oversized_gaussian_count_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.gset"
+        path.write_bytes(b"GSET1" + struct.pack("<II", 2**32 - 1, 12) + b"\x00" * 64)
+        code = main(["prune", "--gaussians", str(path), "--out", str(tmp_path / "p.gset")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "truncated" in err[0]
 
     def test_config_file_drives_pipeline(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
-"""Splatting: neighbor culling, superposition semantics, oracle equivalence."""
+"""Splatting: culling and voxel classification references, superposition
+semantics, oracle equivalence."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 import splatocc as so
 from splatocc.camera import CameraModel, RigidTransform
 
-from oracles import dense_evaluate, naive_splat, random_gaussian_set
+from oracles import (
+    classify_voxel,
+    dense_evaluate,
+    naive_splat,
+    neighbor_cull,
+    random_gaussian_set,
+)
 
 
 def small_spec(nc=4):
@@ -28,14 +35,14 @@ class TestNeighborCull:
         spec = so.GridSpec((60, 60, 36), 0.08, np.zeros(3), 4)
         center = spec.origin + (np.array([30, 30, 18]) + 0.5) * spec.voxel_size
         g = so.GaussianPrimitive(center, [0.08] * 3, [1, 0, 0, 0], 0.5, np.zeros(4))
-        lo, hi = so.neighbor_cull(g, spec)
+        lo, hi = neighbor_cull(g, spec)
         np.testing.assert_array_equal(hi - lo, [7, 7, 7])
         np.testing.assert_array_equal(lo, [27, 27, 15])
 
     def test_far_outside_grid_is_empty(self):
         spec = so.GridSpec((60, 60, 36), 0.08, np.zeros(3), 4)
         g = so.GaussianPrimitive([14.8, 0.4, 0.4], [0.1] * 3, [1, 0, 0, 0], 0.5, np.zeros(4))
-        lo, hi = so.neighbor_cull(g, spec)
+        lo, hi = neighbor_cull(g, spec)
         assert np.all(hi <= lo)
 
     def test_box_covers_significant_contributions(self):
@@ -47,7 +54,7 @@ class TestNeighborCull:
                 rng.uniform(-0.2, 1.8, 3), rng.uniform(0.02, 0.3, 3),
                 rng.normal(size=4), 1.0, np.zeros(4),
             )
-            lo, hi = so.neighbor_cull(g, spec)
+            lo, hi = neighbor_cull(g, spec)
             values = dense_evaluate(g.mean, g.scale, g.rotation, centers)
             hot = centers[values >= np.exp(-4.5)]
             if hot.size == 0:
@@ -58,21 +65,21 @@ class TestNeighborCull:
 
 class TestClassifyVoxel:
     def test_zero_score_is_empty(self):
-        assert so.classify_voxel(0.0, np.ones(4)) == 0
+        assert classify_voxel(0.0, np.ones(4)) == 0
 
     def test_one_hot_mass(self):
         masses = np.zeros(8)
         masses[5] = 1.0
-        assert so.classify_voxel(0.9, masses) == 5
+        assert classify_voxel(0.9, masses) == 5
 
     def test_tie_breaks_to_lowest_class(self):
         masses = np.zeros(8)
         masses[3] = masses[7] = 2.5
-        assert so.classify_voxel(0.9, masses) == 3
+        assert classify_voxel(0.9, masses) == 3
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
-            so.classify_voxel(0.5, np.array([0.0, -1.0, 0.0]))
+            classify_voxel(0.5, np.array([0.0, -1.0, 0.0]))
 
 
 class TestSplat:
@@ -87,6 +94,16 @@ class TestSplat:
         grid = so.splat(single(center, 0.05, 0.9, {2: 5.0}), spec)
         assert grid.scores[8, 8, 8] == pytest.approx(0.9, abs=1e-12)
         assert grid.labels[8, 8, 8] == 2
+
+    def test_mass_tie_and_score_threshold(self):
+        spec = small_spec()
+        center = spec.origin + (np.array([8, 8, 8]) + 0.5) * spec.voxel_size
+        tie = so.splat(single(center, 0.05, 0.9, {2: 5.0, 3: 5.0}), spec, keep_masses=True)
+        assert tie.masses[8, 8, 8, 2] == tie.masses[8, 8, 8, 3] > 0
+        assert tie.labels[8, 8, 8] == 2
+        faint = single(center, 0.05, 0.4, {2: 5.0})
+        assert so.splat(faint, spec, theta_occ=0.5).labels[8, 8, 8] == 0
+        assert so.splat(faint, spec, theta_occ=0.3).labels[8, 8, 8] == 2
 
     def test_camera_frame_rejected(self):
         gset = so.GaussianSet.empty(4, frame="camera")
