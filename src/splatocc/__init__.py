@@ -20,8 +20,6 @@ from .fusion import (
     FusionConfig,
     FusionStats,
     GaussianMemoryBank,
-    fuse_frame,
-    radius_neighbors,
     top1_confidence,
 )
 from .gaussians import (

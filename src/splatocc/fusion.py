@@ -1,10 +1,12 @@
 """Training-free streaming fusion of per-frame Gaussians into a memory bank.
 
-The bank holds world-frame Gaussians plus a uniform-grid spatial hash over
-their means (cell size = match radius epsilon). Fusing a frame:
+The bank holds world-frame Gaussians plus a sorted-cell-key index over their
+means (cell size = match radius epsilon). Fusing a frame:
 
-1. every incoming Gaussian is matched to its nearest bank member within
-   epsilon (at most one anchor per incoming, so nothing is double counted);
+1. every incoming Gaussian is matched, in one batched pass over fixed-size
+   chunks of the frame, to its nearest bank member within epsilon as the
+   bank was before the frame (at most one anchor per incoming, so nothing is
+   double counted; among members at equal distance the lowest id wins);
 2. each anchor with matches is updated per attribute theta in
    {mean, covariance, opacity, logits} by the confidence-weighted average
 
@@ -13,7 +15,8 @@ their means (cell size = match radius epsilon). Fusing a frame:
 
    where p is top-1 softmax confidence and gamma < 0.5 biases toward the
    newer evidence;
-3. unmatched incoming Gaussians are inserted verbatim.
+3. unmatched incoming Gaussians are inserted verbatim;
+4. the index is rebuilt once over the updated means.
 
 Covariances are averaged as full matrices and re-factored into (scales,
 rotation) by eigendecomposition, which keeps the average rotation-consistent.
@@ -26,8 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions
-from .gaussians import SCALE_FLOOR, GaussianPrimitive, GaussianSet, WORLD_FRAME, covariance_matrices
+from .gaussians import SCALE_FLOOR, GaussianSet, WORLD_FRAME, covariance_matrices
 from .spatial_hash import SpatialHashGrid
+
+# Incoming Gaussians matched per batch; bounds the (query, candidate) pair
+# arrays to a few MB at the candidate counts of room-scale banks.
+_MATCH_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -54,17 +61,9 @@ def _softmax(logits):
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
-def top1_confidence(g):
-    """Max softmax probability of the class logits.
-
-    Accepts a GaussianPrimitive (returns float) or a GaussianSet (returns an
-    array of per-member confidences).
-    """
-    if isinstance(g, GaussianPrimitive):
-        return float(_softmax(g.logits).max())
-    if isinstance(g, GaussianSet):
-        return _softmax(g.logits).max(axis=-1)
-    raise TypeError(f"expected GaussianPrimitive or GaussianSet, got {type(g).__name__}")
+def top1_confidence(gset: GaussianSet) -> np.ndarray:
+    """Per-member max softmax probability of the class logits."""
+    return _softmax(gset.logits).max(axis=-1)
 
 
 def _refactor_covariances(covs):
@@ -83,8 +82,15 @@ def _refactor_covariances(covs):
     return scales, quaternions.from_matrix(eigvecs)
 
 
+def _attributes(src, rows):
+    """The fused attributes of ``src``'s selected rows side by side: mean (3),
+    covariance (9), opacity (1) and logits."""
+    covs = covariance_matrices(src.scales[rows], src.rotations[rows]).reshape(-1, 9)
+    return np.hstack([src.means[rows], covs, src.opacities[rows][:, None], src.logits[rows]])
+
+
 class GaussianMemoryBank:
-    """World-frame Gaussian accumulator with an epsilon-cell spatial hash.
+    """World-frame Gaussian accumulator with an epsilon-cell spatial index.
 
     Single writer: fuse_frame mutates the bank and must not run concurrently
     with queries. Frames are expected in timestamp order.
@@ -111,6 +117,7 @@ class GaussianMemoryBank:
             if gset.frame != WORLD_FRAME:
                 raise ValueError("bank checkpoints must be world frame")
             bank._append(gset.means, gset.scales, gset.rotations, gset.opacities, gset.logits)
+            bank._index.insert_many(range(len(bank)), bank.means)
         return bank
 
     def __len__(self) -> int:
@@ -123,13 +130,11 @@ class GaussianMemoryBank:
         )
 
     def _append(self, means, scales, rotations, opacities, logits) -> None:
-        start = len(self)
         self.means = np.concatenate([self.means, means])
         self.scales = np.concatenate([self.scales, scales])
         self.rotations = np.concatenate([self.rotations, rotations])
         self.opacities = np.concatenate([self.opacities, opacities])
         self.logits = np.concatenate([self.logits, logits])
-        self._index.insert_many(range(start, len(self)), means)
 
     def radius_neighbors(self, query, eps: float = None) -> np.ndarray:
         """Ids of members whose mean lies within the closed ball of radius
@@ -138,27 +143,28 @@ class GaussianMemoryBank:
         if not eps > 0:
             raise ValueError("eps must be > 0")
         cand = self._index.candidates(query, eps)
-        if not cand:
-            return np.zeros(0, dtype=np.int64)
-        cand = np.asarray(cand, dtype=np.int64)
         diff = self.means[cand] - np.asarray(query, dtype=np.float64)
         keep = np.einsum("ij,ij->i", diff, diff) <= eps * eps
         return cand[keep]
 
-    def _nearest_within(self, query) -> int:
-        """Nearest member id within epsilon, or -1. Ties break to the lowest id."""
-        eps = self.config.epsilon
-        cand = self._index.candidates(query, eps)
-        if not cand:
-            return -1
-        cand = np.asarray(cand, dtype=np.int64)
-        cand.sort()
-        diff = self.means[cand] - query
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        best = int(np.argmin(d2))
-        if d2[best] <= eps * eps:
-            return int(cand[best])
-        return -1
+    def _nearest_within(self, queries) -> np.ndarray:
+        """Per query, the nearest member id within epsilon, or -1. Ties break
+        to the lowest id."""
+        eps2 = self.config.epsilon ** 2
+        anchors = np.full(len(queries), -1, dtype=np.int64)
+        for start in range(0, len(queries), _MATCH_CHUNK):
+            chunk = queries[start:start + _MATCH_CHUNK]
+            rows, ids = self._index.pairs(chunk, self.config.epsilon)
+            diff = np.take(self.means, ids, axis=0)
+            diff -= np.take(chunk, rows, axis=0)
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            keep = np.flatnonzero(d2 <= eps2)
+            rows, ids, d2 = rows[keep], ids[keep], d2[keep]
+            heads = np.flatnonzero(np.diff(rows, prepend=-1))
+            nearest = np.repeat(np.minimum.reduceat(d2, heads), np.diff(heads, append=rows.size))
+            tied = np.where(d2 == nearest, ids, np.iinfo(np.int64).max)
+            anchors[start + rows[heads]] = np.minimum.reduceat(tied, heads)
+        return anchors
 
     def fuse_frame(self, incoming: GaussianSet) -> FusionStats:
         """Fuse one frame's world-frame Gaussians into the bank.
@@ -174,52 +180,27 @@ class GaussianMemoryBank:
             )
 
         n_in = len(incoming)
-        anchors = np.full(n_in, -1, dtype=np.int64)
-        if len(self) and n_in:
-            for i in range(n_in):
-                anchors[i] = self._nearest_within(incoming.means[i])
+        anchors = self._nearest_within(incoming.means)
         matched = anchors >= 0
         n_matched = int(np.count_nonzero(matched))
 
         if n_matched:
             gamma = self.config.gamma
-            p_in = top1_confidence(incoming)
-            w_in = (1.0 - gamma) * p_in[matched]
-            idx = anchors[matched]
-            nb = len(self)
+            ua, slot = np.unique(anchors[matched], return_inverse=True)
+            w_in = (1.0 - gamma) * top1_confidence(incoming)[matched]
+            w_mem = gamma * _softmax(self.logits[ua]).max(axis=-1)
+            sum_w = np.zeros(ua.size)
+            np.add.at(sum_w, slot, w_in)
+            theta_in = w_in[:, None] * _attributes(incoming, matched)
+            sum_theta = np.zeros((ua.size, theta_in.shape[1]))
+            np.add.at(sum_theta, slot, theta_in)
+            fused = (w_mem[:, None] * _attributes(self, ua) + sum_theta) / (w_mem + sum_w)[:, None]
 
-            sum_w = np.zeros(nb)
-            np.add.at(sum_w, idx, w_in)
-            sum_mu = np.zeros((nb, 3))
-            np.add.at(sum_mu, idx, w_in[:, None] * incoming.means[matched])
-            cov_in = covariance_matrices(incoming.scales[matched], incoming.rotations[matched])
-            sum_cov = np.zeros((nb, 9))
-            np.add.at(sum_cov, idx, w_in[:, None] * cov_in.reshape(-1, 9))
-            sum_a = np.zeros(nb)
-            np.add.at(sum_a, idx, w_in * incoming.opacities[matched])
-            sum_c = np.zeros((nb, self.num_classes))
-            np.add.at(sum_c, idx, w_in[:, None] * incoming.logits[matched])
-
-            ua = np.unique(idx)
-            p_mem = _softmax(self.logits[ua]).max(axis=-1)
-            w_mem = gamma * p_mem
-            denom = w_mem + sum_w[ua]
-
-            old_means = self.means[ua].copy()
-            cov_mem = covariance_matrices(self.scales[ua], self.rotations[ua])
-            fused_cov = (
-                w_mem[:, None, None] * cov_mem + sum_cov[ua].reshape(-1, 3, 3)
-            ) / denom[:, None, None]
-            new_scales, new_rotations = _refactor_covariances(fused_cov)
-
-            self.means[ua] = (w_mem[:, None] * self.means[ua] + sum_mu[ua]) / denom[:, None]
-            self.scales[ua] = new_scales
-            self.rotations[ua] = new_rotations
-            self.opacities[ua] = (w_mem * self.opacities[ua] + sum_a[ua]) / denom
-            self.logits[ua] = (w_mem[:, None] * self.logits[ua] + sum_c[ua]) / denom[:, None]
-
-            for row, member in enumerate(ua):
-                self._index.move(int(member), old_means[row], self.means[member])
+            self.means[ua] = fused[:, :3]
+            self.scales[ua], self.rotations[ua] = _refactor_covariances(
+                fused[:, 3:12].reshape(-1, 3, 3))
+            self.opacities[ua] = fused[:, 12]
+            self.logits[ua] = fused[:, 13:]
 
         if n_in - n_matched:
             ins = ~matched
@@ -228,21 +209,7 @@ class GaussianMemoryBank:
                 incoming.opacities[ins], incoming.logits[ins],
             )
 
+        self._index.insert_many(range(len(self)), self.means)
         self.frame_count += 1
         return FusionStats(matched=n_matched, inserted=n_in - n_matched)
 
-
-def radius_neighbors(bank: GaussianMemoryBank, query, eps: float = None) -> np.ndarray:
-    return bank.radius_neighbors(query, eps)
-
-
-def fuse_frame(bank: GaussianMemoryBank, incoming: GaussianSet,
-               config: FusionConfig = None) -> FusionStats:
-    """Functional wrapper over :meth:`GaussianMemoryBank.fuse_frame`.
-
-    Passing a config different from the bank's is an error; the hash cell
-    size is fixed at bank construction.
-    """
-    if config is not None and config != bank.config:
-        raise ValueError("config differs from the bank's; rebuild the bank instead")
-    return bank.fuse_frame(incoming)

@@ -179,6 +179,10 @@ def save_scene(path, scene: SyntheticScene) -> None:
 
 def load_scene(path) -> SyntheticScene:
     payload = json.loads(Path(path).read_text())
+    for field in ("boxes", "patches"):
+        items = payload.get(field, [])
+        if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+            raise ValueError(f"{path}: scene JSON field {field!r} must be a list of objects")
     try:
         return SyntheticScene(
             extent=np.asarray(payload["extent"], dtype=np.float64),

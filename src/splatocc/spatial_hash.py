@@ -1,17 +1,23 @@
-"""Uniform-grid spatial hash over 3D points.
+"""Uniform-grid spatial index over 3D points, stored as sorted cell keys.
 
-Maps each point's cell (floor of coordinate / cell size) to the member ids
-stored there. Radius queries visit only the cells overlapping the query
-ball's bounding box, which is the 27-cell neighborhood whenever the radius
-is at most the cell size. Distance filtering is left to the caller, which
-owns the coordinate array.
+Each member's cell (floor of coordinate / cell size) is packed into one int64
+key relative to the members' bounding box; members are sorted by key once, by
+a stable argsort, when the index is built, and callers whose points move
+rebuild it. Radius queries visit the cells overlapping the ball's bounding box
+(27 cells when the radius is at most the cell size). Cells that differ only
+in z have consecutive keys, so each (x, y) column of that box is one run of
+the sorted members, found by ``searchsorted``. Distance filtering is left to
+the caller, which owns the coordinate array.
 """
 
 from __future__ import annotations
 
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
+
+# Packed keys stay well inside int64 for any box of cells this many wide.
+_MAX_CELLS = 2 ** 62
 
 
 class SpatialHashGrid:
@@ -20,64 +26,87 @@ class SpatialHashGrid:
             raise ValueError("cell_size must be > 0")
         self.cell_size = float(cell_size)
         self._inv = 1.0 / float(cell_size)
-        self._cells: dict = {}
-        self._count = 0
+        self.insert_many((), ())
 
     def __len__(self) -> int:
-        return self._count
+        return self._ids.size
 
     def key(self, point) -> tuple:
-        inv = self._inv
-        return (
-            floor(float(point[0]) * inv),
-            floor(float(point[1]) * inv),
-            floor(float(point[2]) * inv),
-        )
-
-    def insert(self, member: int, point) -> None:
-        self._cells.setdefault(self.key(point), []).append(member)
-        self._count += 1
+        return tuple(floor(float(v) * self._inv) for v in point[:3])
 
     def insert_many(self, members, points) -> None:
-        for m, p in zip(members, np.asarray(points, dtype=np.float64)):
-            self.insert(int(m), p)
+        """Index ``members`` at ``points``, replacing the previous contents."""
+        ids = np.asarray(members, dtype=np.int64).reshape(-1)
+        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        if ids.size != points.shape[0]:
+            raise ValueError("members and points differ in length")
+        cells = np.floor(points * self._inv)
+        if not np.all(np.isfinite(cells)):
+            raise ValueError("points must be finite")
+        if ids.size:
+            lo, hi = cells.min(axis=0), cells.max(axis=0)
+            if max(np.abs(lo).max(), np.abs(hi).max(), np.prod(hi - lo + 1)) >= _MAX_CELLS:
+                raise ValueError("points span too many cells for int64 cell keys")
+        else:
+            lo, hi = np.zeros(3), np.full(3, -1.0)  # an empty box: every query misses it
+        # Lowest and highest occupied cell on each axis, and the box extent.
+        self._base = tuple(int(v) for v in lo)
+        self._top = tuple(int(v) for v in hi)
+        self._ny, self._nz = self._top[1] - self._base[1] + 1, self._top[2] - self._base[2] + 1
+        keys = self._pack(cells.astype(np.int64) - np.asarray(self._base))
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]    # packed cell keys, ascending
+        self._ids = ids[order]      # member ids in key order
 
-    def remove(self, member: int, point) -> None:
-        """Remove a member given the point it was inserted under."""
-        key = self.key(point)
-        cell = self._cells.get(key)
-        if cell is None or member not in cell:
-            raise KeyError(f"member {member} not indexed in cell {key}")
-        cell.remove(member)
-        if not cell:
-            del self._cells[key]
-        self._count -= 1
+    def _pack(self, rel):
+        """Keys of cells given relative to the base cell, shape (..., 3)."""
+        return (rel[..., 0] * self._ny + rel[..., 1]) * self._nz + rel[..., 2]
 
-    def move(self, member: int, old_point, new_point) -> None:
-        old_key = self.key(old_point)
-        new_key = self.key(new_point)
-        if old_key == new_key:
-            return
-        self.remove(member, old_point)
-        self._cells.setdefault(new_key, []).append(member)
-        self._count += 1
-
-    def candidates(self, center, radius: float) -> list:
+    def candidates(self, center, radius: float) -> np.ndarray:
         """Member ids from every cell overlapping the ball's bounding box."""
+        cx, cy, cz, radius = float(center[0]), float(center[1]), float(center[2]), float(radius)
+        if not (isfinite(cx) and isfinite(cy) and isfinite(cz) and isfinite(radius)):
+            raise ValueError("query center and radius must be finite")
         inv = self._inv
-        cx, cy, cz = float(center[0]), float(center[1]), float(center[2])
-        x0 = floor((cx - radius) * inv)
-        x1 = floor((cx + radius) * inv)
-        y0 = floor((cy - radius) * inv)
-        y1 = floor((cy + radius) * inv)
-        z0 = floor((cz - radius) * inv)
-        z1 = floor((cz + radius) * inv)
-        out: list = []
-        cells = self._cells
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                for iz in range(z0, z1 + 1):
-                    bucket = cells.get((ix, iy, iz))
-                    if bucket:
-                        out.extend(bucket)
-        return out
+        (bx, by, bz), (tx, ty, tz) = self._base, self._top
+        x0, x1 = max(floor((cx - radius) * inv), bx), min(floor((cx + radius) * inv), tx)
+        y0, y1 = max(floor((cy - radius) * inv), by), min(floor((cy + radius) * inv), ty)
+        z0, z1 = max(floor((cz - radius) * inv), bz), min(floor((cz + radius) * inv), tz)
+        if x0 > x1 or y0 > y1 or z0 > z1:
+            return self._ids[:0]
+        ny, nz = self._ny, self._nz
+        bounds = []
+        for ix in range(x0 - bx, x1 - bx + 1):
+            for iy in range(y0 - by, y1 - by + 1):
+                first = (ix * ny + iy) * nz + z0 - bz
+                bounds += (first, first + z1 - z0 + 1)
+        pos = np.searchsorted(self._keys, bounds).tolist()
+        ids = self._ids
+        return np.concatenate([ids[pos[k]:pos[k + 1]] for k in range(0, len(pos), 2)])
+
+    def pairs(self, centers, radius: float):
+        """(query row, member id) for every member in a cell that overlaps
+        each ball's bounding box. Rows come out in ascending order."""
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        radius = float(radius)
+        if not (np.all(np.isfinite(centers)) and isfinite(radius)):
+            raise ValueError("query centers and radius must be finite")
+        base, top = np.asarray(self._base), np.asarray(self._top)
+        lo = np.clip(np.floor((centers - radius) * self._inv), base, top + 1).astype(np.int64)
+        hi = np.clip(np.floor((centers + radius) * self._inv), base - 1, top).astype(np.int64)
+        span = np.maximum(hi - lo + 1, 0)
+        lo -= base
+        # One entry per (query, x, y) column; each is a run of consecutive keys.
+        columns = span[:, 0] * span[:, 1]
+        rows = np.repeat(np.arange(len(centers)), columns)
+        j = np.arange(rows.size) - np.repeat(np.cumsum(columns) - columns, columns)
+        first = lo[rows]
+        first[:, 0] += j // span[rows, 1]
+        first[:, 1] += j % span[rows, 1]
+        first = self._pack(first)
+        start = np.searchsorted(self._keys, first)
+        count = np.searchsorted(self._keys, first + span[rows, 2]) - start
+        # Expand each run [start, start + count) into member positions.
+        rows = np.repeat(rows, count)
+        pos = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        return rows, self._ids[pos]

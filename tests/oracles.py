@@ -108,6 +108,18 @@ def linear_radius_scan(means, center, eps):
     return np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= eps * eps)
 
 
+def linear_nearest_within(means, queries, eps):
+    """Brute-force nearest member within the closed ball of radius eps, per
+    query row, or -1. Ties break to the lowest id."""
+    out = np.full(len(queries), -1, dtype=np.int64)
+    for i, q in enumerate(np.asarray(queries, dtype=np.float64)):
+        within = linear_radius_scan(means, q, eps)
+        if within.size:
+            diff = np.asarray(means, dtype=np.float64)[within] - q
+            out[i] = within[np.argmin(np.einsum("ij,ij->i", diff, diff))]
+    return out
+
+
 def projection_frustum_mask(spec, cam, near, far):
     """Per-voxel projection test written against the camera matrix directly."""
     centers = spec.voxel_centers()

@@ -9,13 +9,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 04 (two-view fusion) and 06 (index timings at 50k points) are left out:
-# each takes longer than these four together.
 DEMOS = (
     "01_camera_and_sampling.py",
     "02_splatting_basics.py",
     "03_monocular_room.py",
+    "04_streaming_fusion.py",
     "05_losses.py",
+    "06_spatial_index.py",
 )
 
 

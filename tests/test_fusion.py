@@ -7,7 +7,7 @@ import splatocc as so
 from splatocc.gaussians import GaussianSet
 from splatocc.spatial_hash import SpatialHashGrid
 
-from oracles import linear_radius_scan
+from oracles import linear_nearest_within, linear_radius_scan
 
 
 def make_set(means, opacities=None, logits=None, scales=0.03, nc=12):
@@ -33,20 +33,39 @@ def saturated_logits(cls, nc=12, gain=1000.0):
 class TestSpatialHash:
     def test_insert_and_candidates(self):
         grid = SpatialHashGrid(0.1)
-        grid.insert(0, [0.05, 0.05, 0.05])
-        grid.insert(1, [0.95, 0.95, 0.95])
+        grid.insert_many([0, 1], [[0.05, 0.05, 0.05], [0.95, 0.95, 0.95]])
         assert 0 in grid.candidates([0.04, 0.04, 0.04], 0.05)
         assert 1 not in grid.candidates([0.04, 0.04, 0.04], 0.05)
 
-    def test_remove_and_move(self):
-        grid = SpatialHashGrid(0.1)
-        grid.insert(0, [0.05, 0.05, 0.05])
-        grid.move(0, [0.05, 0.05, 0.05], [0.55, 0.05, 0.05])
-        assert grid.candidates([0.55, 0.05, 0.05], 0.05) == [0]
-        grid.remove(0, [0.55, 0.05, 0.05])
-        assert len(grid) == 0
-        with pytest.raises(KeyError):
-            grid.remove(0, [0.55, 0.05, 0.05])
+    def test_pairs_agree_with_candidates(self):
+        rng = np.random.default_rng(21)
+        points = rng.uniform(0, 1, (2000, 3))
+        grid = SpatialHashGrid(0.08)
+        grid.insert_many(range(len(points)), points)
+        centers = rng.uniform(-0.3, 1.3, (200, 3))
+        for radius in (0.0, 0.03, 0.08, 0.17, 0.25):
+            rows, ids = grid.pairs(centers, radius)
+            assert np.all(np.diff(rows) >= 0)
+            for r, c in enumerate(centers):
+                got = np.sort(ids[rows == r])
+                np.testing.assert_array_equal(got, np.sort(grid.candidates(c, radius)))
+                diff = points[got] - c
+                within = got[np.einsum("ij,ij->i", diff, diff) <= radius ** 2]
+                np.testing.assert_array_equal(within, linear_radius_scan(points, c, radius))
+
+    def test_non_finite_input_rejected(self):
+        bank = so.GaussianMemoryBank.from_set(make_set([[0.5, 0.5, 0.5]]))
+        grid = SpatialHashGrid(0.08)
+        grid.insert_many([0], [[0.5, 0.5, 0.5]])
+        for query, eps in (([np.nan, 0, 0], 0.08), ([np.inf, 0, 0], 0.08), ([0, 0, 0], np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                bank.radius_neighbors(query, eps)
+            with pytest.raises(ValueError, match="finite"):
+                grid.pairs([query], eps)
+        with pytest.raises(ValueError):
+            bank.radius_neighbors([0, 0, 0], np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            grid.insert_many([0], [[np.nan, 0.5, 0.5]])
 
 
 class TestRadiusNeighbors:
@@ -72,6 +91,12 @@ class TestRadiusNeighbors:
             got = set(bank.radius_neighbors(q, eps).tolist())
             want = set(linear_radius_scan(means, q, eps).tolist())
             assert got == want
+        # Radii above the cell size reach past the 27-cell neighborhood.
+        for _ in range(20):
+            q = rng.uniform(-0.2, 3.2, 3)
+            eps = float(rng.uniform(0.08, 0.25))
+            got = set(bank.radius_neighbors(q, eps).tolist())
+            assert got == set(linear_radius_scan(means, q, eps).tolist())
 
     def test_closed_ball_boundary(self):
         bank = so.GaussianMemoryBank.from_set(
@@ -83,23 +108,26 @@ class TestRadiusNeighbors:
 class TestTop1Confidence:
     def test_uniform_logits(self):
         g = so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(12))
-        assert so.top1_confidence(g) == pytest.approx(1 / 12, abs=1e-12)
-        assert so.top1_confidence(g) == pytest.approx(0.08333, abs=1e-5)
+        p = so.top1_confidence(GaussianSet.from_primitives([g]))[0]
+        assert p == pytest.approx(1 / 12, abs=1e-12)
+        assert p == pytest.approx(0.08333, abs=1e-5)
 
     def test_one_hot_gain(self):
         vec = np.zeros(12)
         vec[4] = 6.0
         g = so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
         expected = np.exp(6.0) / (np.exp(6.0) + 11.0)
-        assert so.top1_confidence(g) == pytest.approx(expected, abs=1e-12)
-        assert so.top1_confidence(g) == pytest.approx(0.97346, abs=1e-5)
+        p = so.top1_confidence(GaussianSet.from_primitives([g]))[0]
+        assert p == pytest.approx(expected, abs=1e-12)
+        assert p == pytest.approx(0.97346, abs=1e-5)
 
     def test_two_way_tie(self):
         vec = np.zeros(6)
         vec[1] = vec[4] = 3.0
         g = so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
         expected = np.exp(3.0) / (2 * np.exp(3.0) + 4.0)
-        assert so.top1_confidence(g) == pytest.approx(expected, abs=1e-12)
+        p = so.top1_confidence(GaussianSet.from_primitives([g]))[0]
+        assert p == pytest.approx(expected, abs=1e-12)
 
     def test_set_vectorized(self):
         gset = make_set([[0, 0, 0], [1, 1, 1]], logits=np.array([saturated_logits(2), np.zeros(12)]))
@@ -204,6 +232,27 @@ class TestFuseFrame:
         assert np.abs(bank.means[0] - [1, 1, 1]).max() <= 1e-3
         assert np.abs(bank.logits[0] - logits_mem).max() <= 1e-3
 
+    def test_matches_follow_linear_nearest_within(self):
+        # Coordinates on a 2^-10 lattice and a power-of-two epsilon make the
+        # offsets below exact, so some incoming lie at exactly epsilon.
+        rng = np.random.default_rng(22)
+        eps = 0.0625
+        base = np.round(rng.uniform(0, 1.5, (2500, 3)) * 1024) / 1024
+        means = np.concatenate([base, base[:400]])          # duplicates tie exactly
+        bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
+        axis_steps = np.eye(3)[rng.integers(0, 3, 600)] * eps * rng.choice([-1, 1], (600, 1))
+        incoming = np.concatenate([
+            rng.uniform(-0.1, 1.6, (1500, 3)),
+            means[rng.integers(0, len(means), 600)] + axis_steps,   # at exactly epsilon
+            base[rng.integers(0, 400, 300)],                        # onto a duplicated pair
+        ])
+        want = linear_nearest_within(means, incoming, eps)
+        before = bank.opacities.copy()
+        stats = bank.fuse_frame(make_set(incoming, opacities=np.full(len(incoming), 0.9)))
+        assert stats.matched == np.count_nonzero(want >= 0)
+        changed = np.flatnonzero(bank.opacities[:len(means)] != before)
+        np.testing.assert_array_equal(changed, np.unique(want[want >= 0]))
+
     def test_index_consistent_after_fusion_moves(self):
         rng = np.random.default_rng(20)
         bank = so.GaussianMemoryBank.from_set(
@@ -222,12 +271,6 @@ class TestFuseFrame:
             bank.fuse_frame(GaussianSet.empty(12, frame="camera"))
         with pytest.raises(ValueError, match="class count"):
             bank.fuse_frame(GaussianSet.empty(6, frame="world"))
-
-    def test_config_mismatch_in_wrapper(self):
-        bank = so.GaussianMemoryBank(12, so.FusionConfig(epsilon=0.08))
-        with pytest.raises(ValueError, match="config"):
-            so.fuse_frame(bank, GaussianSet.empty(12, frame="world"),
-                          so.FusionConfig(epsilon=0.2))
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

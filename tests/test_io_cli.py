@@ -223,13 +223,19 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_scene_without_shell_thickness_is_one_line_error(self, tmp_path, capsys):
-        scene_path = tmp_path / "scene.json"
-        scene_path.write_text(json.dumps({"extent": [4.0, 4.8, 2.88]}))
-        code = main(["render", "--scene", str(scene_path), "--pose", "0.3,2.4,1.44",
-                     "--out", str(tmp_path / "d.dmap")])
-        err = capsys.readouterr().err.splitlines()
-        assert code == 1
-        assert len(err) == 1 and err[0].startswith("error:") and "shell_thickness" in err[0]
+        room = {"extent": [4.0, 4.8, 2.88], "shell_thickness": 0.48}
+        for payload, field in (
+            ({"extent": [4.0, 4.8, 2.88]}, "shell_thickness"),
+            (dict(room, boxes=5), "boxes"),
+            (dict(room, patches="x"), "patches"),
+        ):
+            scene_path = tmp_path / "scene.json"
+            scene_path.write_text(json.dumps(payload))
+            code = main(["render", "--scene", str(scene_path), "--pose", "0.3,2.4,1.44",
+                         "--out", str(tmp_path / "d.dmap")])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
     def test_oversized_gaussian_count_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "huge.gset"
