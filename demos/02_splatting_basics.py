@@ -12,24 +12,28 @@ import numpy as np
 
 import splatocc as so
 
-# One anisotropic Gaussian: per-axis scales, quaternion orientation (w first),
-# an opacity, and class logits (class 0 is reserved for "empty").
-g = so.GaussianPrimitive(
-    mean=[0.8, 0.8, 0.4],
-    scale=[0.2, 0.08, 0.08],
-    rotation=[1.0, 0.0, 0.0, 0.0],
-    opacity=0.9,
+# One anisotropic Gaussian, a one-row GaussianSet: per-axis scales, quaternion
+# orientation (w first), an opacity, and class logits (class 0 is reserved
+# for "empty"). The world frame tag lets it splat.
+g = so.GaussianSet(
+    means=[0.8, 0.8, 0.4],
+    scales=[0.2, 0.08, 0.08],
+    rotations=[1.0, 0.0, 0.0, 0.0],
+    opacities=0.9,
     logits=[0, 0, 0, 0, 0, 6.0],
+    frame="world",
 )
-print("kernel at its own mean:     ", so.evaluate(g, g.mean))
-print("kernel one sigma away in x: ", so.evaluate(g, g.mean + [0.2, 0, 0]))
-print("same Mahalanobis step in y: ", so.evaluate(g, g.mean + [0, 0.08, 0]))
-print("covariance eigenvalues:     ", np.sort(np.linalg.eigvalsh(so.covariance(g))))
+mean = g.means[0]
+steps = mean + np.array([[0, 0, 0], [0.2, 0, 0], [0, 0.08, 0]])
+at_mean, sigma_x, sigma_y = so.evaluate(g, steps)[0]
+print("kernel at its own mean:     ", at_mean)
+print("kernel one sigma away in x: ", sigma_x)
+print("same Mahalanobis step in y: ", sigma_y)
+print("covariance eigenvalues:     ", np.sort(np.linalg.eigvalsh(g.covariances()[0])))
 
 # Splat a single kernel into a small grid and look at a horizontal slice.
 spec = so.GridSpec((16, 16, 8), 0.1, np.zeros(3), num_classes=6)
-gset = so.GaussianSet.from_primitives([g], frame="world")
-grid = so.splat(gset, spec)
+grid = so.splat(g, spec)
 
 iz = 4
 print(f"\noccupancy scores, slice z={iz} (tenths, '.' = 0):")
@@ -41,15 +45,19 @@ touched = np.argwhere(grid.scores > 0)
 print(f"\nnonzero scores span voxels {touched.min(axis=0)} .. {touched.max(axis=0) + 1} (half-open)")
 
 # Superposition is monotone: adding a second kernel never lowers any score.
-g2 = so.GaussianPrimitive([0.5, 0.8, 0.4], [0.1] * 3, [1, 0, 0, 0], 0.7,
-                          [0, 0, 6.0, 0, 0, 0])
-both = so.splat(so.GaussianSet.from_primitives([g, g2], frame="world"), spec)
+# The third, faint kernel is for the pruning step below.
+trio = so.GaussianSet(
+    means=[mean, [0.5, 0.8, 0.4], [1.2, 1.2, 0.4]],
+    scales=[g.scales[0], [0.1] * 3, [0.1] * 3],
+    rotations=[[1, 0, 0, 0]] * 3,
+    opacities=[0.9, 0.7, 0.005],
+    logits=[g.logits[0], [0, 0, 6.0, 0, 0, 0], [0, 6.0, 0, 0, 0, 0]],
+    frame="world",
+)
+both = so.splat(trio.subset([0, 1]), spec)
 print("monotone superposition:", bool(np.all(both.scores >= grid.scores - 1e-12)))
 print("max score with overlap:", both.scores.max(), "(never exceeds 1)")
 
 # Opacity pruning drops faint kernels before splatting.
-faint = so.GaussianPrimitive([1.2, 1.2, 0.4], [0.1] * 3, [1, 0, 0, 0], 0.005,
-                             [0, 6.0, 0, 0, 0, 0])
-trio = so.GaussianSet.from_primitives([g, g2, faint], frame="world")
 kept = so.prune(trio, tau=0.01)
 print(f"\npruning at tau=0.01 keeps {len(kept)} of {len(trio)} kernels")

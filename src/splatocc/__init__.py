@@ -8,7 +8,6 @@ streaming input, and grids are compared with frustum-masked IoU / mIoU.
 
 from .camera import (
     CameraModel,
-    Pixel,
     RigidTransform,
     backproject,
     project,
@@ -27,11 +26,8 @@ from .gaussians import (
     SCALE_FLOOR,
     AttributeConfig,
     DegenerateGaussianError,
-    GaussianPrimitive,
     GaussianSet,
-    covariance,
     evaluate,
-    heuristic_attributes,
     heuristic_attributes_batch,
     prune,
 )
@@ -59,7 +55,6 @@ from .pipeline import (
 from .sampling import (
     DepthMap,
     SampleBatch,
-    SamplePoint,
     SamplingConfig,
     sample_offsets,
     volumetric_sample,

@@ -9,17 +9,11 @@ provided for inputs that use the other convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import quaternions
-from .gaussians import GaussianPrimitive, GaussianSet, WORLD_FRAME
-
-
-class Pixel(NamedTuple):
-    u: float
-    v: float
+from .gaussians import GaussianSet, WORLD_FRAME
 
 
 @dataclass(frozen=True)
@@ -142,29 +136,19 @@ def z_depth_to_ray_distance(cam: CameraModel, pixel, z):
     return z * np.sqrt(x * x + y * y + 1.0)
 
 
-def to_world(cam: CameraModel, g):
-    """Map a GaussianPrimitive or GaussianSet from camera to world frame.
+def to_world(cam: CameraModel, gset: GaussianSet) -> GaussianSet:
+    """Map a GaussianSet from camera to world frame.
 
     Means are rotated and translated, orientations composed with the pose
     rotation; scales, opacities and logits are untouched, so covariance
     eigenvalues are preserved exactly.
     """
     pose_quat = quaternions.from_matrix(cam.pose.rotation)
-    if isinstance(g, GaussianPrimitive):
-        return GaussianPrimitive(
-            mean=cam.pose.apply(g.mean),
-            scale=g.scale,
-            rotation=quaternions.multiply(pose_quat, g.rotation),
-            opacity=g.opacity,
-            logits=g.logits,
-        )
-    if isinstance(g, GaussianSet):
-        return GaussianSet(
-            means=cam.pose.apply(g.means),
-            scales=g.scales,
-            rotations=quaternions.multiply(pose_quat[None, :], g.rotations),
-            opacities=g.opacities,
-            logits=g.logits,
-            frame=WORLD_FRAME,
-        )
-    raise TypeError(f"expected GaussianPrimitive or GaussianSet, got {type(g).__name__}")
+    return GaussianSet(
+        means=cam.pose.apply(gset.means),
+        scales=gset.scales,
+        rotations=quaternions.multiply(pose_quat[None, :], gset.rotations),
+        opacities=gset.opacities,
+        logits=gset.logits,
+        frame=WORLD_FRAME,
+    )

@@ -1,23 +1,22 @@
 """Command-line interface.
 
 Subcommands drive the library end to end on synthetic scenes: gen-scene,
-render, sample, splat, stream, eval, prune, bench-index. Every command
-accepts --config (flat key = value file) with individual flags taking
-precedence; results and diagnostics print as "key = value" lines. Exit code
-0 on success, 1 with a single-line message on error.
+render, sample, splat, stream, eval, prune. Every command accepts --config
+(flat key = value file) with individual flags taking precedence; results
+and diagnostics print as "key = value" lines. Exit code 0 on success, 1
+with a single-line message on error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
 from . import io
 from .camera import CameraModel
-from .fusion import FusionConfig, GaussianMemoryBank
+from .fusion import GaussianMemoryBank
 from .gaussians import prune
 from .metrics import CLASS_NAMES, confusion, frustum_mask, iou_miou
 from .pipeline import PipelineConfig, config_from_mapping, frame_gaussians
@@ -213,66 +212,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench_index(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    span = 4.0
-    means = rng.uniform(0.0, span, size=(args.count, 3))
-    queries = rng.uniform(0.0, span, size=(args.queries, 3))
-    eps = args.eps
-
-    from .gaussians import GaussianSet
-    from .quaternions import IDENTITY
-
-    gset = GaussianSet(
-        means=means,
-        scales=np.full((args.count, 3), 0.02),
-        rotations=np.tile(IDENTITY, (args.count, 1)),
-        opacities=np.full(args.count, 0.5),
-        logits=rng.normal(size=(args.count, 12)),
-        frame="world",
-    )
-    bank = GaussianMemoryBank.from_set(gset, FusionConfig(epsilon=eps))
-
-    start = time.perf_counter()
-    hash_hits = 0
-    for q in queries:
-        hash_hits += bank.radius_neighbors(q, eps).size
-    hash_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    linear_hits = 0
-    eps_sq = eps * eps
-    for q in queries:
-        diff = means - q
-        linear_hits += int(np.count_nonzero(np.einsum("ij,ij->i", diff, diff) <= eps_sq))
-    linear_seconds = time.perf_counter() - start
-
-    if hash_hits != linear_hits:
-        raise AssertionError("hash and linear scan disagree on neighbor totals")
-
-    incoming = GaussianSet(
-        means=rng.uniform(0.0, span, size=(5000, 3)),
-        scales=np.full((5000, 3), 0.02),
-        rotations=np.tile(IDENTITY, (5000, 1)),
-        opacities=np.full(5000, 0.5),
-        logits=rng.normal(size=(5000, 12)),
-        frame="world",
-    )
-    start = time.perf_counter()
-    stats = bank.fuse_frame(incoming)
-    fuse_seconds = time.perf_counter() - start
-
-    _emit("bank_size", args.count)
-    _emit("queries", args.queries)
-    _emit("hash_seconds", f"{hash_seconds:.4f}")
-    _emit("linear_seconds", f"{linear_seconds:.4f}")
-    _emit("speedup", f"{linear_seconds / hash_seconds:.1f}")
-    _emit("fuse_matched", stats.matched)
-    _emit("fuse_inserted", stats.inserted)
-    _emit("fuse_seconds", f"{fuse_seconds:.4f}")
-    return 0
-
-
 def _add_common(parser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
 
@@ -368,14 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose", help="enable the frustum mask for this camera pose")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench-index", help="spatial hash vs linear scan timing")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=50000)
-    p.add_argument("--queries", type=int, default=5000)
-    p.add_argument("--eps", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench_index)
-
     return parser
 
 
@@ -383,7 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, AssertionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,20 +1,20 @@
 """Anisotropic 3D Gaussian primitives carrying semantic class logits.
 
-A primitive is an ellipsoidal kernel: mean position (m), per-axis standard
-deviations (m), a unit-quaternion orientation, an opacity in [0, 1], and a
-vector of class logits. Collections are stored as packed arrays
-(:class:`GaussianSet`) so splatting and fusion stay vectorized.
+Each primitive is an ellipsoidal kernel: mean position (m), per-axis
+standard deviations (m), a unit-quaternion orientation, an opacity in
+[0, 1], and a vector of class logits. Primitives only exist as packed
+arrays (:class:`GaussianSet`, one row each) so splatting and fusion stay
+vectorized; a single primitive is a one-row set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import quaternions
-from .sampling import SampleBatch, SamplePoint
+from .sampling import SampleBatch
 
 SCALE_FLOOR = 1e-4
 DEFAULT_PRUNE_TAU = 0.01
@@ -29,61 +29,14 @@ class DegenerateGaussianError(ValueError):
     """Raised when a covariance is too ill-conditioned to evaluate."""
 
 
-def _clean_scale(scale):
-    scale = np.asarray(scale, dtype=np.float64)
-    if not np.all(np.isfinite(scale)) or np.any(scale <= 0.0):
-        raise ValueError("scales must be finite and > 0")
-    return np.maximum(scale, SCALE_FLOOR)
-
-
-@dataclass(frozen=True)
-class GaussianPrimitive:
-    """One Gaussian kernel. Scales are floored at SCALE_FLOOR on construction."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-    rotation: np.ndarray
-    opacity: float
-    logits: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        if mean.shape != (3,) or not np.all(np.isfinite(mean)):
-            raise ValueError("mean must be a finite 3-vector")
-        scale = _clean_scale(self.scale)
-        if scale.shape != (3,):
-            raise ValueError("scale must be a 3-vector")
-        rotation = quaternions.normalize_if_needed(self.rotation)
-        if rotation.shape != (4,):
-            raise ValueError("rotation must be a quaternion (w, x, y, z)")
-        opacity = float(self.opacity)
-        if not np.isfinite(opacity) or not 0.0 <= opacity <= 1.0:
-            raise ValueError("opacity must lie in [0, 1]")
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 1 or logits.size < 2 or not np.all(np.isfinite(logits)):
-            raise ValueError("logits must be a finite vector of length >= 2")
-        for name, value in (
-            ("mean", mean),
-            ("scale", scale),
-            ("rotation", rotation),
-            ("opacity", opacity),
-            ("logits", logits),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def num_classes(self) -> int:
-        return self.logits.size
-
-    def covariance(self) -> np.ndarray:
-        return covariance(self)
-
-
 class GaussianSet:
     """Packed, immutable collection of primitives sharing one class count.
 
-    ``frame`` tags whether means/rotations live in camera or world
-    coordinates; splatting and fusion require world frame.
+    One primitive given as plain vectors (a 3-vector mean, a scalar
+    opacity, ...) becomes a one-row set. Scales are floored at SCALE_FLOOR
+    and quaternions normalized on construction. ``frame`` tags whether
+    means/rotations live in camera or world coordinates; splatting and
+    fusion require world frame.
     """
 
     __slots__ = ("means", "scales", "rotations", "opacities", "logits", "frame")
@@ -108,7 +61,9 @@ class GaussianSet:
         if np.any(~np.isfinite(opacities)) or np.any(opacities < 0) or np.any(opacities > 1):
             raise ValueError("opacities must lie in [0, 1]")
         if n:
-            scales = _clean_scale(scales)
+            if not np.all(np.isfinite(scales)) or np.any(scales <= 0.0):
+                raise ValueError("scales must be finite and > 0")
+            scales = np.maximum(scales, SCALE_FLOOR)
             rotations = quaternions.normalize_if_needed(rotations)
         for arr in (means, scales, rotations, opacities, logits):
             arr.flags.writeable = False
@@ -130,38 +85,12 @@ class GaussianSet:
             frame=frame,
         )
 
-    @classmethod
-    def from_primitives(cls, primitives: Iterable[GaussianPrimitive], frame=CAMERA_FRAME):
-        prims = list(primitives)
-        if not prims:
-            raise ValueError("from_primitives needs at least one primitive; use empty()")
-        num_classes = prims[0].num_classes
-        if any(p.num_classes != num_classes for p in prims):
-            raise ValueError("primitives disagree on class count")
-        return cls(
-            np.stack([p.mean for p in prims]),
-            np.stack([p.scale for p in prims]),
-            np.stack([p.rotation for p in prims]),
-            np.array([p.opacity for p in prims]),
-            np.stack([p.logits for p in prims]),
-            frame=frame,
-        )
-
     @property
     def num_classes(self) -> int:
         return self.logits.shape[1]
 
     def __len__(self) -> int:
         return self.means.shape[0]
-
-    def __getitem__(self, i: int) -> GaussianPrimitive:
-        return GaussianPrimitive(
-            self.means[i], self.scales[i], self.rotations[i], self.opacities[i], self.logits[i]
-        )
-
-    def __iter__(self) -> Iterator[GaussianPrimitive]:
-        for i in range(len(self)):
-            yield self[i]
 
     def subset(self, index) -> "GaussianSet":
         return GaussianSet(
@@ -187,29 +116,27 @@ def covariance_matrices(scales, rotations) -> np.ndarray:
     return scaled @ np.swapaxes(scaled, -1, -2)
 
 
-def covariance(g: GaussianPrimitive) -> np.ndarray:
-    """Covariance of one primitive; eigenvalues are the squared scales."""
-    return covariance_matrices(g.scale, g.rotation)
+def evaluate(gset: GaussianSet, points) -> np.ndarray:
+    """Kernel values exp(-0.5 * d^T Sigma^-1 d), shape (len(gset), len(points)).
 
-
-def evaluate(g: GaussianPrimitive, points) -> np.ndarray:
-    """Kernel value exp(-0.5 * d^T Sigma^-1 d) at one or more points.
-
-    The inverse covariance is applied in factored form (rotate into the
-    kernel's axes, divide by the scales), never via a general matrix
-    inverse. Equals 1 exactly at the mean and decays with Mahalanobis
-    distance.
+    The inverse covariance is applied in factored form (rotate into each
+    kernel's axes, divide by its scales), never via a general matrix
+    inverse. Equals 1 exactly at a member's mean and decays with
+    Mahalanobis distance. Raises DegenerateGaussianError when any member's
+    implied condition number (max scale / min scale)^2 exceeds 1e12.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    ratio = float(np.max(g.scale) / np.min(g.scale))
-    if ratio * ratio > _CONDITION_LIMIT:
-        raise DegenerateGaussianError(
-            f"covariance condition number {ratio * ratio:.3e} exceeds {_CONDITION_LIMIT:.0e}"
-        )
-    rot = quaternions.to_matrix(g.rotation)
-    local = (points - g.mean) @ rot / g.scale
+    if len(gset):
+        ratio = gset.scales.max(axis=1) / gset.scales.min(axis=1)
+        worst = float(np.max(ratio * ratio))
+        if worst > _CONDITION_LIMIT:
+            raise DegenerateGaussianError(
+                f"covariance condition number {worst:.3e} exceeds {_CONDITION_LIMIT:.0e}"
+            )
+    diff = points[None, :, :] - gset.means[:, None, :]
+    local = diff @ gset.rotation_matrices() / gset.scales[:, None, :]
     m2 = np.sum(local * local, axis=-1)
     return np.exp(-0.5 * m2)
 
@@ -249,36 +176,14 @@ class AttributeConfig:
             raise ValueError("opacity_decay must be >= 0")
 
 
-def heuristic_attributes(
-    sample: SamplePoint, label: int, cfg: AttributeConfig = AttributeConfig()
-) -> GaussianPrimitive:
-    """Primitive for one sample point: see :class:`AttributeConfig`.
-
-    opacity = base_opacity * exp(-opacity_decay * (k - 1)), so deeper
-    interior samples fade; sigma = sigma_factor * spacing, isotropic.
-    """
-    label = int(label)
-    if not 1 <= label <= cfg.num_classes - 1:
-        raise ValueError(f"label {label} outside valid range 1..{cfg.num_classes - 1}")
-    sigma = cfg.sigma_factor * sample.spacing
-    opacity = cfg.base_opacity * float(np.exp(-cfg.opacity_decay * (sample.k - 1)))
-    logits = np.zeros(cfg.num_classes)
-    logits[label] = cfg.logit_gain
-    return GaussianPrimitive(
-        mean=np.asarray(sample.position, dtype=np.float64),
-        scale=np.full(3, max(sigma, SCALE_FLOOR)),
-        rotation=quaternions.IDENTITY,
-        opacity=opacity,
-        logits=logits,
-    )
-
-
 def heuristic_attributes_batch(
     samples: SampleBatch, labels, cfg: AttributeConfig = AttributeConfig()
 ) -> GaussianSet:
-    """Vectorized :func:`heuristic_attributes` over a whole sample batch.
+    """Camera-frame Gaussians for a sample batch: see :class:`AttributeConfig`.
 
-    ``labels`` gives one class id per sample (camera-frame output).
+    ``labels`` gives one class id per sample. opacity = base_opacity *
+    exp(-opacity_decay * (k - 1)), so deeper interior samples fade;
+    sigma = sigma_factor * spacing, isotropic.
     """
     labels = np.asarray(labels)
     if labels.shape != (len(samples),):

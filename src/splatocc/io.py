@@ -179,6 +179,8 @@ def save_scene(path, scene: SyntheticScene) -> None:
 
 def load_scene(path) -> SyntheticScene:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: scene JSON must be an object at the top level")
     for field in ("boxes", "patches"):
         items = payload.get(field, [])
         if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
@@ -204,6 +206,8 @@ def load_scene(path) -> SyntheticScene:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: scene JSON lacks field {exc.args[0]!r}") from None
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed scene JSON: {exc}") from None
 
 
 def parse_config(text: str) -> dict:

@@ -22,12 +22,9 @@ def normalize_if_needed(q, tol: float = 1e-6):
     leaving them untouched keeps save/load round trips bit-identical.
     """
     q = np.asarray(q, dtype=np.float64)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(norm < 1e-12) or not np.all(np.isfinite(norm)):
-        raise ValueError("quaternion has zero or non-finite norm")
-    if np.all(np.abs(norm - 1.0) <= tol):
+    if np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= tol):
         return q
-    return q / norm
+    return normalize(q)
 
 
 def multiply(a, b):

@@ -9,7 +9,6 @@ backprojected surface and the rest step uniformly into the interior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -73,13 +72,6 @@ def sample_offsets(cfg: SamplingConfig) -> np.ndarray:
     return np.linspace(0.0, 1.0, cfg.k) * cfg.scale
 
 
-class SamplePoint(NamedTuple):
-    pixel: tuple
-    k: int
-    position: np.ndarray
-    spacing: float
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     """Packed sample points, pixel-major then k, all in camera frame.
@@ -95,18 +87,6 @@ class SampleBatch:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def __getitem__(self, i: int) -> SamplePoint:
-        return SamplePoint(
-            pixel=(float(self.pixels[i, 0]), float(self.pixels[i, 1])),
-            k=int(self.ks[i]),
-            position=self.positions[i],
-            spacing=float(self.spacings[i]),
-        )
-
-    def __iter__(self) -> Iterator[SamplePoint]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig, scale_map=None) -> SampleBatch:

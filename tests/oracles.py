@@ -69,17 +69,18 @@ CULL_MAHALANOBIS = 3.0
 
 def neighbor_cull(g, spec, mahalanobis=CULL_MAHALANOBIS):
     """Voxel index box (lo, hi half-open) that covers every center within
-    ``mahalanobis`` standard deviations of one GaussianPrimitive.
+    ``mahalanobis`` standard deviations of the first member of GaussianSet g.
 
     Conservative: uses the axis-aligned bound mahalanobis * max(scale), which
     contains the rotated ellipsoid. Clipped to the grid; both corners are
     zero when the box is empty.
     """
-    radius = mahalanobis * float(np.max(g.scale)) / spec.voxel_size
+    mean, scale = g.means[0], g.scales[0]
+    radius = mahalanobis * float(np.max(scale)) / spec.voxel_size
     lo = np.zeros(3, dtype=np.int64)
     hi = np.zeros(3, dtype=np.int64)
     for a in range(3):
-        t = (g.mean[a] - spec.origin[a]) / spec.voxel_size - 0.5
+        t = (mean[a] - spec.origin[a]) / spec.voxel_size - 0.5
         lo[a] = min(max(int(np.ceil(t - radius - 1e-9)), 0), spec.dims[a])
         hi[a] = min(max(int(np.floor(t + radius + 1e-9)) + 1, 0), spec.dims[a])
     if np.any(hi <= lo):

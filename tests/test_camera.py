@@ -140,11 +140,11 @@ class TestRigidTransform:
 
 class TestToWorld:
     def _gaussian(self, rng):
-        return so.GaussianPrimitive(
-            mean=rng.normal(size=3),
-            scale=rng.uniform(0.05, 0.8, 3),
-            rotation=quaternions.normalize(rng.normal(size=4)),
-            opacity=float(rng.uniform(0, 1)),
+        return so.GaussianSet(
+            means=rng.normal(size=3),
+            scales=rng.uniform(0.05, 0.8, 3),
+            rotations=quaternions.normalize(rng.normal(size=4)),
+            opacities=float(rng.uniform(0, 1)),
             logits=rng.normal(size=12),
         )
 
@@ -153,15 +153,15 @@ class TestToWorld:
         g = self._gaussian(rng)
         cam = unit_cam()
         out = so.to_world(cam, g)
-        np.testing.assert_allclose(out.mean, g.mean)
-        np.testing.assert_allclose(so.covariance(out), so.covariance(g), atol=1e-12)
+        np.testing.assert_allclose(out.means[0], g.means[0])
+        np.testing.assert_allclose(out.covariances()[0], g.covariances()[0], atol=1e-12)
 
     def test_pure_translation(self):
-        g = so.GaussianPrimitive([0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 0, 0], 0.5, np.zeros(4))
+        g = so.GaussianSet([0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 0, 0], 0.5, np.zeros(4))
         cam = unit_cam(pose=so.RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0])))
         out = so.to_world(cam, g)
-        np.testing.assert_allclose(out.mean, [1, 2, 3])
-        np.testing.assert_allclose(so.covariance(out), so.covariance(g), atol=1e-12)
+        np.testing.assert_allclose(out.means[0], [1, 2, 3])
+        np.testing.assert_allclose(out.covariances()[0], g.covariances()[0], atol=1e-12)
 
     def test_covariance_eigenvalues_preserved(self):
         rng = np.random.default_rng(17)
@@ -169,32 +169,35 @@ class TestToWorld:
             g = self._gaussian(rng)
             cam = unit_cam(pose=random_rigid(rng))
             out = so.to_world(cam, g)
-            before = np.sort(np.linalg.eigvalsh(so.covariance(g)))
-            after = np.sort(np.linalg.eigvalsh(so.covariance(out)))
+            before = np.sort(np.linalg.eigvalsh(g.covariances()[0]))
+            after = np.sort(np.linalg.eigvalsh(out.covariances()[0]))
             np.testing.assert_allclose(after, before, atol=1e-9)
-            assert out.opacity == g.opacity
-            np.testing.assert_array_equal(out.logits, g.logits)
+            assert out.opacities[0] == g.opacities[0]
+            np.testing.assert_array_equal(out.logits[0], g.logits[0])
 
     def test_covariance_conjugation(self):
         rng = np.random.default_rng(19)
         g = self._gaussian(rng)
         pose = random_rigid(rng)
         out = so.to_world(unit_cam(pose=pose), g)
-        expected = pose.rotation @ so.covariance(g) @ pose.rotation.T
-        np.testing.assert_allclose(so.covariance(out), expected, atol=1e-10)
+        expected = pose.rotation @ g.covariances()[0] @ pose.rotation.T
+        np.testing.assert_allclose(out.covariances()[0], expected, atol=1e-10)
 
     def test_set_transform_matches_per_primitive(self):
         rng = np.random.default_rng(23)
-        prims = [self._gaussian(rng) for _ in range(5)]
-        gset = so.GaussianSet.from_primitives(prims, frame="camera")
+        parts = [self._gaussian(rng) for _ in range(5)]
+        fields = ("means", "scales", "rotations", "opacities", "logits")
+        gset = so.GaussianSet(
+            *(np.concatenate([getattr(g, f) for g in parts]) for f in fields), frame="camera"
+        )
         cam = unit_cam(pose=random_rigid(rng))
         moved = so.to_world(cam, gset)
         assert moved.frame == "world"
-        for i, p in enumerate(prims):
-            single = so.to_world(cam, p)
-            np.testing.assert_allclose(moved.means[i], single.mean, atol=1e-12)
+        for i in range(len(gset)):
+            single = so.to_world(cam, gset.subset([i]))
+            np.testing.assert_allclose(moved.means[i], single.means[0], atol=1e-12)
             np.testing.assert_allclose(
-                so.covariance(moved[i]), so.covariance(single), atol=1e-10
+                moved.covariances()[i], single.covariances()[0], atol=1e-10
             )
 
     def test_evaluate_invariant_under_rigid_motion(self):
@@ -203,6 +206,6 @@ class TestToWorld:
             g = self._gaussian(rng)
             pose = random_rigid(rng)
             p = rng.normal(size=3)
-            before = so.evaluate(g, p)
-            after = so.evaluate(so.to_world(unit_cam(pose=pose), g), pose.apply(p))
+            before = so.evaluate(g, p)[0, 0]
+            after = so.evaluate(so.to_world(unit_cam(pose=pose), g), pose.apply(p))[0, 0]
             assert abs(before - after) <= 1e-9

@@ -1,4 +1,5 @@
-"""The narrative demos run to completion against the package in src/."""
+"""The narrative demos and the README quick start run to completion against
+the package in src/."""
 
 import os
 import subprocess
@@ -19,14 +20,27 @@ DEMOS = (
 )
 
 
-@pytest.mark.parametrize("name", DEMOS)
+README = "README.md"
+
+
+def readme_quick_start() -> str:
+    """The first ```python block of the README."""
+    text = (ROOT / README).read_text()
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("name", DEMOS + (README,))
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    if name == README:
+        command = [sys.executable, "-c", readme_quick_start()]
+    else:
+        command = [sys.executable, str(ROOT / "demos" / name)]
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        command,
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

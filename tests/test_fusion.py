@@ -107,26 +107,26 @@ class TestRadiusNeighbors:
 
 class TestTop1Confidence:
     def test_uniform_logits(self):
-        g = so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(12))
-        p = so.top1_confidence(GaussianSet.from_primitives([g]))[0]
+        g = GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(12))
+        p = so.top1_confidence(g)[0]
         assert p == pytest.approx(1 / 12, abs=1e-12)
         assert p == pytest.approx(0.08333, abs=1e-5)
 
     def test_one_hot_gain(self):
         vec = np.zeros(12)
         vec[4] = 6.0
-        g = so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
+        g = GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
         expected = np.exp(6.0) / (np.exp(6.0) + 11.0)
-        p = so.top1_confidence(GaussianSet.from_primitives([g]))[0]
+        p = so.top1_confidence(g)[0]
         assert p == pytest.approx(expected, abs=1e-12)
         assert p == pytest.approx(0.97346, abs=1e-5)
 
     def test_two_way_tie(self):
         vec = np.zeros(6)
         vec[1] = vec[4] = 3.0
-        g = so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
+        g = GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
         expected = np.exp(3.0) / (2 * np.exp(3.0) + 4.0)
-        p = so.top1_confidence(GaussianSet.from_primitives([g]))[0]
+        p = so.top1_confidence(g)[0]
         assert p == pytest.approx(expected, abs=1e-12)
 
     def test_set_vectorized(self):

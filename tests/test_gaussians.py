@@ -6,7 +6,6 @@ import pytest
 
 import splatocc as so
 from splatocc import quaternions
-from splatocc.sampling import SamplePoint
 
 from oracles import dense_evaluate, naive_splat, random_gaussian_set
 
@@ -16,26 +15,34 @@ ROT_Z_90 = quaternions.from_matrix(
 
 
 def iso(scale=1.0, opacity=1.0, nc=4):
-    return so.GaussianPrimitive([0, 0, 0], [scale] * 3, [1, 0, 0, 0], opacity, np.zeros(nc))
+    return so.GaussianSet([0, 0, 0], [scale] * 3, [1, 0, 0, 0], opacity, np.zeros(nc))
+
+
+def sample_row(k, position, spacing):
+    """One-row SampleBatch for the attribute provider."""
+    return so.SampleBatch(
+        pixels=np.zeros((1, 2)), ks=np.array([k]),
+        positions=np.atleast_2d(np.asarray(position, dtype=float)), spacings=np.array([spacing]),
+    )
 
 
 class TestCovariance:
     def test_identity_rotation_diagonal(self):
-        g = so.GaussianPrimitive([0, 0, 0], [1, 2, 3], [1, 0, 0, 0], 1.0, np.zeros(3))
-        np.testing.assert_allclose(so.covariance(g), np.diag([1.0, 4.0, 9.0]), atol=1e-12)
+        g = so.GaussianSet([0, 0, 0], [1, 2, 3], [1, 0, 0, 0], 1.0, np.zeros(3))
+        np.testing.assert_allclose(g.covariances()[0], np.diag([1.0, 4.0, 9.0]), atol=1e-12)
 
     def test_quarter_turn_swaps_axes(self):
-        g = so.GaussianPrimitive([0, 0, 0], [1, 2, 1], ROT_Z_90, 1.0, np.zeros(3))
-        np.testing.assert_allclose(so.covariance(g), np.diag([4.0, 1.0, 1.0]), atol=1e-12)
+        g = so.GaussianSet([0, 0, 0], [1, 2, 1], ROT_Z_90, 1.0, np.zeros(3))
+        np.testing.assert_allclose(g.covariances()[0], np.diag([4.0, 1.0, 1.0]), atol=1e-12)
 
     def test_eigenvalues_are_squared_scales(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             scale = rng.uniform(0.01, 2.0, 3)
-            g = so.GaussianPrimitive(
+            g = so.GaussianSet(
                 rng.normal(size=3), scale, rng.normal(size=4), 0.5, np.zeros(5)
             )
-            cov = so.covariance(g)
+            cov = g.covariances()[0]
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
             np.testing.assert_allclose(
                 np.sort(np.linalg.eigvalsh(cov)), np.sort(scale ** 2), atol=1e-9
@@ -44,45 +51,63 @@ class TestCovariance:
     def test_positive_definite(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            g = so.GaussianPrimitive(
+            g = so.GaussianSet(
                 rng.normal(size=3), rng.uniform(1e-4, 1.0, 3), rng.normal(size=4),
                 0.5, np.zeros(3),
             )
-            np.linalg.cholesky(so.covariance(g))
+            np.linalg.cholesky(g.covariances()[0])
 
 
 class TestEvaluate:
     def test_unity_at_mean(self):
-        assert so.evaluate(iso(), [0, 0, 0]) == 1.0
+        assert so.evaluate(iso(), [0, 0, 0])[0, 0] == 1.0
 
     def test_isotropic_unit_distance(self):
-        assert so.evaluate(iso(), [1, 0, 0]) == pytest.approx(np.exp(-0.5), abs=1e-12)
-        assert so.evaluate(iso(), [1, 0, 0]) == pytest.approx(0.606531, abs=1e-6)
+        assert so.evaluate(iso(), [1, 0, 0])[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert so.evaluate(iso(), [1, 0, 0])[0, 0] == pytest.approx(0.606531, abs=1e-6)
 
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            g = so.GaussianPrimitive(
+            g = so.GaussianSet(
                 rng.normal(size=3), rng.uniform(0.05, 1.5, 3), rng.normal(size=4),
                 1.0, np.zeros(3),
             )
             pts = rng.normal(size=(10, 3)) * 2
             np.testing.assert_allclose(
-                so.evaluate(g, pts),
-                dense_evaluate(g.mean, g.scale, g.rotation, pts),
+                so.evaluate(g, pts)[0],
+                dense_evaluate(g.means[0], g.scales[0], g.rotations[0], pts),
+                atol=1e-9,
+            )
+        # One call on a 50-member set: row i is member i's kernel.
+        gset = random_gaussian_set(rng, 50, 3, span=2.0, scale_range=(0.05, 1.5))
+        pts = rng.normal(size=(10, 3)) * 2
+        values = so.evaluate(gset, pts)
+        assert values.shape == (50, 10)
+        for i in range(50):
+            np.testing.assert_allclose(
+                values[i],
+                dense_evaluate(gset.means[i], gset.scales[i], gset.rotations[i], pts),
                 atol=1e-9,
             )
 
     def test_decreasing_in_mahalanobis_distance(self):
         g = iso(0.5)
         radii = np.linspace(0.1, 3.0, 15)
-        vals = [so.evaluate(g, [r, 0, 0]) for r in radii]
+        vals = so.evaluate(g, radii[:, None] * [1.0, 0.0, 0.0])[0]
         assert np.all(np.diff(vals) < 0)
 
     def test_degenerate_covariance_raises(self):
-        g = so.GaussianPrimitive([0, 0, 0], [1e-4, 1e-4, 150.0], [1, 0, 0, 0], 1.0, np.zeros(3))
+        g = so.GaussianSet([0, 0, 0], [1e-4, 1e-4, 150.0], [1, 0, 0, 0], 1.0, np.zeros(3))
         with pytest.raises(so.DegenerateGaussianError):
             so.evaluate(g, [0, 0, 0])
+        # Only the last member of a set is ill-conditioned.
+        trio = so.GaussianSet(
+            np.zeros((3, 3)), [[1, 1, 1], [0.5, 0.2, 0.9], [1e-4, 1e-4, 150.0]],
+            np.tile([1.0, 0, 0, 0], (3, 1)), [1.0, 1.0, 1.0], np.zeros((3, 3)),
+        )
+        with pytest.raises(so.DegenerateGaussianError):
+            so.evaluate(trio, [0, 0, 0])
 
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):
@@ -133,32 +158,30 @@ class TestPrune:
 
 class TestHeuristicAttributes:
     def test_surface_sample_defaults(self):
-        s = SamplePoint(pixel=(0, 0), k=1, position=np.array([0.0, 0.0, 2.0]), spacing=0.032)
-        g = so.heuristic_attributes(s, label=3)
-        np.testing.assert_allclose(g.scale, [0.024, 0.024, 0.024], atol=1e-12)
-        assert g.opacity == pytest.approx(0.9)
-        assert g.logits[3] == 6.0 and g.logits.sum() == 6.0
+        g = so.heuristic_attributes_batch(sample_row(1, [0.0, 0.0, 2.0], 0.032), [3])
+        np.testing.assert_allclose(g.scales[0], [0.024, 0.024, 0.024], atol=1e-12)
+        assert g.opacities[0] == pytest.approx(0.9)
+        assert g.logits[0, 3] == 6.0 and g.logits[0].sum() == 6.0
 
     def test_deep_sample_opacity_decay(self):
-        s = SamplePoint(pixel=(0, 0), k=16, position=np.zeros(3) + 1, spacing=0.032)
-        g = so.heuristic_attributes(s, label=1)
-        assert g.opacity == pytest.approx(0.9 * np.exp(-2.25), abs=1e-12)
-        assert g.opacity == pytest.approx(0.0949, abs=1e-4)
+        g = so.heuristic_attributes_batch(sample_row(16, np.zeros(3) + 1, 0.032), [1])
+        assert g.opacities[0] == pytest.approx(0.9 * np.exp(-2.25), abs=1e-12)
+        assert g.opacities[0] == pytest.approx(0.0949, abs=1e-4)
 
     def test_zero_decay_constant_opacity(self):
         cfg = so.AttributeConfig(opacity_decay=0.0)
         for k in (1, 5, 16):
-            s = SamplePoint(pixel=(0, 0), k=k, position=np.ones(3), spacing=0.05)
-            assert so.heuristic_attributes(s, 2, cfg).opacity == pytest.approx(0.9)
+            g = so.heuristic_attributes_batch(sample_row(k, np.ones(3), 0.05), [2], cfg)
+            assert g.opacities[0] == pytest.approx(0.9)
 
     def test_label_out_of_range_rejected(self):
-        s = SamplePoint(pixel=(0, 0), k=1, position=np.ones(3), spacing=0.05)
+        s = sample_row(1, np.ones(3), 0.05)
         with pytest.raises(ValueError):
-            so.heuristic_attributes(s, 0)
+            so.heuristic_attributes_batch(s, [0])
         with pytest.raises(ValueError):
-            so.heuristic_attributes(s, 12)
+            so.heuristic_attributes_batch(s, [12])
 
-    def test_batch_matches_scalar_path(self):
+    def test_batch_matches_closed_form(self):
         rng = np.random.default_rng(6)
         depth = so.DepthMap(rng.uniform(1, 3, (4, 4)))
         cam = so.CameraModel(fx=40, fy=40, cx=2, cy=2, width=4, height=4)
@@ -167,34 +190,37 @@ class TestHeuristicAttributes:
         gset = so.heuristic_attributes_batch(batch, labels)
         assert len(gset) == len(batch) and gset.frame == "camera"
         for i in (0, 7, len(batch) - 1):
-            single = so.heuristic_attributes(batch[i], int(labels[i]))
-            np.testing.assert_allclose(gset.means[i], single.mean)
-            np.testing.assert_allclose(gset.scales[i], single.scale)
-            assert gset.opacities[i] == pytest.approx(single.opacity, abs=1e-12)
-            np.testing.assert_array_equal(gset.logits[i], single.logits)
+            one_hot = np.zeros(12)
+            one_hot[labels[i]] = 6.0
+            np.testing.assert_allclose(gset.means[i], batch.positions[i])
+            np.testing.assert_allclose(gset.scales[i], np.full(3, 0.75 * batch.spacings[i]))
+            assert gset.opacities[i] == pytest.approx(
+                0.9 * np.exp(-0.15 * (batch.ks[i] - 1)), abs=1e-12
+            )
+            np.testing.assert_array_equal(gset.logits[i], one_hot)
 
 
 class TestGaussianTypes:
     def test_opacity_bounds_enforced(self):
         with pytest.raises(ValueError):
-            so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 1.2, np.zeros(3))
+            so.GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 1.2, np.zeros(3))
         with pytest.raises(ValueError):
-            so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], -0.1, np.zeros(3))
+            so.GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], -0.1, np.zeros(3))
 
     def test_scale_floor_applied(self):
-        g = so.GaussianPrimitive([0, 0, 0], [1e-9, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(3))
-        assert g.scale[0] == so.SCALE_FLOOR
+        g = so.GaussianSet([0, 0, 0], [1e-9, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(3))
+        assert g.scales[0, 0] == so.SCALE_FLOOR
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            so.GaussianPrimitive([0, 0, 0], [0, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(3))
+            so.GaussianSet([0, 0, 0], [0, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(3))
 
     def test_rotation_normalized(self):
-        g = so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [2, 0, 0, 0], 0.5, np.zeros(3))
-        assert np.linalg.norm(g.rotation) == pytest.approx(1.0, abs=1e-12)
+        g = so.GaussianSet([0, 0, 0], [1, 1, 1], [2, 0, 0, 0], 0.5, np.zeros(3))
+        assert np.linalg.norm(g.rotations[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_set_is_immutable(self):
-        gset = so.GaussianSet.from_primitives([iso()], frame="world")
+        gset = so.GaussianSet([0, 0, 0], [1] * 3, [1, 0, 0, 0], 1.0, np.zeros(4), frame="world")
         with pytest.raises(ValueError):
             gset.means[0, 0] = 5.0
 
@@ -204,4 +230,4 @@ class TestGaussianTypes:
 
     def test_nan_logits_rejected(self):
         with pytest.raises(ValueError):
-            so.GaussianPrimitive([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, [np.nan, 0.0])
+            so.GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, [np.nan, 0.0])

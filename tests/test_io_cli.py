@@ -210,11 +210,6 @@ class TestCli:
         assert io.load_grid(out_grid).spec.num_classes == 12
         assert len(io.load_gaussians(out_bank)) > 0
 
-    def test_bench_index_small(self, capsys):
-        assert main(["bench-index", "--count", "2000", "--queries", "100"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup = " in out and "fuse_seconds = " in out
-
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.dmap"
         code = main(["sample", "--depth", str(missing), "--classes", str(missing),
@@ -228,6 +223,11 @@ class TestCli:
             ({"extent": [4.0, 4.8, 2.88]}, "shell_thickness"),
             (dict(room, boxes=5), "boxes"),
             (dict(room, patches="x"), "patches"),
+            ([1, 2], "object"),
+            (dict(room, patches=[{"axis": 0, "side": "min", "lo": 3, "hi": [1, 1],
+                                  "label": 4}]), "scene.json"),
+            (dict(room, patches=[{"axis": 0, "side": "min", "lo": [0], "hi": [1, 1],
+                                  "label": 4}]), "scene.json"),
         ):
             scene_path = tmp_path / "scene.json"
             scene_path.write_text(json.dumps(payload))

@@ -81,10 +81,9 @@ class TestVolumetricSample:
         cfg = so.SamplingConfig(k=5, scale=0.9, stride=2)
         batch = so.volumetric_sample(so.DepthMap(values), cam, cfg)
         offs = so.sample_offsets(cfg)
-        for s in batch:
-            d = values[int(s.pixel[1]), int(s.pixel[0])]
-            expected = d + offs[s.k - 1]
-            assert abs(np.linalg.norm(s.position) - expected) <= 1e-9
+        u, v = batch.pixels.astype(int).T
+        expected = values[v, u] + offs[batch.ks - 1]
+        assert np.abs(np.linalg.norm(batch.positions, axis=1) - expected).max() <= 1e-9
 
     def test_monotone_distance_along_ray(self):
         depth = so.DepthMap(np.full((4, 4), 2.5))
@@ -98,11 +97,11 @@ class TestVolumetricSample:
         values = rng.uniform(1.0, 4.0, (5, 5))
         cam = so.CameraModel(fx=45, fy=45, cx=2.5, cy=2.5, width=5, height=5)
         batch = so.volumetric_sample(so.DepthMap(values), cam, so.SamplingConfig(k=3, scale=0.4, stride=1))
-        for s in batch:
-            if s.k != 1:
-                continue
-            d = values[int(s.pixel[1]), int(s.pixel[0])]
-            np.testing.assert_allclose(s.position, so.backproject(cam, s.pixel, d), atol=1e-12)
+        first = batch.ks == 1
+        px = batch.pixels[first]
+        d = values[px[:, 1].astype(int), px[:, 0].astype(int)]
+        assert first.sum() == 25
+        np.testing.assert_allclose(batch.positions[first], so.backproject(cam, px, d), atol=1e-12)
 
     def test_pixel_major_then_k_ordering(self):
         depth = so.DepthMap(np.arange(1.0, 5.0).reshape(2, 2))

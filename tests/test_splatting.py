@@ -34,14 +34,14 @@ class TestNeighborCull:
     def test_isotropic_box_span(self):
         spec = so.GridSpec((60, 60, 36), 0.08, np.zeros(3), 4)
         center = spec.origin + (np.array([30, 30, 18]) + 0.5) * spec.voxel_size
-        g = so.GaussianPrimitive(center, [0.08] * 3, [1, 0, 0, 0], 0.5, np.zeros(4))
+        g = so.GaussianSet(center, [0.08] * 3, [1, 0, 0, 0], 0.5, np.zeros(4))
         lo, hi = neighbor_cull(g, spec)
         np.testing.assert_array_equal(hi - lo, [7, 7, 7])
         np.testing.assert_array_equal(lo, [27, 27, 15])
 
     def test_far_outside_grid_is_empty(self):
         spec = so.GridSpec((60, 60, 36), 0.08, np.zeros(3), 4)
-        g = so.GaussianPrimitive([14.8, 0.4, 0.4], [0.1] * 3, [1, 0, 0, 0], 0.5, np.zeros(4))
+        g = so.GaussianSet([14.8, 0.4, 0.4], [0.1] * 3, [1, 0, 0, 0], 0.5, np.zeros(4))
         lo, hi = neighbor_cull(g, spec)
         assert np.all(hi <= lo)
 
@@ -50,12 +50,12 @@ class TestNeighborCull:
         spec = small_spec()
         centers = spec.voxel_centers()
         for _ in range(30):
-            g = so.GaussianPrimitive(
+            g = so.GaussianSet(
                 rng.uniform(-0.2, 1.8, 3), rng.uniform(0.02, 0.3, 3),
                 rng.normal(size=4), 1.0, np.zeros(4),
             )
             lo, hi = neighbor_cull(g, spec)
-            values = dense_evaluate(g.mean, g.scale, g.rotation, centers)
+            values = dense_evaluate(g.means[0], g.scales[0], g.rotations[0], centers)
             hot = centers[values >= np.exp(-4.5)]
             if hot.size == 0:
                 continue
