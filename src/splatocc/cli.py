@@ -2,15 +2,17 @@
 
 Subcommands drive the library end to end on synthetic scenes: gen-scene,
 render, sample, splat, stream, eval, prune. Every command accepts --config
-(flat key = value file) with individual flags taking precedence; results
-and diagnostics print as "key = value" lines. Exit code 0 on success, 1
-with a single-line message on error.
+(flat key = value file); each setting flag overrides the same key of the
+file, and a key set by neither takes its default. Results and diagnostics
+print as "key = value" lines. Exit code 0 on success, 1 with a single-line
+message on error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -18,52 +20,48 @@ from . import io
 from .camera import CameraModel
 from .fusion import GaussianMemoryBank
 from .gaussians import prune
-from .metrics import CLASS_NAMES, confusion, frustum_mask, iou_miou
-from .pipeline import PipelineConfig, config_from_mapping, frame_gaussians
+from .metrics import confusion, frustum_mask, iou_miou
+from .pipeline import config_from_mapping, frame_gaussians
 from .scenes import (
     generate_frontal_room,
     oracle_occupancy,
     render_depth,
     scene_grid,
-    standard_camera,
     standard_pose,
 )
 from .splatting import GridSpec, splat
 
 
-def _load_settings(args) -> dict:
-    return io.load_config(args.config) if args.config else {}
+# Setting flags by config-file key and type. Flag --theta-occ stores under
+# key theta_occ, --grid-dims under grid-dims, so a flag overlays its key.
+_CAMERA_FLAGS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int}
+_PIPELINE_FLAGS = {"k": int, "scale": float, "stride": int, "tau": float, "theta_occ": float,
+                   "epsilon": float, "gamma": float}
+_GRID_FLAGS = {"grid-dims": str, "voxel-size": float, "grid-origin": str}
+_FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the grid min corner"}
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    mapping = dict(_load_settings(args))
-    for key in ("k", "scale", "stride", "tau", "theta_occ", "epsilon", "gamma"):
+def _settings(args) -> dict:
+    """The --config file's key = value pairs, overlaid by every setting flag given."""
+    settings = io.load_config(args.config) if args.config else {}
+    for key in {**_CAMERA_FLAGS, **_PIPELINE_FLAGS, **_GRID_FLAGS}:
         value = getattr(args, key, None)
         if value is not None:
-            mapping[key] = str(value)
-    return config_from_mapping(mapping)
+            settings[key] = str(value)
+    return settings
 
 
-def _camera(args, settings: dict, pose=None) -> CameraModel:
-    def pick(name, cast, default):
-        value = getattr(args, name, None)
-        if value is not None:
-            return cast(value)
-        if name in settings:
-            return cast(settings[name])
-        return default
-
-    width = pick("width", int, 240)
-    height = pick("height", int, 180)
-    cam = standard_camera(np.zeros(3), width=width, height=height)
+def _camera(settings: dict, pose) -> CameraModel:
+    width = int(settings.get("width", 240))
+    height = int(settings.get("height", 180))
     return CameraModel(
-        fx=pick("fx", float, 260.0),
-        fy=pick("fy", float, 260.0),
-        cx=pick("cx", float, width / 2.0),
-        cy=pick("cy", float, height / 2.0),
+        fx=float(settings.get("fx", 260.0)),
+        fy=float(settings.get("fy", 260.0)),
+        cx=float(settings.get("cx", width / 2.0)),
+        cy=float(settings.get("cy", height / 2.0)),
         width=width,
         height=height,
-        pose=pose if pose is not None else cam.pose,
+        pose=pose,
     )
 
 
@@ -76,24 +74,12 @@ def _parse_pose(text: str):
     return standard_pose(parts[:3], parts[3])
 
 
-def _grid_spec(args, settings: dict) -> GridSpec:
-    def pick(name, default):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        return settings.get(name, default)
-
-    dims = pick("grid-dims", "60,60,36")
-    if isinstance(dims, str):
-        dims = tuple(int(d) for d in dims.split(","))
-    origin = pick("grid-origin", "0,0,0")
-    if isinstance(origin, str):
-        origin = np.array([float(v) for v in origin.split(",")])
+def _grid_spec(settings: dict) -> GridSpec:
     return GridSpec(
-        dims=tuple(dims),
-        voxel_size=float(pick("voxel-size", 0.08)),
-        origin=np.asarray(origin, dtype=np.float64),
-        num_classes=int(pick("num_classes", 12)),
+        dims=tuple(int(d) for d in settings.get("grid-dims", "60,60,36").split(",")),
+        voxel_size=float(settings.get("voxel-size", 0.08)),
+        origin=np.array([float(v) for v in settings.get("grid-origin", "0,0,0").split(",")]),
+        num_classes=int(settings.get("num_classes", 12)),
     )
 
 
@@ -114,8 +100,7 @@ def _cmd_gen_scene(args) -> int:
 
 def _cmd_render(args) -> int:
     scene = io.load_scene(args.scene)
-    settings = _load_settings(args)
-    cam = _camera(args, settings, pose=_parse_pose(args.pose))
+    cam = _camera(_settings(args), _parse_pose(args.pose))
     depth, classes = render_depth(scene, cam)
     io.save_depth_map(args.out, depth)
     if args.classes_out:
@@ -128,11 +113,10 @@ def _cmd_render(args) -> int:
 def _cmd_sample(args) -> int:
     depth = io.load_depth_map(args.depth)
     classes = io.load_class_map(args.classes)
-    settings = _load_settings(args)
-    cfg = _pipeline_config(args)
+    settings = _settings(args)
     pose = _parse_pose(args.pose) if args.pose else standard_pose(np.zeros(3))
-    cam = _camera(args, settings, pose=pose)
-    gaussians = frame_gaussians(depth, classes, cam, cfg)
+    cam = _camera(settings, pose)
+    gaussians = frame_gaussians(depth, classes, cam, config_from_mapping(settings))
     io.save_gaussians(args.out, gaussians)
     _emit("gaussians", args.out)
     _emit("count", len(gaussians))
@@ -141,7 +125,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_prune(args) -> int:
     gset = io.load_gaussians(args.gaussians)
-    kept = prune(gset, args.tau if args.tau is not None else 0.01)
+    kept = prune(gset, config_from_mapping(_settings(args)).tau)
     io.save_gaussians(args.out, kept)
     _emit("kept", len(kept))
     _emit("total", len(gset))
@@ -149,10 +133,10 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_splat(args) -> int:
-    settings = _load_settings(args)
-    cfg = _pipeline_config(args)
+    settings = _settings(args)
+    cfg = config_from_mapping(settings)
     gset = io.load_gaussians(args.gaussians)
-    grid = splat(gset, _grid_spec(args, settings), theta_occ=cfg.theta_occ)
+    grid = splat(gset, _grid_spec(settings), theta_occ=cfg.theta_occ)
     io.save_grid(args.out, grid)
     _emit("grid", args.out)
     _emit("occupied_voxels", int((grid.labels > 0).sum()))
@@ -161,32 +145,33 @@ def _cmd_splat(args) -> int:
 
 def _cmd_stream(args) -> int:
     scene = io.load_scene(args.scene)
-    settings = _load_settings(args)
-    cfg = _pipeline_config(args)
+    settings = _settings(args)
+    cfg = config_from_mapping(settings)
     poses = []
-    for line in open(args.poses):
+    for line in Path(args.poses).read_text().splitlines():
         stripped = line.split("#", 1)[0].strip()
         if stripped:
             poses.append(_parse_pose(stripped.replace(" ", ",")))
     if not poses:
         raise ValueError("poses file holds no poses")
 
-    if args.grid_dims or "grid-dims" in settings:
-        grid = _grid_spec(args, settings)
+    if "grid-dims" in settings:
+        grid = _grid_spec(settings)
     else:
         grid = scene_grid(scene, num_classes=cfg.attributes.num_classes)
 
     bank = GaussianMemoryBank(cfg.attributes.num_classes, cfg.fusion)
     for t, pose in enumerate(poses):
-        cam = _camera(args, settings, pose=pose)
+        cam = _camera(settings, pose)
         depth, classes = render_depth(scene, cam)
         stats = bank.fuse_frame(frame_gaussians(depth, classes, cam, cfg))
         _emit(f"frame_{t}_matched", stats.matched)
         _emit(f"frame_{t}_inserted", stats.inserted)
-    result = splat(bank.to_set(), grid, theta_occ=cfg.theta_occ)
+    fused = bank.to_set()
+    result = splat(fused, grid, theta_occ=cfg.theta_occ)
     io.save_grid(args.out_grid, result)
     if args.out_bank:
-        io.save_gaussians(args.out_bank, bank.to_set())
+        io.save_gaussians(args.out_bank, fused)
     _emit("bank_size", len(bank))
     _emit("occupied_voxels", int((result.labels > 0).sum()))
     return 0
@@ -200,14 +185,13 @@ def _cmd_eval(args) -> int:
         gt = oracle_occupancy(io.load_scene(args.gt_scene), pred.spec)
     else:
         raise ValueError("eval needs --gt or --gt-scene")
-    settings = _load_settings(args)
-    cfg = _pipeline_config(args)
+    settings = _settings(args)
+    cfg = config_from_mapping(settings)
     mask = None
     if args.pose:
-        cam = _camera(args, settings, pose=_parse_pose(args.pose))
+        cam = _camera(settings, _parse_pose(args.pose))
         mask = frustum_mask(pred.spec, cam, near=cfg.near, far=cfg.far)
-    report = iou_miou(confusion(pred, gt, mask))
-    for line in report.lines(CLASS_NAMES):
+    for line in iou_miou(confusion(pred, gt, mask)).lines():
         print(line)
     return 0
 
@@ -216,26 +200,10 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
 
 
-def _add_camera_flags(parser) -> None:
-    for flag, cast in (("fx", float), ("fy", float), ("cx", float), ("cy", float),
-                       ("width", int), ("height", int)):
-        parser.add_argument(f"--{flag}", type=cast)
-
-
-def _add_pipeline_flags(parser) -> None:
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--scale", type=float)
-    parser.add_argument("--stride", type=int)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--theta-occ", dest="theta_occ", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--gamma", type=float)
-
-
-def _add_grid_flags(parser) -> None:
-    parser.add_argument("--grid-dims", help="X,Y,Z voxel counts")
-    parser.add_argument("--voxel-size", type=float)
-    parser.add_argument("--grid-origin", help="x,y,z of the grid min corner")
+def _add_flags(parser, flags: dict) -> None:
+    for key, cast in flags.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                            metavar=key.replace("-", "_").upper(), help=_FLAG_HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render analytic depth and class maps")
     _add_common(p)
-    _add_camera_flags(p)
+    _add_flags(p, _CAMERA_FLAGS)
     p.add_argument("--scene", required=True)
     p.add_argument("--pose", required=True, help="x,y,z[,yaw_deg]")
     p.add_argument("--out", required=True)
@@ -263,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="volumetric sampling + heuristic Gaussians")
     _add_common(p)
-    _add_camera_flags(p)
-    _add_pipeline_flags(p)
+    _add_flags(p, _CAMERA_FLAGS)
+    _add_flags(p, _PIPELINE_FLAGS)
     p.add_argument("--depth", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--pose", help="emit world-frame Gaussians under this pose")
@@ -280,17 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("splat", help="rasterize Gaussians into an occupancy grid")
     _add_common(p)
-    _add_pipeline_flags(p)
-    _add_grid_flags(p)
+    _add_flags(p, _PIPELINE_FLAGS)
+    _add_flags(p, _GRID_FLAGS)
     p.add_argument("--gaussians", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_splat)
 
     p = sub.add_parser("stream", help="fuse a pose sequence into a scene grid")
     _add_common(p)
-    _add_camera_flags(p)
-    _add_pipeline_flags(p)
-    _add_grid_flags(p)
+    _add_flags(p, _CAMERA_FLAGS)
+    _add_flags(p, _PIPELINE_FLAGS)
+    _add_flags(p, _GRID_FLAGS)
     p.add_argument("--scene", required=True)
     p.add_argument("--poses", required=True, help="text file, one 'x y z yaw' per line")
     p.add_argument("--out-grid", required=True)
@@ -299,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="IoU / mIoU between two grids")
     _add_common(p)
-    _add_camera_flags(p)
-    _add_pipeline_flags(p)
+    _add_flags(p, _CAMERA_FLAGS)
+    _add_flags(p, _PIPELINE_FLAGS)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt")
     p.add_argument("--gt-scene")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions
-from .gaussians import SCALE_FLOOR, GaussianSet, WORLD_FRAME, covariance_matrices
+from .gaussians import SCALE_FLOOR, GaussianSet, WORLD_FRAME, covariance_matrices, softmax
 from .spatial_hash import SpatialHashGrid
 
 # Incoming Gaussians matched per batch; bounds the (query, candidate) pair
@@ -55,15 +55,9 @@ class FusionStats:
     inserted: int
 
 
-def _softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-1, keepdims=True)
-
-
 def top1_confidence(gset: GaussianSet) -> np.ndarray:
     """Per-member max softmax probability of the class logits."""
-    return _softmax(gset.logits).max(axis=-1)
+    return softmax(gset.logits).max(axis=-1)
 
 
 def _refactor_covariances(covs):
@@ -188,7 +182,7 @@ class GaussianMemoryBank:
             gamma = self.config.gamma
             ua, slot = np.unique(anchors[matched], return_inverse=True)
             w_in = (1.0 - gamma) * top1_confidence(incoming)[matched]
-            w_mem = gamma * _softmax(self.logits[ua]).max(axis=-1)
+            w_mem = gamma * softmax(self.logits[ua]).max(axis=-1)
             sum_w = np.zeros(ua.size)
             np.add.at(sum_w, slot, w_in)
             theta_in = w_in[:, None] * _attributes(incoming, matched)

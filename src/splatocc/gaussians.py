@@ -109,6 +109,14 @@ class GaussianSet:
         return covariance_matrices(self.scales, self.rotations)
 
 
+def softmax(logits) -> np.ndarray:
+    """Class probabilities: softmax over the last axis of ``logits``."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=-1, keepdims=True)
+
+
 def covariance_matrices(scales, rotations) -> np.ndarray:
     """R diag(s^2) R^T as (..., 3, 3), built from the factored form."""
     rot = quaternions.to_matrix(rotations)

@@ -226,7 +226,3 @@ def parse_config(text: str) -> dict:
 
 def load_config(path) -> dict:
     return parse_config(Path(path).read_text())
-
-
-def format_config(mapping: dict) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in mapping.items())

@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gaussians import softmax
+
 
 class UndefinedLossError(ValueError):
     """Every item was ignored or invalid; the mean loss is undefined."""
-
-
-def softmax(logits, axis=-1):
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=axis, keepdims=True)
 
 
 def _valid_rows(targets, num_classes, ignore_index):

@@ -116,10 +116,10 @@ class MetricReport:
     per_class: np.ndarray
     miou: float
 
-    def lines(self, names=CLASS_NAMES) -> list:
+    def lines(self) -> list:
         out = []
         for k, value in enumerate(self.per_class, start=1):
-            name = names[k] if k < len(names) else f"class_{k}"
+            name = CLASS_NAMES[k] if k < len(CLASS_NAMES) else f"class_{k}"
             shown = "absent" if np.isnan(value) else f"{value:.4f}"
             out.append(f"{name} = {shown}")
         out.append(f"iou = {self.iou:.4f}")

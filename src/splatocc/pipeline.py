@@ -78,14 +78,6 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
     return cfg
 
 
-def config_to_mapping(cfg: PipelineConfig) -> dict:
-    out = {}
-    for key, (group, attr, _) in _CONFIG_FIELDS.items():
-        holder = cfg if group is None else getattr(cfg, group)
-        out[key] = getattr(holder, attr)
-    return out
-
-
 def frame_gaussians(depth: DepthMap, classes: np.ndarray, cam: CameraModel,
                     cfg: PipelineConfig) -> GaussianSet:
     """One frame's contribution: sample interior points, attach heuristic

@@ -15,14 +15,14 @@ def normalize(q):
     return q / norm
 
 
-def normalize_if_needed(q, tol: float = 1e-6):
-    """Normalize unless already unit within ``tol``.
+def normalize_if_needed(q):
+    """Normalize unless every norm is already within 1e-6 of 1.
 
     Values loaded from float32 storage are unit only to float32 precision;
     leaving them untouched keeps save/load round trips bit-identical.
     """
     q = np.asarray(q, dtype=np.float64)
-    if np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= tol):
+    if np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-6):
         return q
     return normalize(q)
 

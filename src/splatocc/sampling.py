@@ -89,12 +89,11 @@ class SampleBatch:
         return self.positions.shape[0]
 
 
-def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig, scale_map=None) -> SampleBatch:
+def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig) -> SampleBatch:
     """Sample K interior points per valid strided pixel.
 
-    ``scale_map`` optionally overrides cfg.scale per pixel (same shape as
-    the depth map). Output ordering is row-major over pixels with the k
-    index innermost; an all-invalid depth map yields an empty batch.
+    Output ordering is row-major over pixels with the k index innermost; an
+    all-invalid depth map yields an empty batch.
     """
     from .camera import ray_direction  # local import to avoid a cycle
 
@@ -118,26 +117,12 @@ def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig, scale_map=None)
             num_invalid=num_invalid,
         )
 
-    if scale_map is None:
-        scales = np.full(n, cfg.scale)
-    else:
-        scale_map = np.asarray(scale_map, dtype=np.float64)
-        if scale_map.shape != depth.values.shape:
-            raise ValueError("scale_map shape must match the depth map")
-        scales = scale_map[vv, uu]
-        if np.any(~np.isfinite(scales)) or np.any(scales <= 0):
-            raise ValueError("scale_map entries must be finite and > 0")
-
-    unit = np.linspace(0.0, 1.0, k)
-    offsets = scales[:, None] * unit[None, :]
     rays = ray_direction(cam, np.stack([uu, vv], axis=-1).astype(np.float64))
-    positions = (d[:, None] + offsets)[:, :, None] * rays[:, None, :]
-    spacing = scales if k == 1 else scales / (k - 1)
-
+    positions = (d[:, None] + sample_offsets(cfg))[:, :, None] * rays[:, None, :]
     return SampleBatch(
         pixels=np.repeat(np.stack([uu, vv], axis=-1).astype(np.float64), k, axis=0),
         ks=np.tile(np.arange(1, k + 1), n),
         positions=positions.reshape(-1, 3),
-        spacings=np.repeat(spacing, k),
+        spacings=np.full(n * k, cfg.spacing),
         num_invalid=num_invalid,
     )

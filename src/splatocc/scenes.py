@@ -25,6 +25,10 @@ WALL_LABEL = 3
 
 _PATCHABLE_LABELS = (4, 5, 9, 10, 11)  # window, chair, tvs, furniture, objects
 
+# Voxel pitch of the stock grids; generated geometry snaps to it.
+_VOXEL = 0.08
+_FRONTAL_DIMS = (60, 60, 36)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -276,11 +280,12 @@ def standard_camera(position, yaw_deg: float = 0.0, width: int = 240, height: in
     )
 
 
-def frontal_grid(cam: CameraModel, dims=(60, 60, 36), voxel_size: float = 0.08,
-                 num_classes: int = 12) -> GridSpec:
-    """Single-view grid placed in front of an upright camera: the volume
-    starts at the camera plane along its (cardinal) view direction, is
-    centered laterally, and rests on z = 0."""
+def frontal_grid(cam: CameraModel) -> GridSpec:
+    """The stock single-view grid, 60 x 60 x 36 voxels of 0.08 m (12
+    classes), placed in front of an upright camera: the volume starts at the
+    camera plane along its (cardinal) view direction, is centered
+    laterally, and rests on z = 0."""
+    dims, voxel_size = _FRONTAL_DIMS, _VOXEL
     forward = cam.pose.rotation @ np.array([0.0, 0.0, 1.0])
     axis = int(np.argmax(np.abs(forward[:2])))
     sign = 1.0 if forward[axis] > 0 else -1.0
@@ -290,17 +295,16 @@ def frontal_grid(cam: CameraModel, dims=(60, 60, 36), voxel_size: float = 0.08,
     origin[lateral] = cam.position[lateral] - dims[lateral] * voxel_size / 2.0
     origin[2] = 0.0
     origin = np.round(origin / voxel_size) * voxel_size
-    return GridSpec(tuple(dims), voxel_size, origin, num_classes)
+    return GridSpec(dims, voxel_size, origin)
 
 
-def scene_grid(scene: SyntheticScene, voxel_size: float = 0.08,
-               num_classes: int = 12) -> GridSpec:
-    """Scene-level grid covering the room plus its shell."""
-    return GridSpec.for_extent(scene.outer_min, scene.outer_max, voxel_size, num_classes)
+def scene_grid(scene: SyntheticScene, num_classes: int = 12) -> GridSpec:
+    """Scene-level grid of 0.08 m voxels covering the room plus its shell."""
+    return GridSpec.for_extent(scene.outer_min, scene.outer_max, _VOXEL, num_classes)
 
 
-def _quantize(value, step=0.08):
-    return float(np.round(value / step) * step)
+def _quantize(value):
+    return float(np.round(value / _VOXEL) * _VOXEL)
 
 
 def generate_frontal_room(seed: int, shell_thickness: float = 0.48,
@@ -350,9 +354,9 @@ def generate_frontal_room(seed: int, shell_thickness: float = 0.48,
     return scene, standard_camera(cam_pos)
 
 
-def thick_box_room(depth: float = 1.2) -> tuple:
-    """Room with one box much deeper than the sampling extent, for studying
-    how interior coverage grows with the per-ray sample count.
+def thick_box_room() -> tuple:
+    """Room with one box 1.2 m deep, much deeper than the sampling extent,
+    for studying how interior coverage grows with the per-ray sample count.
 
     Returns (scene, camera, box).
     """
@@ -360,7 +364,7 @@ def thick_box_room(depth: float = 1.2) -> tuple:
     cam_pos = np.array([0.24, 2.4, 1.44])
     box = Box(
         min_corner=np.array([2.0, 1.6, 0.8]),
-        max_corner=np.array([2.0 + depth, 3.2, 2.08]),
+        max_corner=np.array([3.2, 3.2, 2.08]),
         label=5,
     )
     scene = SyntheticScene(extent=extent, boxes=(box,))

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME
+from .gaussians import GaussianSet, WORLD_FRAME, softmax
 
 DEFAULT_THETA_OCC = 0.5
 SPLAT_CUTOFF = 7.0
@@ -81,12 +81,6 @@ class GridSpec:
         object.__setattr__(self, "origin", origin)
 
     @classmethod
-    def monocular(cls, origin=(0.0, 0.0, 0.0), num_classes: int = 12) -> "GridSpec":
-        """The stock single-view grid: 60 x 60 x 36 voxels of 0.08 m
-        (4.8 m x 4.8 m x 2.88 m)."""
-        return cls((60, 60, 36), 0.08, np.asarray(origin, dtype=np.float64), num_classes)
-
-    @classmethod
     def for_extent(cls, min_corner, max_corner, voxel_size: float = 0.08,
                    num_classes: int = 12) -> "GridSpec":
         """Scene-level grid covering [min_corner, max_corner]: per-axis counts
@@ -134,10 +128,6 @@ class OccupancyGrid:
             raise ValueError("scores must lie in [0, 1]")
         self.labels = labels.astype(np.uint8)
         self.scores = np.clip(scores, 0.0, 1.0)
-
-    @property
-    def occupied(self) -> np.ndarray:
-        return self.labels > 0
 
 
 def _cull_bounds(means, radii, spec: GridSpec):
@@ -193,9 +183,7 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
         first = np.matmul(corner[:, None, :], white).transpose(0, 2, 1)
         step = spec.voxel_size * white.transpose(0, 2, 1)
-        z = gset.logits - gset.logits.max(axis=1, keepdims=True)
-        ez = np.exp(z)
-        soft = np.ascontiguousarray((ez / ez.sum(axis=1, keepdims=True)).T)
+        soft = np.ascontiguousarray(softmax(gset.logits).T)
         strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
         base = lo @ strides
         cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF

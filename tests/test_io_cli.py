@@ -131,20 +131,112 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match="line 2"):
             io.parse_config("k = 8\nnot a pair\n")
 
-    def test_pipeline_config_mapping_roundtrip(self):
-        from splatocc.pipeline import config_from_mapping, config_to_mapping
+    def test_config_text_reaches_every_field(self):
+        from splatocc.pipeline import _CONFIG_FIELDS, config_from_mapping
 
-        cfg = so.PipelineConfig(
-            sampling=so.SamplingConfig(k=8, scale=0.3, stride=2),
-            attributes=so.AttributeConfig(num_classes=10, opacity_decay=0.0),
-            fusion=so.FusionConfig(epsilon=0.1, gamma=0.25),
-            tau=0.02, theta_occ=0.6, near=0.05, far=8.0,
-        )
-        text = io.format_config(config_to_mapping(cfg))
-        assert config_from_mapping(io.parse_config(text)) == cfg
+        text = """# every pipeline key, none at its default
+k = 8
+scale = 0.3
+stride = 2
+num_classes = 10
+sigma_factor = 0.5
+base_opacity = 0.8
+opacity_decay = 0.0   # no fading
+logit_gain = 4.5
+epsilon = 0.1
+gamma = 0.25
+tau = 0.02
+theta_occ = 0.6
+near = 0.05
+far = 8.0
+width = 320
+"""
+        expected = {
+            "k": 8, "scale": 0.3, "stride": 2, "num_classes": 10, "sigma_factor": 0.5,
+            "base_opacity": 0.8, "opacity_decay": 0.0, "logit_gain": 4.5, "epsilon": 0.1,
+            "gamma": 0.25, "tau": 0.02, "theta_occ": 0.6, "near": 0.05, "far": 8.0,
+        }
+        assert set(expected) == set(_CONFIG_FIELDS)
+        cfg = config_from_mapping(io.parse_config(text))
+        default = so.PipelineConfig()
+        for key, (group, attr, cast) in _CONFIG_FIELDS.items():
+            value = getattr(cfg if group is None else getattr(cfg, group), attr)
+            assert type(value) is cast and value == expected[key], key
+            assert value != getattr(default if group is None else getattr(default, group), attr), key
+
+
+def _run(capsys, argv) -> dict:
+    """Run one CLI command that must succeed; its "key = value" lines as a dict."""
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 0
+    return dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def _render_room(tmp_path, capsys):
+    """Scene, depth map and class map of a plain room under the default camera,
+    where every pixel is valid."""
+    scene_path = tmp_path / "scene.json"
+    io.save_scene(scene_path, SyntheticScene(extent=np.array([4.0, 4.8, 2.88])))
+    depth_path = tmp_path / "d.dmap"
+    cmap_path = tmp_path / "c.cmap"
+    _run(capsys, ["render", "--scene", scene_path, "--pose", "0.3,2.4,1.44",
+                  "--out", depth_path, "--classes-out", cmap_path])
+    return scene_path, depth_path, cmap_path
+
+
+def _samples_per_pixel(tmp_path, capsys, extra):
+    _, depth_path, cmap_path = _render_room(tmp_path, capsys)
+    out = _run(capsys, ["sample", "--depth", depth_path, "--classes", cmap_path, "--stride", "8",
+                        "--out", tmp_path / "g.gset"] + extra)
+    return str(int(out["count"]) // (len(range(0, 240, 8)) * len(range(0, 180, 8))))
+
+
+def _render_width(tmp_path, capsys, extra):
+    scene_path, _, _ = _render_room(tmp_path, capsys)
+    out = _run(capsys, ["render", "--scene", scene_path, "--pose", "0.3,2.4,1.44",
+                        "--out", tmp_path / "w.dmap"] + extra)
+    return str(int(out["valid_pixels"]) // 180)
+
+
+def _splat_dims(tmp_path, capsys, extra):
+    gset_path = tmp_path / "empty.gset"
+    io.save_gaussians(gset_path, so.GaussianSet.empty(12, frame="world"))
+    grid_path = tmp_path / "o.ogrid"
+    _run(capsys, ["splat", "--gaussians", gset_path, "--out", grid_path] + extra)
+    return ",".join(str(d) for d in io.load_grid(grid_path).spec.dims)
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "probe, key, default, file_value, flag_value",
+        [
+            (_samples_per_pixel, "k", "16", "2", "3"),
+            (_render_width, "width", "240", "200", "160"),
+            (_splat_dims, "grid-dims", "60,60,36", "8,8,8", "4,5,6"),
+        ],
+        ids=["k", "width", "grid-dims"],
+    )
+    def test_flag_beats_file_beats_default(self, tmp_path, capsys, probe, key, default,
+                                           file_value, flag_value):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key} = {file_value}\n")
+        config = ["--config", cfg_path]
+        assert probe(tmp_path, capsys, []) == default
+        assert probe(tmp_path, capsys, config) == file_value
+        assert probe(tmp_path, capsys, config + [f"--{key}", flag_value]) == flag_value
+
+    def test_prune_takes_tau_from_config(self, tmp_path, capsys):
+        _, depth_path, cmap_path = _render_room(tmp_path, capsys)
+        gset_path = tmp_path / "g.gset"
+        _run(capsys, ["sample", "--depth", depth_path, "--classes", cmap_path, "--out", gset_path])
+        cfg_path = tmp_path / "prune.cfg"
+        cfg_path.write_text("tau = 0.5\n")
+        prune = ["prune", "--gaussians", gset_path, "--out", tmp_path / "p.gset"]
+        # Opacity 0.9 * exp(-0.15 (k - 1)) stays >= 0.5 for the first 4 of 16 samples.
+        assert _run(capsys, prune + ["--config", cfg_path]) == {"kept": "10800", "total": "43200"}
+        assert _run(capsys, prune + ["--tau", "0.5"])["kept"] == "10800"
+        assert _run(capsys, prune)["kept"] == "43200"
+
     def test_full_synthetic_workflow(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         assert main(["gen-scene", "--seed", "1", "--out", str(scene_path)]) == 0

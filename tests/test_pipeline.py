@@ -50,7 +50,9 @@ class TestRunMonocular:
         cam = so.standard_camera([0.0, 0.0, 1.0], width=16, height=12)
         depth = so.DepthMap(np.full((12, 16), np.nan))
         classes = np.zeros((12, 16), dtype=np.uint8)
-        grid = so.run_monocular(depth, classes, cam, so.GridSpec.monocular(), ROOM_CFG)
+        grid = so.run_monocular(
+            depth, classes, cam, so.GridSpec((60, 60, 36), 0.08, np.zeros(3)), ROOM_CFG
+        )
         assert grid.labels.sum() == 0 and grid.scores.sum() == 0.0
 
     def test_deterministic_across_runs(self):

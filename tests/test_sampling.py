@@ -84,6 +84,9 @@ class TestVolumetricSample:
         u, v = batch.pixels.astype(int).T
         expected = values[v, u] + offs[batch.ks - 1]
         assert np.abs(np.linalg.norm(batch.positions, axis=1) - expected).max() <= 1e-9
+        np.testing.assert_array_equal(batch.spacings, np.full(len(batch), 0.9 / 4))
+        single = so.volumetric_sample(so.DepthMap(values), cam, so.SamplingConfig(k=1, scale=0.9))
+        np.testing.assert_array_equal(single.spacings, np.full(len(single), 0.9))
 
     def test_monotone_distance_along_ray(self):
         depth = so.DepthMap(np.full((4, 4), 2.5))
@@ -110,17 +113,6 @@ class TestVolumetricSample:
         pixels = [tuple(p) for p in batch.pixels]
         assert pixels == [(0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1)]
         assert list(batch.ks) == [1, 2] * 4
-
-    def test_scale_map_override(self):
-        depth = so.DepthMap(np.full((2, 2), 2.0))
-        cam = so.CameraModel(fx=20, fy=20, cx=1, cy=1, width=2, height=2)
-        scale_map = np.array([[0.2, 0.4], [0.6, 0.8]])
-        batch = so.volumetric_sample(
-            depth, cam, so.SamplingConfig(k=2, scale=9.9, stride=1), scale_map=scale_map
-        )
-        norms = np.linalg.norm(batch.positions, axis=1).reshape(4, 2)
-        np.testing.assert_allclose(norms[:, 1] - norms[:, 0], [0.2, 0.4, 0.6, 0.8], atol=1e-12)
-        np.testing.assert_allclose(batch.spacings.reshape(4, 2)[:, 0], [0.2, 0.4, 0.6, 0.8])
 
     def test_partial_invalid_pixels_skipped(self):
         values = np.array([[1.0, np.nan], [-3.0, 2.0]])

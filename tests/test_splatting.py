@@ -195,7 +195,7 @@ class TestSplat:
         np.testing.assert_allclose(spec.origin, [-0.5, 0.0, 0.0])
 
     def test_monocular_default_geometry(self):
-        spec = so.GridSpec.monocular()
+        spec = so.frontal_grid(so.standard_camera([0.0, 0.0, 0.0]))
         assert spec.dims == (60, 60, 36)
         assert spec.voxel_size == 0.08
         np.testing.assert_allclose(spec.extent, [4.8, 4.8, 2.88])
