@@ -2,7 +2,8 @@
 
 Subcommands drive the library end to end on synthetic scenes: gen-scene,
 render, sample, splat, stream, eval, prune. Every command accepts --config
-(flat key = value file); each setting flag overrides the same key of the
+(flat key = value file) and reads it before anything else; a key that no
+command reads is an error. Each setting flag overrides the same key of the
 file, and a key set by neither takes its default. Results and diagnostics
 print as "key = value" lines. Exit code 0 on success, 1 with a single-line
 message on error.
@@ -21,7 +22,7 @@ from .camera import CameraModel
 from .fusion import GaussianMemoryBank
 from .gaussians import prune
 from .metrics import confusion, frustum_mask, iou_miou
-from .pipeline import config_from_mapping, frame_gaussians
+from .pipeline import _CONFIG_FIELDS, config_from_mapping, frame_gaussians
 from .scenes import (
     generate_frontal_room,
     oracle_occupancy,
@@ -39,11 +40,19 @@ _PIPELINE_FLAGS = {"k": int, "scale": float, "stride": int, "tau": float, "theta
                    "epsilon": float, "gamma": float}
 _GRID_FLAGS = {"grid-dims": str, "voxel-size": float, "grid-origin": str}
 _FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the grid min corner"}
+# Every key some command reads; a config file may hold no other.
+_CONFIG_KEYS = {**_CAMERA_FLAGS, **_GRID_FLAGS, **_CONFIG_FIELDS}
 
 
 def _settings(args) -> dict:
     """The --config file's key = value pairs, overlaid by every setting flag given."""
     settings = io.load_config(args.config) if args.config else {}
+    for key in settings:
+        if key not in _CONFIG_KEYS:
+            spelled = [k for k in _CONFIG_KEYS
+                       if k.replace("_", "-") == key.lstrip("-").replace("_", "-")]
+            hint = f" (the file spells it {spelled[0]!r})" if spelled else ""
+            raise ValueError(f"{args.config}: unknown config key {key!r}{hint}")
     for key in {**_CAMERA_FLAGS, **_PIPELINE_FLAGS, **_GRID_FLAGS}:
         value = getattr(args, key, None)
         if value is not None:
@@ -87,7 +96,7 @@ def _emit(key, value):
     print(f"{key} = {value}")
 
 
-def _cmd_gen_scene(args) -> int:
+def _cmd_gen_scene(args, settings) -> int:
     scene, cam = generate_frontal_room(args.seed, shell_thickness=args.shell)
     io.save_scene(args.out, scene)
     _emit("scene", args.out)
@@ -98,9 +107,9 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args, settings) -> int:
     scene = io.load_scene(args.scene)
-    cam = _camera(_settings(args), _parse_pose(args.pose))
+    cam = _camera(settings, _parse_pose(args.pose))
     depth, classes = render_depth(scene, cam)
     io.save_depth_map(args.out, depth)
     if args.classes_out:
@@ -110,10 +119,9 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args, settings) -> int:
     depth = io.load_depth_map(args.depth)
     classes = io.load_class_map(args.classes)
-    settings = _settings(args)
     pose = _parse_pose(args.pose) if args.pose else standard_pose(np.zeros(3))
     cam = _camera(settings, pose)
     gaussians = frame_gaussians(depth, classes, cam, config_from_mapping(settings))
@@ -123,17 +131,16 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_prune(args) -> int:
+def _cmd_prune(args, settings) -> int:
     gset = io.load_gaussians(args.gaussians)
-    kept = prune(gset, config_from_mapping(_settings(args)).tau)
+    kept = prune(gset, config_from_mapping(settings).tau)
     io.save_gaussians(args.out, kept)
     _emit("kept", len(kept))
     _emit("total", len(gset))
     return 0
 
 
-def _cmd_splat(args) -> int:
-    settings = _settings(args)
+def _cmd_splat(args, settings) -> int:
     cfg = config_from_mapping(settings)
     gset = io.load_gaussians(args.gaussians)
     grid = splat(gset, _grid_spec(settings), theta_occ=cfg.theta_occ)
@@ -143,9 +150,8 @@ def _cmd_splat(args) -> int:
     return 0
 
 
-def _cmd_stream(args) -> int:
+def _cmd_stream(args, settings) -> int:
     scene = io.load_scene(args.scene)
-    settings = _settings(args)
     cfg = config_from_mapping(settings)
     poses = []
     for line in Path(args.poses).read_text().splitlines():
@@ -177,7 +183,7 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, settings) -> int:
     pred = io.load_grid(args.pred)
     if args.gt:
         gt = io.load_grid(args.gt)
@@ -185,7 +191,6 @@ def _cmd_eval(args) -> int:
         gt = oracle_occupancy(io.load_scene(args.gt_scene), pred.spec)
     else:
         raise ValueError("eval needs --gt or --gt-scene")
-    settings = _settings(args)
     cfg = config_from_mapping(settings)
     mask = None
     if args.pose:
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _settings(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

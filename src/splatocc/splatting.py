@@ -17,6 +17,12 @@ grid, which contains the ellipsoid of ``SPLAT_CUTOFF`` (7) standard
 deviations; pairs outside that ellipsoid are dropped. The dropped tail,
 exp(-24.5) per kernel, stays orders of magnitude below any score tolerance
 anyone would test against.
+
+Inside a box the squared Mahalanobis distance is a quadratic form in the
+integer voxel offset o from the box corner, m2(o) = c0 + b.o + o'Mo, with
+M = voxel_size^2 Sigma^-1. Its ten coefficients per Gaussian are computed
+once, so boxes of one shape need a single matrix product of those
+coefficients with the shape's table of offset monomials.
 """
 
 from __future__ import annotations
@@ -142,19 +148,30 @@ def _cull_bounds(means, radii, spec: GridSpec):
     return lo, hi
 
 
+def _monomials(offs: np.ndarray) -> np.ndarray:
+    """(10, V) table [1, ox, oy, oz, ox^2, oy^2, oz^2, ox oy, ox oz, oy oz]
+    of the (3, V) offsets ``offs``."""
+    ox, oy, oz = offs
+    return np.stack((np.ones_like(ox), ox, oy, oz, ox * ox, oy * oy, oz * oz,
+                     ox * oy, ox * oz, oy * oz))
+
+
 def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OCC,
           keep_masses: bool = False) -> OccupancyGrid:
     """Rasterize a world-frame GaussianSet into an occupancy grid.
 
     Every Gaussian is evaluated at the voxel centers of its culled box.
-    Gaussians whose boxes have the same shape share one table of integer
-    voxel offsets and are evaluated together in chunks of at most
-    ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs, without materialising voxel
-    centers. Pairs within ``SPLAT_CUTOFF`` Mahalanobis units scatter into
-    the grid with one bincount for the score and one per class, so results
-    agree with an unculled brute-force evaluation to well below 1e-6 even
-    for thousands of kernels. ``keep_masses`` also returns the per-class
-    masses, shaped ``spec.dims + (num_classes,)``.
+    Gaussians whose boxes have the same shape share one table of offset
+    monomials and are evaluated together in chunks of at most
+    ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs: a chunk's squared Mahalanobis
+    distances are its (rows, 10) quadratic-form coefficients times that
+    (10, voxels) table, without materialising voxel centers or whitened
+    coordinates. Pairs within ``SPLAT_CUTOFF`` Mahalanobis units scatter
+    into the grid with one bincount for the score and one per class, so
+    results agree with an unculled brute-force evaluation to well below
+    1e-6 even for thousands of kernels. ``keep_masses`` also returns the
+    per-class masses, shaped ``spec.dims + (num_classes,)``; without it the
+    class-0 (empty) mass, which labels never read, is not accumulated.
     """
     if gset.frame != WORLD_FRAME:
         raise ValueError("splat requires a world-frame GaussianSet")
@@ -176,47 +193,66 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         spans = np.clip(hi, 0, dims) - lo
         alive = np.flatnonzero(np.all(spans > 0, axis=1))
 
-        # Whitening: (p - mean) @ white has unit covariance, so the squared
-        # Mahalanobis distance is its squared norm. The center of voxel
-        # lo + o whitens to first + step @ o for an integer offset o.
+        # Quadratic-form coefficients: (p - mean) @ white has unit
+        # covariance, and the center of voxel lo + o whitens to
+        # first + o @ step for an integer offset o (step = voxel_size *
+        # white), so its squared Mahalanobis distance is
+        # m2(o) = c0 + b.o + o'Mo with c0 = |first|^2, b = 2 step @ first and
+        # M = step step' = voxel_size^2 Sigma^-1. coef holds these ten
+        # numbers per Gaussian in the order of _monomials.
         white = gset.rotation_matrices() / gset.scales[:, None, :]
         corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
-        first = np.matmul(corner[:, None, :], white).transpose(0, 2, 1)
-        step = spec.voxel_size * white.transpose(0, 2, 1)
+        first = np.einsum("ni,nij->nj", corner, white)
+        step = spec.voxel_size * white
+        quad = np.matmul(step, step.transpose(0, 2, 1))
+        coef = np.column_stack((
+            np.einsum("ni,ni->n", first, first),
+            2.0 * np.einsum("nij,nj->ni", step, first),
+            quad[:, 0, 0], quad[:, 1, 1], quad[:, 2, 2],
+            2.0 * quad[:, 0, 1], 2.0 * quad[:, 0, 2], 2.0 * quad[:, 1, 2],
+        ))
         soft = np.ascontiguousarray(softmax(gset.logits).T)
         strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
         base = lo @ strides
         cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
+        # Labels read only the semantic classes; class 0 is scattered only
+        # when the caller asks for the masses.
+        classes = range(0 if keep_masses else 1, spec.num_classes)
 
         # Boxes of one shape share an offset table; members keep set order.
-        shapes, group = np.unique(spans[alive], axis=0, return_inverse=True)
-        group = group.reshape(-1)  # numpy 2.0.0 returns it as a column
+        # A shape packs into one key that sorts like the (sx, sy, sz) rows.
+        ry, rz = spec.dims[1] + 1, spec.dims[2] + 1
+        keys, group = np.unique((spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2],
+                                return_inverse=True)
         order = alive[np.argsort(group, kind="stable")]
         bounds = np.concatenate(([0], np.cumsum(np.bincount(group))))
-        for shape, begin, end in zip(shapes, bounds[:-1], bounds[1:]):
+        for key, begin, end in zip(keys.tolist(), bounds[:-1], bounds[1:]):
+            shape = (key // (ry * rz), key // rz % ry, key % rz)
             offs = np.indices(shape).reshape(3, -1)
             flat_offs = strides @ offs
-            offs = offs.astype(np.float64)
-            chunk = max(1, _CHUNK_PAIRS // offs.shape[1])
+            mono = _monomials(offs.astype(np.float64))
+            chunk = max(1, _CHUNK_PAIRS // mono.shape[1])
             for start in range(begin, end, chunk):
                 rows = order[start:min(start + chunk, end)]
-                local = np.matmul(step[rows], offs)
-                local += first[rows]
-                np.square(local, out=local)
-                m2 = local.sum(axis=1)
+                m2 = coef[rows] @ mono
                 ok = m2 <= cutoff_sq
                 if not ok.any():
                     continue
-                m2 *= -0.5
-                contrib = np.exp(m2, out=m2)
-                contrib *= gset.opacities[rows][:, None]
+                # Kept pairs stay in row order, so per-Gaussian values reach
+                # them by repeating each row's value once per kept pair.
+                per_row = np.count_nonzero(ok, axis=1)
                 flat = (base[rows][:, None] + flat_offs)[ok]
-                kept = contrib[ok]
+                # Rounding can take m2 a hair below 0 next to the mean, which
+                # would push an opacity-1 kernel above 1 and log1p to NaN.
+                kept = np.maximum(m2[ok], 0.0)
+                kept *= -0.5
+                np.exp(kept, out=kept)
+                kept *= np.repeat(gset.opacities[rows], per_row)
                 with np.errstate(divide="ignore"):
                     log_free += np.bincount(flat, weights=np.log1p(-kept), minlength=nv)
-                src = np.broadcast_to(rows[:, None], ok.shape)[ok]
-                for c in range(spec.num_classes):
-                    masses[c] += np.bincount(flat, weights=kept * soft[c].take(src), minlength=nv)
+                for c in classes:
+                    weights = kept * np.repeat(soft[c, rows], per_row)
+                    masses[c] += np.bincount(flat, weights=weights, minlength=nv)
 
     scores = 1.0 - np.exp(log_free)
     semantic = masses[1:]

@@ -237,6 +237,37 @@ class TestCli:
         assert _run(capsys, prune + ["--tau", "0.5"])["kept"] == "10800"
         assert _run(capsys, prune)["kept"] == "43200"
 
+    def test_unknown_config_key_is_one_line_error(self, tmp_path, capsys):
+        gset_path = tmp_path / "empty.gset"
+        io.save_gaussians(gset_path, so.GaussianSet.empty(12, frame="world"))
+        cfg_path = tmp_path / "run.cfg"
+        splat = ["splat", "--config", cfg_path, "--gaussians", gset_path,
+                 "--out", tmp_path / "o.ogrid"]
+        for text, named in (("theta-occ = 0.95\n", ["'theta-occ'", "'theta_occ'"]),
+                            ("k = 4\nthreshold = 0.95\n", ["'threshold'"])):
+            cfg_path.write_text(text)
+            capsys.readouterr()
+            assert main([str(a) for a in splat]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "unknown config key" in err[0]
+            assert all(name in err[0] for name in named), err[0]
+        cfg_path.write_text("theta_occ = 0.95\n")
+        assert _run(capsys, splat)["occupied_voxels"] == "0"
+
+    def test_gen_scene_reads_config(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("k = 8\nnot a pair\n")
+        for cfg_path, words in ((tmp_path / "missing.cfg", "missing.cfg"), (bad, "line 2")):
+            capsys.readouterr()
+            assert main(["gen-scene", "--config", str(cfg_path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+        assert not out.exists()
+        good = tmp_path / "good.cfg"
+        good.write_text("k = 8\n")
+        assert _run(capsys, ["gen-scene", "--config", good, "--out", out])["scene"] == str(out)
+
     def test_full_synthetic_workflow(self, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         assert main(["gen-scene", "--seed", "1", "--out", str(scene_path)]) == 0
