@@ -3,10 +3,15 @@
 The bank holds world-frame Gaussians plus a sorted-cell-key index over their
 means (cell size = match radius epsilon). Fusing a frame:
 
-1. every incoming Gaussian is matched, in one batched pass over fixed-size
-   chunks of the frame, to its nearest bank member within epsilon as the
-   bank was before the frame (at most one anchor per incoming, so nothing is
-   double counted; among members at equal distance the lowest id wins);
+1. every incoming Gaussian is matched to its nearest bank member within
+   epsilon as the bank was before the frame (at most one anchor per
+   incoming, so nothing is double counted; among members at equal distance
+   the lowest id wins). Matching runs batched over fixed-size chunks of the
+   frame in two exact passes: the first searches only the cells a ball of
+   radius epsilon/2 overlaps, 8 instead of 27, and settles every incoming
+   with a member strictly closer than epsilon/2, since no member outside
+   those cells can be that close; the second runs the full epsilon search
+   for the rest;
 2. each anchor with matches is updated per attribute theta in
    {mean, covariance, opacity, logits} by the confidence-weighted average
 
@@ -111,7 +116,7 @@ class GaussianMemoryBank:
             if gset.frame != WORLD_FRAME:
                 raise ValueError("bank checkpoints must be world frame")
             bank._append(gset.means, gset.scales, gset.rotations, gset.opacities, gset.logits)
-            bank._index.insert_many(range(len(bank)), bank.means)
+            bank._index.insert_many(np.arange(len(bank)), bank.means)
         return bank
 
     def __len__(self) -> int:
@@ -143,16 +148,38 @@ class GaussianMemoryBank:
 
     def _nearest_within(self, queries) -> np.ndarray:
         """Per query, the nearest member id within epsilon, or -1. Ties break
-        to the lowest id."""
-        eps2 = self.config.epsilon ** 2
+        to the lowest id.
+
+        Two passes, both exact. The first visits only the cells that a ball
+        of radius epsilon/2 overlaps, at most 2 per axis, and settles every
+        query with a member strictly closer than epsilon/2. Every member
+        outside those cells lies at least epsilon/2 away, and its rounded
+        squared distance is at least the rounded (epsilon/2)^2, so the
+        nearest member and its tie break are the ones the full search finds.
+        A member at exactly epsilon/2 can sit outside the visited cells, so
+        that distance is left to the second pass, which runs the full
+        27-cell epsilon search for the queries the first left open.
+        """
+        eps = self.config.epsilon
+        half = 0.5 * eps
+        # d2 <= nextafter(h^2, 0) is d2 < h^2.
+        anchors = self._nearest(queries, half, np.nextafter(half * half, 0.0))
+        open_rows = np.flatnonzero(anchors < 0)
+        anchors[open_rows] = self._nearest(queries[open_rows], eps, eps ** 2)
+        return anchors
+
+    def _nearest(self, queries, radius: float, limit2: float) -> np.ndarray:
+        """Per query, the nearest member at squared distance <= limit2 among
+        the cells a ball of ``radius`` overlaps, or -1. Ties break to the
+        lowest id."""
         anchors = np.full(len(queries), -1, dtype=np.int64)
         for start in range(0, len(queries), _MATCH_CHUNK):
             chunk = queries[start:start + _MATCH_CHUNK]
-            rows, ids = self._index.pairs(chunk, self.config.epsilon)
+            rows, ids = self._index.pairs(chunk, radius)
             diff = np.take(self.means, ids, axis=0)
             diff -= np.take(chunk, rows, axis=0)
             d2 = np.einsum("ij,ij->i", diff, diff)
-            keep = np.flatnonzero(d2 <= eps2)
+            keep = np.flatnonzero(d2 <= limit2)
             rows, ids, d2 = rows[keep], ids[keep], d2[keep]
             heads = np.flatnonzero(np.diff(rows, prepend=-1))
             nearest = np.repeat(np.minimum.reduceat(d2, heads), np.diff(heads, append=rows.size))
@@ -203,7 +230,7 @@ class GaussianMemoryBank:
                 incoming.opacities[ins], incoming.logits[ins],
             )
 
-        self._index.insert_many(range(len(self)), self.means)
+        self._index.insert_many(np.arange(len(self)), self.means)
         self.frame_count += 1
         return FusionStats(matched=n_matched, inserted=n_in - n_matched)
 

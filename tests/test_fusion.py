@@ -238,13 +238,25 @@ class TestFuseFrame:
         rng = np.random.default_rng(22)
         eps = 0.0625
         base = np.round(rng.uniform(0, 1.5, (2500, 3)) * 1024) / 1024
-        means = np.concatenate([base, base[:400]])          # duplicates tie exactly
+        # Sites a quarter cell past a cell corner, away from the random
+        # members: each has a member at 0.875 eps across the next cell
+        # boundary in x, and a lower-id one farther off, at 0.9375 eps in -y.
+        corners = 2.0 + 0.25 * np.indices((4, 4, 4)).reshape(3, -1).T
+        sites = corners + eps / 4
+        means = np.concatenate([
+            base, base[:400],                               # duplicates tie exactly
+            sites - [0, 0.9375 * eps, 0], sites + [0.875 * eps, 0, 0],
+        ])
         bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
         axis_steps = np.eye(3)[rng.integers(0, 3, 600)] * eps * rng.choice([-1, 1], (600, 1))
         incoming = np.concatenate([
             rng.uniform(-0.1, 1.6, (1500, 3)),
             means[rng.integers(0, len(means), 600)] + axis_steps,   # at exactly epsilon
             base[rng.integers(0, 400, 300)],                        # onto a duplicated pair
+            means[rng.integers(0, len(means), 300)] + axis_steps[:300] / 2,  # at exactly eps/2
+            base[rng.integers(0, 400, 200)] + axis_steps[:200] / 2,   # eps/2 from a pair
+            base[rng.integers(0, 400, 200)] + axis_steps[200:400] / 4,  # a tie inside eps/2
+            sites,                                                  # nearest in (eps/2, eps]
         ])
         want = linear_nearest_within(means, incoming, eps)
         before = bank.opacities.copy()
@@ -252,6 +264,37 @@ class TestFuseFrame:
         assert stats.matched == np.count_nonzero(want >= 0)
         changed = np.flatnonzero(bank.opacities[:len(means)] != before)
         np.testing.assert_array_equal(changed, np.unique(want[want >= 0]))
+
+    def test_result_does_not_depend_on_incoming_order(self):
+        # Continuous random coordinates leave no member equidistant from a
+        # query with another; 3000 incoming span three match chunks.
+        rng = np.random.default_rng(23)
+
+        def random_set(n, lo, hi):
+            return GaussianSet(
+                means=rng.uniform(lo, hi, (n, 3)), scales=rng.uniform(0.01, 0.05, (n, 3)),
+                rotations=rng.normal(size=(n, 4)), opacities=rng.uniform(0.1, 0.9, n),
+                logits=rng.normal(size=(n, 12)), frame="world",
+            )
+
+        memory, incoming = random_set(1500, 0.0, 1.0), random_set(3000, -0.1, 1.1)
+        perm = rng.permutation(len(incoming))
+        banks = [so.GaussianMemoryBank.from_set(memory, so.FusionConfig(epsilon=0.08))
+                 for _ in range(2)]
+        stats = banks[0].fuse_frame(incoming)
+        assert 0 < stats.matched < len(incoming)
+        assert banks[1].fuse_frame(incoming.subset(perm)) == stats
+        # Inserted members are appended in incoming order: compare them sorted.
+        n = len(memory)
+        a, b = (s.subset(np.concatenate([np.arange(n), n + np.lexsort(s.means[n:].T)]))
+                for s in (bank.to_set() for bank in banks))
+        # Anchors sum their matches in incoming order, so fused values may
+        # differ by rounding; covariances stand in for the rotation factors,
+        # which are ill-conditioned for near-isotropic covariances.
+        for got, want in ((b.means, a.means), (b.scales, a.scales),
+                          (b.covariances(), a.covariances()),
+                          (b.opacities, a.opacities), (b.logits, a.logits)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_index_consistent_after_fusion_moves(self):
         rng = np.random.default_rng(20)
