@@ -48,7 +48,7 @@ print(f"\nnonzero scores span voxels {touched.min(axis=0)} .. {touched.max(axis=
 # The third, faint kernel is for the pruning step below.
 trio = so.GaussianSet(
     means=[mean, [0.5, 0.8, 0.4], [1.2, 1.2, 0.4]],
-    scales=[g.scales[0], [0.1] * 3, [0.1] * 3],
+    scales=[[0.2, 0.08, 0.08], [0.1] * 3, [0.1] * 3],
     rotations=[[1, 0, 0, 0]] * 3,
     opacities=[0.9, 0.7, 0.005],
     logits=[g.logits[0], [0, 0, 6.0, 0, 0, 0], [0, 6.0, 0, 0, 0, 0]],

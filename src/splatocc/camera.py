@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quaternions
 from .gaussians import GaussianSet, WORLD_FRAME
 
 
@@ -139,16 +138,15 @@ def z_depth_to_ray_distance(cam: CameraModel, pixel, z):
 def to_world(cam: CameraModel, gset: GaussianSet) -> GaussianSet:
     """Map a GaussianSet from camera to world frame.
 
-    Means are rotated and translated, orientations composed with the pose
-    rotation; scales, opacities and logits are untouched, so covariance
-    eigenvalues are preserved exactly.
+    Means are rotated and translated and covariances conjugated, R Sigma R^T;
+    opacities and logits are untouched, so covariance eigenvalues are
+    preserved.
     """
-    pose_quat = quaternions.from_matrix(cam.pose.rotation)
-    return GaussianSet(
-        means=cam.pose.apply(gset.means),
-        scales=gset.scales,
-        rotations=quaternions.multiply(pose_quat[None, :], gset.rotations),
-        opacities=gset.opacities,
-        logits=gset.logits,
-        frame=WORLD_FRAME,
-    )
+    rot = cam.pose.rotation
+    # Sigma R^T, then its per-member transpose R Sigma times R^T, as two BLAS
+    # products; the upper triangle is mirrored so rounding leaves it symmetric.
+    half = np.swapaxes((gset.cov.reshape(-1, 3) @ rot.T).reshape(-1, 3, 3), 1, 2)
+    cov = (half.reshape(-1, 3) @ rot.T).reshape(-1, 3, 3)
+    cov[:, [1, 2, 2], [0, 0, 1]] = cov[:, [0, 0, 1], [1, 2, 2]]
+    return GaussianSet._of(cam.pose.apply(gset.means), cov, gset.opacities, gset.logits,
+                           WORLD_FRAME)

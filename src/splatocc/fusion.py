@@ -23,8 +23,9 @@ means (cell size = match radius epsilon). Fusing a frame:
 3. unmatched incoming Gaussians are inserted verbatim;
 4. the index is rebuilt once over the updated means.
 
-Covariances are averaged as full matrices and re-factored into (scales,
-rotation) by eigendecomposition, which keeps the average rotation-consistent.
+Covariances are averaged as full matrices and stored as they come out: a
+convex combination of symmetric matrices each above SCALE_FLOOR^2 I is one
+too, so no factorization is needed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quaternions
-from .gaussians import SCALE_FLOOR, GaussianSet, WORLD_FRAME, covariance_matrices, softmax
+from .gaussians import GaussianSet, WORLD_FRAME, softmax
 from .spatial_hash import SpatialHashGrid
 
 # Incoming Gaussians matched per batch; bounds the (query, candidate) pair
@@ -48,8 +48,8 @@ class FusionConfig:
     gamma: float = 0.4
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie strictly inside (0, 1)")
 
@@ -65,27 +65,11 @@ def top1_confidence(gset: GaussianSet) -> np.ndarray:
     return softmax(gset.logits).max(axis=-1)
 
 
-def _refactor_covariances(covs):
-    """Recover (scales, quaternions) from SPD matrices via eigendecomposition.
-
-    Scales are floored at SCALE_FLOOR; eigenvector bases with det -1 get one
-    column flipped so the rotation is proper.
-    """
-    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
-    eigvals, eigvecs = np.linalg.eigh(covs)
-    scales = np.sqrt(np.clip(eigvals, SCALE_FLOOR * SCALE_FLOOR, None))
-    flip = np.linalg.det(eigvecs) < 0
-    if np.any(flip):
-        eigvecs = eigvecs.copy()
-        eigvecs[flip, :, 0] *= -1.0
-    return scales, quaternions.from_matrix(eigvecs)
-
-
 def _attributes(src, rows):
     """The fused attributes of ``src``'s selected rows side by side: mean (3),
     covariance (9), opacity (1) and logits."""
-    covs = covariance_matrices(src.scales[rows], src.rotations[rows]).reshape(-1, 9)
-    return np.hstack([src.means[rows], covs, src.opacities[rows][:, None], src.logits[rows]])
+    return np.hstack([src.means[rows], src.cov[rows].reshape(-1, 9),
+                      src.opacities[rows][:, None], src.logits[rows]])
 
 
 class GaussianMemoryBank:
@@ -102,8 +86,7 @@ class GaussianMemoryBank:
         self.num_classes = int(num_classes)
         self.frame_count = 0
         self.means = np.zeros((0, 3))
-        self.scales = np.zeros((0, 3))
-        self.rotations = np.zeros((0, 4))
+        self.cov = np.zeros((0, 3, 3))
         self.opacities = np.zeros(0)
         self.logits = np.zeros((0, self.num_classes))
         self._index = SpatialHashGrid(config.epsilon)
@@ -115,23 +98,23 @@ class GaussianMemoryBank:
         if len(gset):
             if gset.frame != WORLD_FRAME:
                 raise ValueError("bank checkpoints must be world frame")
-            bank._append(gset.means, gset.scales, gset.rotations, gset.opacities, gset.logits)
+            bank._append(gset.means, gset.cov, gset.opacities, gset.logits)
             bank._index.insert_many(np.arange(len(bank)), bank.means)
         return bank
 
     def __len__(self) -> int:
         return self.means.shape[0]
 
-    def to_set(self) -> GaussianSet:
-        return GaussianSet(
-            self.means.copy(), self.scales.copy(), self.rotations.copy(),
-            self.opacities.copy(), self.logits.copy(), frame=WORLD_FRAME,
-        )
+    # Factors derived from ``cov`` on demand, as for a GaussianSet.
+    scales, rotations = GaussianSet.scales, GaussianSet.rotations
 
-    def _append(self, means, scales, rotations, opacities, logits) -> None:
+    def to_set(self) -> GaussianSet:
+        return GaussianSet._of(self.means.copy(), self.cov.copy(), self.opacities.copy(),
+                               self.logits.copy(), WORLD_FRAME)
+
+    def _append(self, means, cov, opacities, logits) -> None:
         self.means = np.concatenate([self.means, means])
-        self.scales = np.concatenate([self.scales, scales])
-        self.rotations = np.concatenate([self.rotations, rotations])
+        self.cov = np.concatenate([self.cov, cov])
         self.opacities = np.concatenate([self.opacities, opacities])
         self.logits = np.concatenate([self.logits, logits])
 
@@ -218,17 +201,14 @@ class GaussianMemoryBank:
             fused = (w_mem[:, None] * _attributes(self, ua) + sum_theta) / (w_mem + sum_w)[:, None]
 
             self.means[ua] = fused[:, :3]
-            self.scales[ua], self.rotations[ua] = _refactor_covariances(
-                fused[:, 3:12].reshape(-1, 3, 3))
+            self.cov[ua] = fused[:, 3:12].reshape(-1, 3, 3)
             self.opacities[ua] = fused[:, 12]
             self.logits[ua] = fused[:, 13:]
 
         if n_in - n_matched:
             ins = ~matched
-            self._append(
-                incoming.means[ins], incoming.scales[ins], incoming.rotations[ins],
-                incoming.opacities[ins], incoming.logits[ins],
-            )
+            self._append(incoming.means[ins], incoming.cov[ins], incoming.opacities[ins],
+                         incoming.logits[ins])
 
         self._index.insert_many(np.arange(len(self)), self.means)
         self.frame_count += 1

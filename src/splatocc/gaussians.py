@@ -1,10 +1,16 @@
 """Anisotropic 3D Gaussian primitives carrying semantic class logits.
 
-Each primitive is an ellipsoidal kernel: mean position (m), per-axis
-standard deviations (m), a unit-quaternion orientation, an opacity in
-[0, 1], and a vector of class logits. Primitives only exist as packed
-arrays (:class:`GaussianSet`, one row each) so splatting and fusion stay
-vectorized; a single primitive is a one-row set.
+Each primitive is an ellipsoidal kernel: mean position (m), covariance
+Sigma (3x3, m^2), an opacity in [0, 1], and a vector of class logits.
+Primitives only exist as packed arrays (:class:`GaussianSet`, one row
+each) so splatting and fusion stay vectorized; a single primitive is a
+one-row set.
+
+Sigma is the one stored shape parameter: ``to_world`` conjugates it,
+fusion averages it and ``splat`` inverts it. The factored form (per-axis
+standard deviations, a unit quaternion) enters only through the positional
+``GaussianSet`` constructor, and ``scales``, ``rotations`` and
+``rotation_matrices()`` derive it back on demand (:func:`factor_covariances`).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ DEFAULT_PRUNE_TAU = 0.01
 CAMERA_FRAME = "camera"
 WORLD_FRAME = "world"
 
-# Implied covariance condition number above which evaluation refuses to run.
+# Covariance condition number above which evaluation refuses to run.
 _CONDITION_LIMIT = 1e12
 
 
@@ -29,61 +35,87 @@ class DegenerateGaussianError(ValueError):
     """Raised when a covariance is too ill-conditioned to evaluate."""
 
 
+def _checked_members(means, opacities, logits):
+    """means, opacities and logits as float arrays, checked for shape and range."""
+    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+    opacities = np.atleast_1d(np.asarray(opacities, dtype=np.float64))
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    n = means.shape[0]
+    if means.shape != (n, 3):
+        raise ValueError("means must have shape (n, 3)")
+    if opacities.shape != (n,) or logits.shape[0] != n or logits.shape[1] < 2:
+        raise ValueError("opacities must be (n,) and logits (n, num_classes >= 2)")
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(logits))):
+        raise ValueError("means and logits must be finite")
+    if np.any(~np.isfinite(opacities)) or np.any(opacities < 0) or np.any(opacities > 1):
+        raise ValueError("opacities must lie in [0, 1]")
+    return means, opacities, logits
+
+
 class GaussianSet:
     """Packed, immutable collection of primitives sharing one class count.
 
-    One primitive given as plain vectors (a 3-vector mean, a scalar
-    opacity, ...) becomes a one-row set. Scales are floored at SCALE_FLOOR
-    and quaternions normalized on construction. ``frame`` tags whether
-    means/rotations live in camera or world coordinates; splatting and
-    fusion require world frame.
+    The positional constructor takes the factored form: scales (per-axis
+    standard deviations, floored at SCALE_FLOOR) and quaternions
+    (normalized), and stores Sigma = R diag(s^2) R^T in ``cov``. One
+    primitive given as plain vectors (a 3-vector mean, a scalar opacity,
+    ...) becomes a one-row set. ``frame`` tags whether means and
+    covariances live in camera or world coordinates; splatting and fusion
+    require world frame.
     """
 
-    __slots__ = ("means", "scales", "rotations", "opacities", "logits", "frame")
+    __slots__ = ("means", "cov", "opacities", "logits", "frame")
 
     def __init__(self, means, scales, rotations, opacities, logits, frame=CAMERA_FRAME):
-        if frame not in (CAMERA_FRAME, WORLD_FRAME):
-            raise ValueError(f"unknown frame tag {frame!r}")
-        means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+        means, opacities, logits = _checked_members(means, opacities, logits)
         scales = np.atleast_2d(np.asarray(scales, dtype=np.float64))
         rotations = np.atleast_2d(np.asarray(rotations, dtype=np.float64))
-        opacities = np.atleast_1d(np.asarray(opacities, dtype=np.float64))
-        logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-        n = means.shape[0]
-        if means.shape != (n, 3):
-            raise ValueError("means must have shape (n, 3)")
-        if scales.shape != (n, 3) or rotations.shape != (n, 4):
+        if scales.shape != (len(means), 3) or rotations.shape != (len(means), 4):
             raise ValueError("scales must be (n, 3) and rotations (n, 4)")
-        if opacities.shape != (n,) or logits.shape[0] != n or logits.shape[1] < 2:
-            raise ValueError("opacities must be (n,) and logits (n, num_classes >= 2)")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(logits))):
-            raise ValueError("means and logits must be finite")
-        if np.any(~np.isfinite(opacities)) or np.any(opacities < 0) or np.any(opacities > 1):
-            raise ValueError("opacities must lie in [0, 1]")
-        if n:
-            if not np.all(np.isfinite(scales)) or np.any(scales <= 0.0):
-                raise ValueError("scales must be finite and > 0")
-            scales = np.maximum(scales, SCALE_FLOOR)
-            rotations = quaternions.normalize_if_needed(rotations)
-        for arr in (means, scales, rotations, opacities, logits):
+        if not np.all(np.isfinite(scales)) or np.any(scales <= 0.0):
+            raise ValueError("scales must be finite and > 0")
+        # Sigma = R diag(s^2) R^T = (R diag(s)) (R diag(s))^T.
+        half = quaternions.to_matrix(quaternions.normalize(rotations))
+        half *= np.maximum(scales, SCALE_FLOOR)[:, None, :]
+        self._fill(means, half @ np.swapaxes(half, 1, 2), opacities, logits, frame)
+
+    @classmethod
+    def from_covariances(cls, means, cov, opacities, logits, frame=CAMERA_FRAME) -> "GaussianSet":
+        """A set over covariances checked finite, symmetric and positive definite."""
+        means, opacities, logits = _checked_members(means, opacities, logits)
+        cov = np.asarray(cov, dtype=np.float64)
+        if cov.shape != (len(means), 3, 3):
+            raise ValueError("covariances must have shape (n, 3, 3)")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariances must be finite")
+        if not (np.array_equal(cov, np.swapaxes(cov, 1, 2))
+                and np.all(np.linalg.eigvalsh(cov) > 0.0)):
+            raise ValueError("covariances must be symmetric positive definite")
+        return cls._of(means, cov, opacities, logits, frame)
+
+    @classmethod
+    def _of(cls, means, cov, opacities, logits, frame) -> "GaussianSet":
+        """Unchecked, for arrays derived from valid sets: rotation and convex
+        combination keep a covariance symmetric and above SCALE_FLOOR^2 I."""
+        gset = object.__new__(cls)
+        gset._fill(means, cov, opacities, logits, frame)
+        return gset
+
+    def _fill(self, means, cov, opacities, logits, frame) -> None:
+        if frame not in (CAMERA_FRAME, WORLD_FRAME):
+            raise ValueError(f"unknown frame tag {frame!r}")
+        for arr in (means, cov, opacities, logits):
             arr.flags.writeable = False
         self.means = means
-        self.scales = scales
-        self.rotations = rotations
+        self.cov = cov
         self.opacities = opacities
         self.logits = logits
         self.frame = frame
 
     @classmethod
     def empty(cls, num_classes: int, frame=CAMERA_FRAME) -> "GaussianSet":
-        return cls(
-            np.zeros((0, 3)),
-            np.zeros((0, 3)),
-            np.zeros((0, 4)),
-            np.zeros(0),
-            np.zeros((0, num_classes)),
-            frame=frame,
-        )
+        return cls._of(np.zeros((0, 3)), np.zeros((0, 3, 3)), np.zeros(0),
+                       np.zeros((0, num_classes)), frame)
 
     @property
     def num_classes(self) -> int:
@@ -93,20 +125,25 @@ class GaussianSet:
         return self.means.shape[0]
 
     def subset(self, index) -> "GaussianSet":
-        return GaussianSet(
-            self.means[index],
-            self.scales[index],
-            self.rotations[index],
-            self.opacities[index],
-            self.logits[index],
-            frame=self.frame,
-        )
+        return GaussianSet._of(self.means[index], self.cov[index], self.opacities[index],
+                               self.logits[index], self.frame)
+
+    @property
+    def scales(self) -> np.ndarray:
+        """Derived per-axis standard deviations; see :func:`factor_covariances`."""
+        return factor_covariances(self.cov)[0]
+
+    @property
+    def rotations(self) -> np.ndarray:
+        """Derived unit quaternions paired with ``scales``."""
+        return factor_covariances(self.cov)[1]
 
     def rotation_matrices(self) -> np.ndarray:
         return quaternions.to_matrix(self.rotations)
 
     def covariances(self) -> np.ndarray:
-        return covariance_matrices(self.scales, self.rotations)
+        """The stored covariances, ``cov``."""
+        return self.cov
 
 
 def softmax(logits) -> np.ndarray:
@@ -117,36 +154,55 @@ def softmax(logits) -> np.ndarray:
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
-def covariance_matrices(scales, rotations) -> np.ndarray:
-    """R diag(s^2) R^T as (..., 3, 3), built from the factored form."""
-    rot = quaternions.to_matrix(rotations)
-    scaled = rot * np.asarray(scales, dtype=np.float64)[..., None, :]
-    return scaled @ np.swapaxes(scaled, -1, -2)
+def factor_covariances(cov):
+    """(scales, quaternions) of (n, 3, 3) covariances by eigendecomposition.
+
+    Scales are the square roots of the eigenvalues, ascending and floored
+    at SCALE_FLOOR; an eigenvector basis with det -1 gets one column
+    flipped so the rotation is proper. The factors are not unique (eigh
+    picks the eigenvector signs), so they pair only with each other.
+    """
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    scales = np.sqrt(np.clip(eigvals, SCALE_FLOOR * SCALE_FLOOR, None))
+    flip = np.linalg.det(eigvecs) < 0
+    eigvecs[flip, :, 0] *= -1.0
+    return scales, quaternions.from_matrix(eigvecs)
+
+
+def inverse_covariances(cov) -> np.ndarray:
+    """Sigma^-1 of (n, 3, 3) symmetric covariances by the closed-form adjugate,
+    six 2x2 cofactors over the determinant; reads the upper triangle only."""
+    a, b, c = cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2]
+    d, e, f = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
+    c00, c11, c22 = b * c - f * f, a * c - e * e, a * b - d * d
+    c01, c02, c12 = e * f - c * d, d * f - b * e, d * e - a * f
+    det = a * c00 + d * c01 + e * c02
+    adj = np.stack((c00, c01, c02, c01, c11, c12, c02, c12, c22), axis=-1)
+    return (adj / det[:, None]).reshape(-1, 3, 3)
 
 
 def evaluate(gset: GaussianSet, points) -> np.ndarray:
     """Kernel values exp(-0.5 * d^T Sigma^-1 d), shape (len(gset), len(points)).
 
-    The inverse covariance is applied in factored form (rotate into each
-    kernel's axes, divide by its scales), never via a general matrix
-    inverse. Equals 1 exactly at a member's mean and decays with
-    Mahalanobis distance. Raises DegenerateGaussianError when any member's
-    implied condition number (max scale / min scale)^2 exceeds 1e12.
+    Sigma^-1 is the closed-form adjugate inverse that ``splat`` also uses.
+    Equals 1 exactly at a member's mean and decays with Mahalanobis
+    distance. Raises DegenerateGaussianError when any member's condition
+    number (max scale / min scale)^2 exceeds 1e12.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     if len(gset):
-        ratio = gset.scales.max(axis=1) / gset.scales.min(axis=1)
+        scales = gset.scales
+        ratio = scales.max(axis=1) / scales.min(axis=1)
         worst = float(np.max(ratio * ratio))
         if worst > _CONDITION_LIMIT:
             raise DegenerateGaussianError(
                 f"covariance condition number {worst:.3e} exceeds {_CONDITION_LIMIT:.0e}"
             )
     diff = points[None, :, :] - gset.means[:, None, :]
-    local = diff @ gset.rotation_matrices() / gset.scales[:, None, :]
-    m2 = np.sum(local * local, axis=-1)
-    return np.exp(-0.5 * m2)
+    m2 = np.einsum("npi,npi->np", diff @ inverse_covariances(gset.cov), diff)
+    return np.exp(-0.5 * np.maximum(m2, 0.0))
 
 
 def prune(gset: GaussianSet, tau: float = DEFAULT_PRUNE_TAU) -> GaussianSet:
@@ -191,7 +247,7 @@ def heuristic_attributes_batch(
 
     ``labels`` gives one class id per sample. opacity = base_opacity *
     exp(-opacity_decay * (k - 1)), so deeper interior samples fade;
-    sigma = sigma_factor * spacing, isotropic.
+    sigma = sigma_factor * spacing, isotropic: the covariance is sigma^2 I.
     """
     labels = np.asarray(labels)
     if labels.shape != (len(samples),):
@@ -205,11 +261,5 @@ def heuristic_attributes_batch(
     opacities = cfg.base_opacity * np.exp(-cfg.opacity_decay * (samples.ks - 1))
     logits = np.zeros((len(samples), cfg.num_classes))
     logits[np.arange(len(samples)), labels] = cfg.logit_gain
-    return GaussianSet(
-        means=samples.positions,
-        scales=np.repeat(sigma[:, None], 3, axis=1),
-        rotations=np.tile(quaternions.IDENTITY, (len(samples), 1)),
-        opacities=opacities,
-        logits=logits,
-        frame=CAMERA_FRAME,
-    )
+    cov = (sigma * sigma)[:, None, None] * np.eye(3)
+    return GaussianSet._of(samples.positions, cov, opacities, logits, CAMERA_FRAME)

@@ -5,10 +5,13 @@ All binary formats are little-endian and seekable:
 DMAP1   magic "DMAP1", u32 width, u32 height, width*height f32 ray
         distances row-major; NaN marks invalid pixels.
 CMAP1   magic "CMAP1", u32 width, u32 height, width*height u8 class ids.
-GSET1   magic "GSET1", u32 count, u32 num_classes, then per Gaussian
-        3*f32 mean, 3*f32 scale, 4*f32 quaternion (w first), f32 opacity,
-        num_classes*f32 logits. The frame tag is not stored; the loader
-        takes it as a parameter (defaults to world).
+GSET2   magic "GSET2", u32 count, u32 num_classes, then per Gaussian
+        3*f64 mean, 6*f64 covariance upper triangle (xx, xy, xz, yy, yz,
+        zz), f64 opacity, num_classes*f64 logits. The covariance is stored
+        as kept in memory, in full precision, so round trips are exact; the
+        loader rejects one that is not finite and positive definite. The
+        frame tag is not stored; the loader takes it as a parameter
+        (defaults to world).
 OGRID1  magic "OGRID1", u32 X, u32 Y, u32 Z, u32 num_classes,
         f32 voxel_size, 3*f32 origin, X*Y*Z u8 labels (0 = empty),
         X*Y*Z f32 scores. Arrays are C order with z fastest.
@@ -33,7 +36,8 @@ from .splatting import GridSpec, OccupancyGrid
 
 _DMAP_MAGIC = b"DMAP1"
 _CMAP_MAGIC = b"CMAP1"
-_GSET_MAGIC = b"GSET1"
+_GSET_MAGIC = b"GSET2"
+_UPPER = np.triu_indices(3)
 _OGRID_MAGIC = b"OGRID1"
 
 
@@ -92,12 +96,11 @@ def load_class_map(path) -> np.ndarray:
 def save_gaussians(path, gset: GaussianSet) -> None:
     n = len(gset)
     nc = gset.num_classes
-    record = np.empty((n, 11 + nc), dtype="<f4")
+    record = np.empty((n, 10 + nc), dtype="<f8")
     record[:, 0:3] = gset.means
-    record[:, 3:6] = gset.scales
-    record[:, 6:10] = gset.rotations
-    record[:, 10] = gset.opacities
-    record[:, 11:] = gset.logits
+    record[:, 3:9] = gset.cov[:, _UPPER[0], _UPPER[1]]
+    record[:, 9] = gset.opacities
+    record[:, 10:] = gset.logits
     with open(path, "wb") as f:
         f.write(_GSET_MAGIC)
         f.write(struct.pack("<II", n, nc))
@@ -110,18 +113,16 @@ def load_gaussians(path, frame: str = WORLD_FRAME) -> GaussianSet:
         n, nc = struct.unpack("<II", _read_exact(f, 8, "header"))
         if nc < 2:
             raise ValueError(f"{path}: class count {nc} out of range")
-        raw = _read_exact(f, 4 * n * (11 + nc), "gaussian records")
-    if n == 0:
-        return GaussianSet.empty(nc, frame=frame)
-    record = np.frombuffer(raw, dtype="<f4").reshape(n, 11 + nc).astype(np.float64)
-    return GaussianSet(
-        means=record[:, 0:3],
-        scales=record[:, 3:6],
-        rotations=record[:, 6:10],
-        opacities=record[:, 10],
-        logits=record[:, 11:],
-        frame=frame,
-    )
+        raw = _read_exact(f, 8 * n * (10 + nc), "gaussian records")
+    record = np.frombuffer(raw, dtype="<f8").reshape(n, 10 + nc)
+    cov = np.empty((n, 3, 3))
+    cov[:, _UPPER[0], _UPPER[1]] = record[:, 3:9]
+    cov[:, _UPPER[1], _UPPER[0]] = record[:, 3:9]
+    try:
+        return GaussianSet.from_covariances(record[:, 0:3], cov, record[:, 9], record[:, 10:],
+                                            frame)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_grid(path, grid: OccupancyGrid) -> None:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-
 
 def normalize(q):
     q = np.asarray(q, dtype=np.float64)
@@ -13,35 +11,6 @@ def normalize(q):
     if np.any(norm < 1e-12) or not np.all(np.isfinite(norm)):
         raise ValueError("quaternion has zero or non-finite norm")
     return q / norm
-
-
-def normalize_if_needed(q):
-    """Normalize unless every norm is already within 1e-6 of 1.
-
-    Values loaded from float32 storage are unit only to float32 precision;
-    leaving them untouched keeps save/load round trips bit-identical.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-6):
-        return q
-    return normalize(q)
-
-
-def multiply(a, b):
-    """Hamilton product a*b; composing rotations applies b first, then a."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    aw, ax, ay, az = (a[..., i] for i in range(4))
-    bw, bx, by, bz = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
 
 
 def to_matrix(q):

@@ -11,16 +11,17 @@ masses per class; the voxel label is the argmax over semantic classes (ties
 go to the lowest class id) when the score clears ``theta_occ``, otherwise 0
 (empty).
 
-``splat`` evaluates every Gaussian the same way. Its box is the cube of
-half-width ``SPLAT_CUTOFF * max(scale)`` around the mean, clipped to the
-grid, which contains the ellipsoid of ``SPLAT_CUTOFF`` (7) standard
-deviations; pairs outside that ellipsoid are dropped. The dropped tail,
-exp(-24.5) per kernel, stays orders of magnitude below any score tolerance
-anyone would test against.
+``splat`` evaluates every Gaussian the same way. Its box is the exact
+axis-aligned extent of the ellipsoid of ``SPLAT_CUTOFF`` (7) standard
+deviations, half-width ``SPLAT_CUTOFF * sqrt(Sigma_ii)`` on axis i around
+the mean, clipped to the grid; pairs outside that ellipsoid are dropped.
+The dropped tail, exp(-24.5) per kernel, stays orders of magnitude below
+any score tolerance anyone would test against.
 
 Inside a box the squared Mahalanobis distance is a quadratic form in the
 integer voxel offset o from the box corner, m2(o) = c0 + b.o + o'Mo, with
-M = voxel_size^2 Sigma^-1. Its ten coefficients per Gaussian are computed
+M = voxel_size^2 Sigma^-1 and Sigma^-1 the closed-form adjugate inverse
+of the stored covariance. Its ten coefficients per Gaussian are computed
 once, so boxes of one shape need a single matrix product of those
 coefficients with the shape's table of offset monomials.
 """
@@ -32,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME, softmax
+from .gaussians import GaussianSet, WORLD_FRAME, inverse_covariances, softmax
 
 DEFAULT_THETA_OCC = 0.5
 SPLAT_CUTOFF = 7.0
@@ -75,8 +76,8 @@ class GridSpec:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError("dims must be three counts >= 1")
-        if not self.voxel_size > 0:
-            raise ValueError("voxel_size must be > 0")
+        if not 0 < self.voxel_size < np.inf:
+            raise ValueError("voxel_size must be finite and > 0")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2 (empty plus one class)")
         origin = np.asarray(self.origin, dtype=np.float64)
@@ -130,21 +131,21 @@ class OccupancyGrid:
             raise ValueError("labels and scores must match spec.dims")
         if labels.max(initial=0) >= self.spec.num_classes or labels.min(initial=0) < 0:
             raise ValueError("labels must lie in [0, num_classes)")
-        if np.any(scores < -1e-12) or np.any(scores > 1.0 + 1e-12):
-            raise ValueError("scores must lie in [0, 1]")
+        if not np.all((scores >= -1e-12) & (scores <= 1.0 + 1e-12)):
+            raise ValueError("scores must be finite and lie in [0, 1]")
         self.labels = labels.astype(np.uint8)
         self.scores = np.clip(scores, 0.0, 1.0)
 
 
 def _cull_bounds(means, radii, spec: GridSpec):
-    """Half-open index boxes of voxel centers within ``radii`` of ``means``.
+    """Half-open index boxes of voxel centers within per-axis radii of means.
 
     Vectorized over rows; boxes are not yet clipped to the grid.
     """
     t = (means - spec.origin) / spec.voxel_size - 0.5
     r = radii / spec.voxel_size
-    lo = np.ceil(t - r[..., None] - _INDEX_GUARD).astype(np.int64)
-    hi = np.floor(t + r[..., None] + _INDEX_GUARD).astype(np.int64) + 1
+    lo = np.ceil(t - r - _INDEX_GUARD).astype(np.int64)
+    hi = np.floor(t + r + _INDEX_GUARD).astype(np.int64) + 1
     return lo, hi
 
 
@@ -165,11 +166,11 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     monomials and are evaluated together in chunks of at most
     ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs: a chunk's squared Mahalanobis
     distances are its (rows, 10) quadratic-form coefficients times that
-    (10, voxels) table, without materialising voxel centers or whitened
-    coordinates. Pairs within ``SPLAT_CUTOFF`` Mahalanobis units scatter
-    into the grid with one bincount for the score and one per class, so
-    results agree with an unculled brute-force evaluation to well below
-    1e-6 even for thousands of kernels. ``keep_masses`` also returns the
+    (10, voxels) table, without materialising voxel centers. Pairs within
+    ``SPLAT_CUTOFF`` Mahalanobis units scatter into the grid with one
+    bincount for the score and one per class, so results agree with an
+    unculled brute-force evaluation to well below 1e-6 even for thousands
+    of kernels. ``keep_masses`` also returns the
     per-class masses, shaped ``spec.dims + (num_classes,)``; without it the
     class-0 (empty) mass, which labels never read, is not accumulated.
     """
@@ -188,26 +189,25 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
 
     if len(gset):
         dims = np.asarray(spec.dims)
-        lo, hi = _cull_bounds(gset.means, SPLAT_CUTOFF * gset.scales.max(axis=1), spec)
+        extent = np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2))
+        lo, hi = _cull_bounds(gset.means, SPLAT_CUTOFF * extent, spec)
         lo = np.clip(lo, 0, dims)
         spans = np.clip(hi, 0, dims) - lo
         alive = np.flatnonzero(np.all(spans > 0, axis=1))
 
-        # Quadratic-form coefficients: (p - mean) @ white has unit
-        # covariance, and the center of voxel lo + o whitens to
-        # first + o @ step for an integer offset o (step = voxel_size *
-        # white), so its squared Mahalanobis distance is
-        # m2(o) = c0 + b.o + o'Mo with c0 = |first|^2, b = 2 step @ first and
-        # M = step step' = voxel_size^2 Sigma^-1. coef holds these ten
-        # numbers per Gaussian in the order of _monomials.
-        white = gset.rotation_matrices() / gset.scales[:, None, :]
+        # Quadratic-form coefficients: the center of voxel lo + o lies at
+        # corner + voxel_size * o from the mean for an integer offset o, so
+        # with P = Sigma^-1 its squared Mahalanobis distance is
+        # m2(o) = c0 + b.o + o'Mo with c0 = corner' P corner,
+        # b = 2 voxel_size P corner and M = voxel_size^2 P. coef holds these
+        # ten numbers per Gaussian in the order of _monomials.
+        prec = inverse_covariances(gset.cov)
         corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
-        first = np.einsum("ni,nij->nj", corner, white)
-        step = spec.voxel_size * white
-        quad = np.matmul(step, step.transpose(0, 2, 1))
+        pc = np.einsum("nij,nj->ni", prec, corner)
+        quad = spec.voxel_size * spec.voxel_size * prec
         coef = np.column_stack((
-            np.einsum("ni,ni->n", first, first),
-            2.0 * np.einsum("nij,nj->ni", step, first),
+            np.einsum("ni,ni->n", corner, pc),
+            2.0 * spec.voxel_size * pc,
             quad[:, 0, 0], quad[:, 1, 1], quad[:, 2, 2],
             2.0 * quad[:, 0, 1], 2.0 * quad[:, 0, 2], 2.0 * quad[:, 1, 2],
         ))

@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately recomputes results along a different code path
-than the module it checks: dense matrix inverses instead of factored forms,
+than the module it checks: LU matrix inverses instead of the closed-form adjugate,
 full all-pairs evaluation instead of culling, linear scans instead of spatial
 hashes, prefix enumeration instead of closed-form gradients.
 """
@@ -33,9 +33,9 @@ def dense_covariance(scale, rotation):
     return rot @ np.diag(np.asarray(scale, dtype=np.float64) ** 2) @ rot.T
 
 
-def dense_evaluate(mean, scale, rotation, points):
-    """Kernel values via an explicit covariance inverse."""
-    inv = np.linalg.inv(dense_covariance(scale, rotation))
+def dense_evaluate(mean, cov, points):
+    """Kernel values via an explicit (LU) inverse of the covariance."""
+    inv = np.linalg.inv(np.asarray(cov, dtype=np.float64))
     d = np.atleast_2d(points) - np.asarray(mean, dtype=np.float64)
     m2 = np.einsum("ij,jk,ik->i", d, inv, d)
     return np.exp(-0.5 * m2)
@@ -49,7 +49,7 @@ def naive_splat(gset, spec, theta_occ=0.5):
     masses = np.zeros((len(centers), gset.num_classes))
     for i in range(len(gset)):
         contrib = gset.opacities[i] * dense_evaluate(
-            gset.means[i], gset.scales[i], gset.rotations[i], centers
+            gset.means[i], gset.covariances()[i], centers
         )
         free *= 1.0 - contrib
         masses += contrib[:, None] * softmax_rows(gset.logits[i])[None, :]

@@ -322,3 +322,6 @@ class TestFuseFrame:
             so.FusionConfig(gamma=1.0)
         with pytest.raises(ValueError):
             so.FusionConfig(epsilon=0.0)
+        for eps in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                so.FusionConfig(epsilon=eps)

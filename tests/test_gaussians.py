@@ -7,7 +7,7 @@ import pytest
 import splatocc as so
 from splatocc import quaternions
 
-from oracles import dense_evaluate, naive_splat, random_gaussian_set
+from oracles import dense_covariance, dense_evaluate, naive_splat, random_gaussian_set
 
 ROT_Z_90 = quaternions.from_matrix(
     np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -57,6 +57,20 @@ class TestCovariance:
             )
             np.linalg.cholesky(g.covariances()[0])
 
+    def test_derived_factors_rebuild_the_covariance(self):
+        rng = np.random.default_rng(7)
+        # Random rotations plus the identity and half turns (w = 0).
+        quats = np.vstack([rng.normal(size=(40, 4)), np.eye(4), [[0, 1, 1, 0], [0, 0, 1, -1]]])
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        back = quaternions.from_matrix(quaternions.to_matrix(quats))
+        np.testing.assert_allclose(np.abs(np.sum(back * quats, axis=1)), 1.0, atol=1e-12)
+        gset = random_gaussian_set(rng, 40, 3)
+        scales, rotations = gset.scales, gset.rotations
+        assert np.all(np.diff(scales, axis=1) >= 0)
+        for i in range(len(gset)):
+            np.testing.assert_allclose(dense_covariance(scales[i], rotations[i]),
+                                       gset.covariances()[i], atol=1e-12)
+
 
 class TestEvaluate:
     def test_unity_at_mean(self):
@@ -69,14 +83,12 @@ class TestEvaluate:
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            g = so.GaussianSet(
-                rng.normal(size=3), rng.uniform(0.05, 1.5, 3), rng.normal(size=4),
-                1.0, np.zeros(3),
-            )
+            mean, scale, q = rng.normal(size=3), rng.uniform(0.05, 1.5, 3), rng.normal(size=4)
+            g = so.GaussianSet(mean, scale, q, 1.0, np.zeros(3))
             pts = rng.normal(size=(10, 3)) * 2
             np.testing.assert_allclose(
                 so.evaluate(g, pts)[0],
-                dense_evaluate(g.means[0], g.scales[0], g.rotations[0], pts),
+                dense_evaluate(mean, dense_covariance(scale, q / np.linalg.norm(q)), pts),
                 atol=1e-9,
             )
         # One call on a 50-member set: row i is member i's kernel.
@@ -87,7 +99,7 @@ class TestEvaluate:
         for i in range(50):
             np.testing.assert_allclose(
                 values[i],
-                dense_evaluate(gset.means[i], gset.scales[i], gset.rotations[i], pts),
+                dense_evaluate(gset.means[i], gset.covariances()[i], pts),
                 atol=1e-9,
             )
 

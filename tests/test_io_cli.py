@@ -69,6 +69,7 @@ class TestGaussianSetFormat:
         loaded = io.load_gaussians(first)
         io.save_gaussians(second, loaded)
         assert file_bytes(first) == file_bytes(second)
+        np.testing.assert_array_equal(loaded.covariances(), gset.covariances())
         assert loaded.frame == "world"
         assert loaded.num_classes == 12 and len(loaded) == 50
 
@@ -362,11 +363,45 @@ class TestCli:
 
     def test_oversized_gaussian_count_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "huge.gset"
-        path.write_bytes(b"GSET1" + struct.pack("<II", 2**32 - 1, 12) + b"\x00" * 64)
+        path.write_bytes(b"GSET2" + struct.pack("<II", 2**32 - 1, 12) + b"\x00" * 64)
         code = main(["prune", "--gaussians", str(path), "--out", str(tmp_path / "p.gset")])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and "truncated" in err[0]
+
+    def test_malformed_gaussian_file_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "g.gset"
+        io.save_gaussians(path, random_gaussian_set(np.random.default_rng(40), 2, 12))
+        good = path.read_bytes()
+        header, row = 13, 8 * (10 + 12)
+
+        def entry(row_index, column):
+            return header + row * row_index + 8 * column
+
+        nan_cov = bytearray(good)
+        nan_cov[entry(1, 4):entry(1, 5)] = struct.pack("<d", np.nan)
+        indefinite = bytearray(good)   # xx = yy = 1, xy = 2: eigenvalues -1 and 3
+        indefinite[entry(0, 3):entry(0, 9)] = struct.pack("<6d", 1, 2, 0, 1, 0, 1)
+        for data, words in ((nan_cov, "finite"), (indefinite, "positive definite"),
+                            (b"GSET1" + good[5:], "magic")):
+            path.write_bytes(bytes(data))
+            code = main(["prune", "--gaussians", str(path), "--out", str(tmp_path / "p.gset")])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith("error:") and words in err[0]
+
+    def test_nan_grid_scores_are_one_line_error(self, tmp_path, capsys):
+        spec = so.GridSpec((4, 3, 2), 0.1, np.zeros(3), 12)
+        labels = np.full(spec.dims, 3, dtype=np.uint8)
+        path = tmp_path / "nan.ogrid"
+        io.save_grid(path, so.OccupancyGrid(spec=spec, labels=labels, scores=np.ones(spec.dims)))
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(data))
+        code = main(["eval", "--pred", str(path), "--gt", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "scores" in err[0]
 
     def test_config_file_drives_pipeline(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -56,7 +56,7 @@ class TestNeighborCull:
                 rng.normal(size=4), 1.0, np.zeros(4),
             )
             lo, hi = neighbor_cull(g, spec)
-            values = dense_evaluate(g.means[0], g.scales[0], g.rotations[0], centers)
+            values = dense_evaluate(g.means[0], g.covariances()[0], centers)
             hot = centers[values >= np.exp(-4.5)]
             if hot.size == 0:
                 continue
@@ -241,6 +241,15 @@ class TestSplat:
         spec = so.GridSpec.for_extent([-0.5, 0.0, 0.0], [3.7, 4.0, 2.9], voxel_size=0.08)
         assert spec.dims == (53, 50, 37)
         np.testing.assert_allclose(spec.origin, [-0.5, 0.0, 0.0])
+
+    def test_invalid_grid_spec_rejected(self):
+        for voxel_size in (0.0, -0.08, np.inf, np.nan):
+            with pytest.raises(ValueError, match="voxel_size"):
+                so.GridSpec((4, 4, 4), voxel_size, np.zeros(3))
+        with pytest.raises(ValueError, match="dims"):
+            so.GridSpec((4, 0, 4), 0.08, np.zeros(3))
+        with pytest.raises(ValueError, match="origin"):
+            so.GridSpec((4, 4, 4), 0.08, [0.0, np.inf, 0.0])
 
     def test_monocular_default_geometry(self):
         spec = so.frontal_grid(so.standard_camera([0.0, 0.0, 0.0]))
