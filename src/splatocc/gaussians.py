@@ -81,7 +81,8 @@ class GaussianSet:
 
     @classmethod
     def from_covariances(cls, means, cov, opacities, logits, frame=CAMERA_FRAME) -> "GaussianSet":
-        """A set over covariances checked finite, symmetric and positive definite."""
+        """A set over covariances checked finite, symmetric and >= SCALE_FLOOR^2 I,
+        less 1% for the rounding of a floored kernel with scales up to ~100 m."""
         means, opacities, logits = _checked_members(means, opacities, logits)
         cov = np.asarray(cov, dtype=np.float64)
         if cov.shape != (len(means), 3, 3):
@@ -89,14 +90,14 @@ class GaussianSet:
         if not np.all(np.isfinite(cov)):
             raise ValueError("covariances must be finite")
         if not (np.array_equal(cov, np.swapaxes(cov, 1, 2))
-                and np.all(np.linalg.eigvalsh(cov) > 0.0)):
-            raise ValueError("covariances must be symmetric positive definite")
+                and np.all(np.linalg.eigvalsh(cov) >= 0.99 * SCALE_FLOOR * SCALE_FLOOR)):
+            raise ValueError("covariances must be symmetric positive definite, >= SCALE_FLOOR^2 I")
         return cls._of(means, cov, opacities, logits, frame)
 
     @classmethod
     def _of(cls, means, cov, opacities, logits, frame) -> "GaussianSet":
         """Unchecked, for arrays derived from valid sets: rotation and convex
-        combination keep a covariance symmetric and above SCALE_FLOOR^2 I."""
+        combination keep a covariance symmetric and >= SCALE_FLOOR^2 I."""
         gset = object.__new__(cls)
         gset._fill(means, cov, opacities, logits, frame)
         return gset
@@ -155,12 +156,11 @@ def softmax(logits) -> np.ndarray:
 
 
 def factor_covariances(cov):
-    """(scales, quaternions) of (n, 3, 3) covariances by eigendecomposition.
-
-    Scales are the square roots of the eigenvalues, ascending and floored
-    at SCALE_FLOOR; an eigenvector basis with det -1 gets one column
-    flipped so the rotation is proper. The factors are not unique (eigh
-    picks the eigenvector signs), so they pair only with each other.
+    """(scales, quaternions) of (n, 3, 3) covariances by eigendecomposition:
+    scales are the square roots of the eigenvalues, ascending and floored at
+    SCALE_FLOOR, and a basis with det -1 gets one column flipped so the
+    rotation is proper. eigh picks the eigenvector signs, so the factors are
+    not unique and pair only with each other.
     """
     eigvals, eigvecs = np.linalg.eigh(cov)
     scales = np.sqrt(np.clip(eigvals, SCALE_FLOOR * SCALE_FLOOR, None))
@@ -170,36 +170,38 @@ def factor_covariances(cov):
 
 
 def inverse_covariances(cov) -> np.ndarray:
-    """Sigma^-1 of (n, 3, 3) symmetric covariances by the closed-form adjugate,
-    six 2x2 cofactors over the determinant; reads the upper triangle only."""
+    """Sigma^-1 = W^T W of (n, 3, 3) covariances (upper triangle read), W = L^-1
+    for the closed-form Cholesky factor Sigma = L L^T. Backward stable, so as
+    accurate as an LU inverse even for needles, where a determinant cancels."""
     a, b, c = cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2]
     d, e, f = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
-    c00, c11, c22 = b * c - f * f, a * c - e * e, a * b - d * d
-    c01, c02, c12 = e * f - c * d, d * f - b * e, d * e - a * f
-    det = a * c00 + d * c01 + e * c02
-    adj = np.stack((c00, c01, c02, c01, c11, c12, c02, c12, c22), axis=-1)
-    return (adj / det[:, None]).reshape(-1, 3, 3)
+    l00 = np.sqrt(a)
+    l10, l20 = d / l00, e / l00
+    l11 = np.sqrt(b - l10 * l10)
+    l21 = (f - l20 * l10) / l11
+    w00, w11, w22 = 1.0 / l00, 1.0 / l11, 1.0 / np.sqrt(c - l20 * l20 - l21 * l21)
+    w10, w21 = -l10 * w00 * w11, -l21 * w11 * w22
+    w20 = -(l20 * w00 + l21 * w10) * w22
+    p01, p02, p12 = w10 * w11 + w20 * w21, w20 * w22, w21 * w22
+    return np.stack((w00 * w00 + w10 * w10 + w20 * w20, p01, p02, p01, w11 * w11 + w21 * w21,
+                     p12, p02, p12, w22 * w22), axis=-1).reshape(-1, 3, 3)
 
 
 def evaluate(gset: GaussianSet, points) -> np.ndarray:
-    """Kernel values exp(-0.5 * d^T Sigma^-1 d), shape (len(gset), len(points)).
-
-    Sigma^-1 is the closed-form adjugate inverse that ``splat`` also uses.
-    Equals 1 exactly at a member's mean and decays with Mahalanobis
-    distance. Raises DegenerateGaussianError when any member's condition
-    number (max scale / min scale)^2 exceeds 1e12.
+    """Kernel values exp(-0.5 * d^T Sigma^-1 d), shape (len(gset), len(points)),
+    with Sigma^-1 from :func:`inverse_covariances` as in ``splat``: 1 exactly
+    at a member's mean, decaying with Mahalanobis distance. Raises
+    DegenerateGaussianError when any member's condition number (largest /
+    smallest eigenvalue of Sigma) exceeds 1e12.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    if len(gset):
-        scales = gset.scales
-        ratio = scales.max(axis=1) / scales.min(axis=1)
-        worst = float(np.max(ratio * ratio))
-        if worst > _CONDITION_LIMIT:
-            raise DegenerateGaussianError(
-                f"covariance condition number {worst:.3e} exceeds {_CONDITION_LIMIT:.0e}"
-            )
+    eigvals = np.linalg.eigvalsh(gset.cov)
+    worst = float(np.max(eigvals[:, 2] / eigvals[:, 0], initial=0.0))
+    if worst > _CONDITION_LIMIT:
+        raise DegenerateGaussianError(
+            f"covariance condition number {worst:.3e} exceeds {_CONDITION_LIMIT:.0e}")
     diff = points[None, :, :] - gset.means[:, None, :]
     m2 = np.einsum("npi,npi->np", diff @ inverse_covariances(gset.cov), diff)
     return np.exp(-0.5 * np.maximum(m2, 0.0))

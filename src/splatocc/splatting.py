@@ -20,10 +20,9 @@ any score tolerance anyone would test against.
 
 Inside a box the squared Mahalanobis distance is a quadratic form in the
 integer voxel offset o from the box corner, m2(o) = c0 + b.o + o'Mo, with
-M = voxel_size^2 Sigma^-1 and Sigma^-1 the closed-form adjugate inverse
-of the stored covariance. Its ten coefficients per Gaussian are computed
-once, so boxes of one shape need a single matrix product of those
-coefficients with the shape's table of offset monomials.
+M = voxel_size^2 Sigma^-1 from ``gaussians.inverse_covariances``. The ten
+coefficients per Gaussian are computed once, so boxes of one shape need one
+matrix product of them with the shape's table of offset monomials.
 """
 
 from __future__ import annotations

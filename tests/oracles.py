@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately recomputes results along a different code path
-than the module it checks: LU matrix inverses instead of the closed-form adjugate,
+than the module it checks: LU matrix inverses instead of closed-form Cholesky,
 full all-pairs evaluation instead of culling, linear scans instead of spatial
 hashes, prefix enumeration instead of closed-form gradients.
 """

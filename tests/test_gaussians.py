@@ -102,6 +102,25 @@ class TestEvaluate:
                 dense_evaluate(gset.means[i], gset.covariances()[i], pts),
                 atol=1e-9,
             )
+        # Rotated needles (two small scales): an inverse through the
+        # determinant cancels here. Points lie 1.5 sigma out and along the
+        # long axis. The LU oracle is itself accurate only to about
+        # condition number x epsilon (checked against an exact rational
+        # inverse), so that is the tolerance.
+        for scale in ((1e-4, 1e-4, 1.0), (1e-3, 1e-3, 1.0), (1e-4, 1e-4, 10.0)):
+            cond = (scale[2] / scale[0]) ** 2
+            for _ in range(20):
+                mean, q = rng.normal(size=3), rng.normal(size=4)
+                g = so.GaussianSet(mean, scale, q, 1.0, np.zeros(3))
+                rot = quaternions.to_matrix(quaternions.normalize(q))
+                pts = np.vstack([
+                    mean + (rng.normal(size=(10, 3)) * 1.5 * np.asarray(scale)) @ rot.T,
+                    mean + np.linspace(-2.0, 2.0, 9)[:, None] * scale[2] * rot[:, 2],
+                ])
+                np.testing.assert_allclose(
+                    so.evaluate(g, pts)[0], dense_evaluate(mean, g.covariances()[0], pts),
+                    atol=cond * np.finfo(float).eps,
+                )
 
     def test_decreasing_in_mahalanobis_distance(self):
         g = iso(0.5)

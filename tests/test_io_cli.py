@@ -382,8 +382,10 @@ class TestCli:
         nan_cov[entry(1, 4):entry(1, 5)] = struct.pack("<d", np.nan)
         indefinite = bytearray(good)   # xx = yy = 1, xy = 2: eigenvalues -1 and 3
         indefinite[entry(0, 3):entry(0, 9)] = struct.pack("<6d", 1, 2, 0, 1, 0, 1)
+        tiny = bytearray(good)   # Sigma = 1e-12 I: positive definite, below the floor
+        tiny[entry(1, 3):entry(1, 9)] = struct.pack("<6d", 1e-12, 0, 0, 1e-12, 0, 1e-12)
         for data, words in ((nan_cov, "finite"), (indefinite, "positive definite"),
-                            (b"GSET1" + good[5:], "magic")):
+                            (tiny, "SCALE_FLOOR"), (b"GSET1" + good[5:], "magic")):
             path.write_bytes(bytes(data))
             code = main(["prune", "--gaussians", str(path), "--out", str(tmp_path / "p.gset")])
             err = capsys.readouterr().err.splitlines()
