@@ -29,7 +29,7 @@ at_mean, sigma_x, sigma_y = so.evaluate(g, steps)[0]
 print("kernel at its own mean:     ", at_mean)
 print("kernel one sigma away in x: ", sigma_x)
 print("same Mahalanobis step in y: ", sigma_y)
-print("covariance eigenvalues:     ", np.sort(np.linalg.eigvalsh(g.covariances()[0])))
+print("covariance eigenvalues:     ", np.sort(np.linalg.eigvalsh(g.cov[0])))
 
 # Splat a single kernel into a small grid and look at a horizontal slice.
 spec = so.GridSpec((16, 16, 8), 0.1, np.zeros(3), num_classes=6)

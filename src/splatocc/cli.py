@@ -3,10 +3,10 @@
 Subcommands drive the library end to end on synthetic scenes: gen-scene,
 render, sample, splat, stream, eval, prune. Every command accepts --config
 (flat key = value file) and reads it before anything else; a key that no
-command reads is an error. Each setting flag overrides the same key of the
-file, and a key set by neither takes its default. Results and diagnostics
-print as "key = value" lines. Exit code 0 on success, 1 with a single-line
-message on error.
+command reads, or a value not of its key's type, is an error. Each setting
+flag overrides the same key of the file, and a key set by neither takes its
+default. Results print as "key = value" lines. Exit code 0 on success, 1
+with one line on error that names the faulty input file and its line or key.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .camera import CameraModel
 from .fusion import GaussianMemoryBank
 from .gaussians import prune
 from .metrics import confusion, frustum_mask, iou_miou
-from .pipeline import _CONFIG_FIELDS, config_from_mapping, frame_gaussians
+from .pipeline import config_from_mapping, config_types, frame_gaussians
 from .scenes import (
     generate_frontal_room,
     oracle_occupancy,
@@ -33,27 +33,34 @@ from .scenes import (
 from .splatting import GridSpec, splat
 
 
-# Setting flags by config-file key and type. Flag --theta-occ stores under
-# key theta_occ, --grid-dims under grid-dims, so a flag overlays its key.
-_CAMERA_FLAGS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int}
-_PIPELINE_FLAGS = {"k": int, "scale": float, "stride": int, "tau": float, "theta_occ": float,
-                   "epsilon": float, "gamma": float}
-_GRID_FLAGS = {"grid-dims": str, "voxel-size": float, "grid-origin": str}
+# Every key some command reads, with its type; a config file may hold no
+# other. The pipeline's keys and types come from its config dataclasses.
+_CONFIG_KEYS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
+                "grid-dims": str, "voxel-size": float, "grid-origin": str, **config_types()}
+# Setting flags by config-file key. Flag --theta-occ stores under key
+# theta_occ, --grid-dims under grid-dims, so a flag overlays its key.
+_CAMERA_FLAGS = ("fx", "fy", "cx", "cy", "width", "height")
+_PIPELINE_FLAGS = ("k", "scale", "stride", "tau", "theta_occ", "epsilon", "gamma")
+_GRID_FLAGS = ("grid-dims", "voxel-size", "grid-origin")
 _FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the grid min corner"}
-# Every key some command reads; a config file may hold no other.
-_CONFIG_KEYS = {**_CAMERA_FLAGS, **_GRID_FLAGS, **_CONFIG_FIELDS}
 
 
 def _settings(args) -> dict:
-    """The --config file's key = value pairs, overlaid by every setting flag given."""
+    """The --config file's key = value pairs, each key and value checked against
+    _CONFIG_KEYS, overlaid by every setting flag given."""
     settings = io.load_config(args.config) if args.config else {}
-    for key in settings:
+    for key, value in settings.items():
         if key not in _CONFIG_KEYS:
             spelled = [k for k in _CONFIG_KEYS
                        if k.replace("_", "-") == key.lstrip("-").replace("_", "-")]
             hint = f" (the file spells it {spelled[0]!r})" if spelled else ""
             raise ValueError(f"{args.config}: unknown config key {key!r}{hint}")
-    for key in {**_CAMERA_FLAGS, **_PIPELINE_FLAGS, **_GRID_FLAGS}:
+        try:
+            _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ValueError(f"{args.config}: {key} = {value!r} is not "
+                             f"{_CONFIG_KEYS[key].__name__}") from None
+    for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = str(value)
@@ -154,12 +161,15 @@ def _cmd_stream(args, settings) -> int:
     scene = io.load_scene(args.scene)
     cfg = config_from_mapping(settings)
     poses = []
-    for line in Path(args.poses).read_text().splitlines():
+    for lineno, line in enumerate(Path(args.poses).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if stripped:
-            poses.append(_parse_pose(stripped.replace(" ", ",")))
+            try:
+                poses.append(_parse_pose(stripped.replace(" ", ",")))
+            except ValueError as exc:
+                raise ValueError(f"{args.poses} line {lineno}: {exc}") from None
     if not poses:
-        raise ValueError("poses file holds no poses")
+        raise ValueError(f"{args.poses}: poses file holds no poses")
 
     if "grid-dims" in settings:
         grid = _grid_spec(settings)
@@ -205,9 +215,9 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
 
 
-def _add_flags(parser, flags: dict) -> None:
-    for key, cast in flags.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+def _add_flags(parser, flags) -> None:
+    for key in flags:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_CONFIG_KEYS[key],
                             metavar=key.replace("-", "_").upper(), help=_FLAG_HELP.get(key))
 
 
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="drop Gaussians below an opacity threshold")
     _add_common(p)
     p.add_argument("--gaussians", required=True)
-    p.add_argument("--tau", type=float)
+    _add_flags(p, ("tau",))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_prune)
 

@@ -36,10 +36,10 @@ class DegenerateGaussianError(ValueError):
 
 
 def _checked_members(means, opacities, logits):
-    """means, opacities and logits as float arrays, checked for shape and range."""
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-    opacities = np.atleast_1d(np.asarray(opacities, dtype=np.float64))
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    """Checked float copies of means, opacities and logits, so the caller's stay writable."""
+    means = np.atleast_2d(np.array(means, dtype=np.float64))
+    opacities = np.atleast_1d(np.array(opacities, dtype=np.float64))
+    logits = np.atleast_2d(np.array(logits, dtype=np.float64))
     n = means.shape[0]
     if means.shape != (n, 3):
         raise ValueError("means must have shape (n, 3)")
@@ -84,7 +84,7 @@ class GaussianSet:
         """A set over covariances checked finite, symmetric and >= SCALE_FLOOR^2 I,
         less 1% for the rounding of a floored kernel with scales up to ~100 m."""
         means, opacities, logits = _checked_members(means, opacities, logits)
-        cov = np.asarray(cov, dtype=np.float64)
+        cov = np.array(cov, dtype=np.float64)
         if cov.shape != (len(means), 3, 3):
             raise ValueError("covariances must have shape (n, 3, 3)")
         if not np.all(np.isfinite(cov)):
@@ -141,10 +141,6 @@ class GaussianSet:
 
     def rotation_matrices(self) -> np.ndarray:
         return quaternions.to_matrix(self.rotations)
-
-    def covariances(self) -> np.ndarray:
-        """The stored covariances, ``cov``."""
-        return self.cov
 
 
 def softmax(logits) -> np.ndarray:

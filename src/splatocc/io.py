@@ -18,6 +18,12 @@ OGRID1  magic "OGRID1", u32 X, u32 Y, u32 Z, u32 num_classes,
 
 Scenes serialize to JSON; pipeline settings use a flat "key = value" text
 format with # comments.
+
+All four binary formats go through one writer (``_save``) and one checked
+reader (``_reading`` plus ``_read``): the magic is checked, and every array
+is checked against the bytes left in the file before it is allocated. Any
+malformed input, binary, scene JSON or config alike, raises one ValueError
+line that starts with the file's path.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,116 +48,105 @@ _UPPER = np.triu_indices(3)
 _OGRID_MAGIC = b"OGRID1"
 
 
-def _read_exact(f, count: int, what: str) -> bytes:
-    # Checked against the file size first, so a corrupt header count fails
-    # here instead of allocating a buffer of that size.
+def _save(path, magic: bytes, header_fmt: str, header, *arrays) -> None:
+    """Write magic, the header packed by header_fmt, then each (array, dtype) in C order."""
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack(header_fmt, *header))
+        for array, dtype in arrays:
+            f.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
+
+
+@contextmanager
+def _named(path):
+    """Re-raise any ValueError from the block as one line that names path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _reading(path, magic: bytes, header_fmt: str):
+    """(open file, unpacked header) past a checked magic; any ValueError
+    raised while reading or building the object names path."""
+    with _named(path), open(path, "rb") as f:
+        got = f.read(len(magic))
+        if got != magic:
+            raise ValueError(f"bad magic {got!r}, expected {magic.decode()}")
+        header = _read(f, np.uint8, struct.calcsize(header_fmt), "header")
+        yield f, struct.unpack(header_fmt, header)
+
+
+def _read(f, dtype, count: int, what: str) -> np.ndarray:
+    """count items of dtype, read-only. Checked against the file size first, so
+    a corrupt header count fails here instead of allocating a buffer that size."""
+    need = np.dtype(dtype).itemsize * count
     left = os.fstat(f.fileno()).st_size - f.tell()
-    if count > left:
-        raise ValueError(f"truncated file while reading {what}: need {count} bytes, {left} left")
-    data = f.read(count)
-    if len(data) != count:
+    if need > left:
+        raise ValueError(f"truncated file while reading {what}: need {need} bytes, {left} left")
+    data = f.read(need)
+    if len(data) != need:
         raise ValueError(f"truncated file while reading {what}")
-    return data
-
-
-def _check_magic(f, magic: bytes, path) -> None:
-    got = f.read(len(magic))
-    if got != magic:
-        raise ValueError(f"{path}: bad magic {got!r}, expected {magic.decode()}")
+    return np.frombuffer(data, dtype=dtype)
 
 
 def save_depth_map(path, depth: DepthMap) -> None:
-    with open(path, "wb") as f:
-        f.write(_DMAP_MAGIC)
-        f.write(struct.pack("<II", depth.width, depth.height))
-        f.write(np.ascontiguousarray(depth.values, dtype="<f4").tobytes())
+    _save(path, _DMAP_MAGIC, "<II", (depth.width, depth.height), (depth.values, "<f4"))
 
 
 def load_depth_map(path) -> DepthMap:
-    with open(path, "rb") as f:
-        _check_magic(f, _DMAP_MAGIC, path)
-        width, height = struct.unpack("<II", _read_exact(f, 8, "header"))
-        raw = _read_exact(f, 4 * width * height, "depth values")
-        values = np.frombuffer(raw, dtype="<f4").reshape(height, width)
-    return DepthMap(values.astype(np.float64))
+    with _reading(path, _DMAP_MAGIC, "<II") as (f, (width, height)):
+        values = _read(f, "<f4", width * height, "depth values")
+        return DepthMap(values.reshape(height, width).astype(np.float64))
 
 
 def save_class_map(path, classes: np.ndarray) -> None:
     classes = np.asarray(classes)
     if classes.ndim != 2:
         raise ValueError("class map must be 2-d")
-    with open(path, "wb") as f:
-        f.write(_CMAP_MAGIC)
-        f.write(struct.pack("<II", classes.shape[1], classes.shape[0]))
-        f.write(np.ascontiguousarray(classes, dtype=np.uint8).tobytes())
+    _save(path, _CMAP_MAGIC, "<II", (classes.shape[1], classes.shape[0]), (classes, np.uint8))
 
 
 def load_class_map(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        _check_magic(f, _CMAP_MAGIC, path)
-        width, height = struct.unpack("<II", _read_exact(f, 8, "header"))
-        raw = _read_exact(f, width * height, "class ids")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
+    with _reading(path, _CMAP_MAGIC, "<II") as (f, (width, height)):
+        return _read(f, np.uint8, width * height, "class ids").reshape(height, width).copy()
 
 
 def save_gaussians(path, gset: GaussianSet) -> None:
-    n = len(gset)
-    nc = gset.num_classes
-    record = np.empty((n, 10 + nc), dtype="<f8")
+    record = np.empty((len(gset), 10 + gset.num_classes), dtype="<f8")
     record[:, 0:3] = gset.means
     record[:, 3:9] = gset.cov[:, _UPPER[0], _UPPER[1]]
     record[:, 9] = gset.opacities
     record[:, 10:] = gset.logits
-    with open(path, "wb") as f:
-        f.write(_GSET_MAGIC)
-        f.write(struct.pack("<II", n, nc))
-        f.write(record.tobytes())
+    _save(path, _GSET_MAGIC, "<II", (len(gset), gset.num_classes), (record, "<f8"))
 
 
 def load_gaussians(path, frame: str = WORLD_FRAME) -> GaussianSet:
-    with open(path, "rb") as f:
-        _check_magic(f, _GSET_MAGIC, path)
-        n, nc = struct.unpack("<II", _read_exact(f, 8, "header"))
+    with _reading(path, _GSET_MAGIC, "<II") as (f, (n, nc)):
         if nc < 2:
-            raise ValueError(f"{path}: class count {nc} out of range")
-        raw = _read_exact(f, 8 * n * (10 + nc), "gaussian records")
-    record = np.frombuffer(raw, dtype="<f8").reshape(n, 10 + nc)
-    cov = np.empty((n, 3, 3))
-    cov[:, _UPPER[0], _UPPER[1]] = record[:, 3:9]
-    cov[:, _UPPER[1], _UPPER[0]] = record[:, 3:9]
-    try:
+            raise ValueError(f"class count {nc} out of range")
+        record = _read(f, "<f8", n * (10 + nc), "gaussian records").reshape(n, 10 + nc)
+        cov = np.empty((n, 3, 3))
+        cov[:, _UPPER[0], _UPPER[1]] = record[:, 3:9]
+        cov[:, _UPPER[1], _UPPER[0]] = record[:, 3:9]
         return GaussianSet.from_covariances(record[:, 0:3], cov, record[:, 9], record[:, 10:],
                                             frame)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_grid(path, grid: OccupancyGrid) -> None:
     spec = grid.spec
-    with open(path, "wb") as f:
-        f.write(_OGRID_MAGIC)
-        f.write(struct.pack("<IIII", *spec.dims, spec.num_classes))
-        f.write(struct.pack("<f", spec.voxel_size))
-        f.write(np.asarray(spec.origin, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(grid.labels, dtype=np.uint8).tobytes())
-        f.write(np.ascontiguousarray(grid.scores, dtype="<f4").tobytes())
+    header = (*spec.dims, spec.num_classes, spec.voxel_size, *spec.origin)
+    _save(path, _OGRID_MAGIC, "<IIIIffff", header, (grid.labels, np.uint8), (grid.scores, "<f4"))
 
 
 def load_grid(path) -> OccupancyGrid:
-    with open(path, "rb") as f:
-        _check_magic(f, _OGRID_MAGIC, path)
-        x, y, z, nc = struct.unpack("<IIII", _read_exact(f, 16, "dims"))
-        (voxel_size,) = struct.unpack("<f", _read_exact(f, 4, "voxel size"))
-        origin = np.frombuffer(_read_exact(f, 12, "origin"), dtype="<f4").astype(np.float64)
-        nv = x * y * z
-        labels = np.frombuffer(_read_exact(f, nv, "labels"), dtype=np.uint8)
-        scores = np.frombuffer(_read_exact(f, 4 * nv, "scores"), dtype="<f4")
-    spec = GridSpec((x, y, z), float(voxel_size), origin, nc)
-    return OccupancyGrid(
-        spec=spec,
-        labels=labels.reshape(spec.dims).copy(),
-        scores=scores.reshape(spec.dims).astype(np.float64),
-    )
+    with _reading(path, _OGRID_MAGIC, "<IIIIffff") as (f, (x, y, z, nc, voxel_size, *origin)):
+        labels = _read(f, np.uint8, x * y * z, "labels")
+        scores = _read(f, "<f4", x * y * z, "scores")
+        spec = GridSpec((x, y, z), voxel_size, np.array(origin), nc)
+        return OccupancyGrid(spec=spec, labels=labels.reshape(spec.dims).copy(),
+                             scores=scores.reshape(spec.dims).astype(np.float64))
 
 
 def save_scene(path, scene: SyntheticScene) -> None:
@@ -179,36 +175,37 @@ def save_scene(path, scene: SyntheticScene) -> None:
 
 
 def load_scene(path) -> SyntheticScene:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: scene JSON must be an object at the top level")
-    for field in ("boxes", "patches"):
-        items = payload.get(field, [])
-        if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
-            raise ValueError(f"{path}: scene JSON field {field!r} must be a list of objects")
-    try:
-        return SyntheticScene(
-            extent=np.asarray(payload["extent"], dtype=np.float64),
-            shell_thickness=float(payload["shell_thickness"]),
-            boxes=tuple(
-                Box(np.asarray(b["min"]), np.asarray(b["max"]), int(b["label"]))
-                for b in payload.get("boxes", ())
-            ),
-            patches=tuple(
-                WallPatch(
-                    axis=int(p["axis"]), side=p["side"],
-                    lo=tuple(p["lo"]), hi=tuple(p["hi"]), label=int(p["label"]),
-                )
-                for p in payload.get("patches", ())
-            ),
-            floor_label=int(payload.get("floor_label", 2)),
-            ceiling_label=int(payload.get("ceiling_label", 1)),
-            wall_label=int(payload.get("wall_label", 3)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: scene JSON lacks field {exc.args[0]!r}") from None
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed scene JSON: {exc}") from None
+    with _named(path):
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("scene JSON must be an object at the top level")
+        for field in ("boxes", "patches"):
+            items = payload.get(field, [])
+            if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+                raise ValueError(f"scene JSON field {field!r} must be a list of objects")
+        try:
+            return SyntheticScene(
+                extent=np.asarray(payload["extent"], dtype=np.float64),
+                shell_thickness=float(payload["shell_thickness"]),
+                boxes=tuple(
+                    Box(np.asarray(b["min"]), np.asarray(b["max"]), int(b["label"]))
+                    for b in payload.get("boxes", ())
+                ),
+                patches=tuple(
+                    WallPatch(
+                        axis=int(p["axis"]), side=p["side"],
+                        lo=tuple(p["lo"]), hi=tuple(p["hi"]), label=int(p["label"]),
+                    )
+                    for p in payload.get("patches", ())
+                ),
+                floor_label=int(payload.get("floor_label", 2)),
+                ceiling_label=int(payload.get("ceiling_label", 1)),
+                wall_label=int(payload.get("wall_label", 3)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"scene JSON lacks field {exc.args[0]!r}") from None
+        except (TypeError, IndexError, ValueError) as exc:
+            raise ValueError(f"malformed scene JSON: {exc}") from None
 
 
 def parse_config(text: str) -> dict:
@@ -226,4 +223,5 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    return parse_config(Path(path).read_text())
+    with _named(path):
+        return parse_config(Path(path).read_text())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -39,43 +39,35 @@ class PipelineConfig:
             raise ValueError("need 0 < near < far")
 
 
-# Flat config-file keys and the nested attribute each one maps to.
-_CONFIG_FIELDS = {
-    "k": ("sampling", "k", int),
-    "scale": ("sampling", "scale", float),
-    "stride": ("sampling", "stride", int),
-    "num_classes": ("attributes", "num_classes", int),
-    "sigma_factor": ("attributes", "sigma_factor", float),
-    "base_opacity": ("attributes", "base_opacity", float),
-    "opacity_decay": ("attributes", "opacity_decay", float),
-    "logit_gain": ("attributes", "logit_gain", float),
-    "epsilon": ("fusion", "epsilon", float),
-    "gamma": ("fusion", "gamma", float),
-    "tau": (None, "tau", float),
-    "theta_occ": (None, "theta_occ", float),
-    "near": (None, "near", float),
-    "far": (None, "far", float),
-}
+def _config_fields():
+    """(group, key, default) per flat settings key: each field of PipelineConfig
+    (group None) and of the configs nested in it (group = the nesting field)."""
+    default = PipelineConfig()
+    for f in fields(default):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            yield from ((f.name, g.name, getattr(value, g.name)) for g in fields(value))
+        else:
+            yield None, f.name, value
+
+
+def config_types() -> dict:
+    """Flat settings key -> type, the type of that field's default."""
+    return {key: type(default) for _, key, default in _config_fields()}
 
 
 def config_from_mapping(mapping: dict) -> PipelineConfig:
-    """Build a PipelineConfig from flat "key = value" settings; unknown keys
-    are ignored so camera and grid settings can share the file."""
+    """Build a PipelineConfig from flat "key = value" settings, each value cast
+    to its key's type; unknown keys are ignored so camera and grid settings
+    can share the file."""
     cfg = PipelineConfig()
-    groups: dict = {"sampling": {}, "attributes": {}, "fusion": {}, None: {}}
-    for key, value in mapping.items():
-        if key in _CONFIG_FIELDS:
-            group, attr, cast = _CONFIG_FIELDS[key]
-            groups[group][attr] = cast(value)
-    if groups["sampling"]:
-        cfg = replace(cfg, sampling=replace(cfg.sampling, **groups["sampling"]))
-    if groups["attributes"]:
-        cfg = replace(cfg, attributes=replace(cfg.attributes, **groups["attributes"]))
-    if groups["fusion"]:
-        cfg = replace(cfg, fusion=replace(cfg.fusion, **groups["fusion"]))
-    if groups[None]:
-        cfg = replace(cfg, **groups[None])
-    return cfg
+    groups: dict = {}
+    for group, key, default in _config_fields():
+        if key in mapping:
+            groups.setdefault(group, {})[key] = type(default)(mapping[key])
+    nested = {group: replace(getattr(cfg, group), **values)
+              for group, values in groups.items() if group is not None}
+    return replace(cfg, **nested, **groups.get(None, {}))
 
 
 def frame_gaussians(depth: DepthMap, classes: np.ndarray, cam: CameraModel,

@@ -43,16 +43,19 @@ def dense_evaluate(mean, cov, points):
 
 def naive_splat(gset, spec, theta_occ=0.5):
     """All-pairs splat: every Gaussian against every voxel center, no
-    culling. Returns (scores, labels, masses) as flat arrays."""
+    culling, in chunks of Gaussians with a batched LU inverse of each
+    covariance. Returns (scores, labels, masses) as flat arrays."""
     centers = spec.voxel_centers()
     free = np.ones(len(centers))
     masses = np.zeros((len(centers), gset.num_classes))
-    for i in range(len(gset)):
-        contrib = gset.opacities[i] * dense_evaluate(
-            gset.means[i], gset.covariances()[i], centers
-        )
-        free *= 1.0 - contrib
-        masses += contrib[:, None] * softmax_rows(gset.logits[i])[None, :]
+    chunk = max(1, 2**16 // len(centers))
+    for lo in range(0, len(gset), chunk):
+        rows = slice(lo, lo + chunk)
+        diff = centers[None, :, :] - gset.means[rows, None, :]
+        m2 = np.einsum("gvi,gvi->gv", diff @ np.linalg.inv(gset.cov[rows]), diff)
+        contrib = gset.opacities[rows, None] * np.exp(-0.5 * m2)
+        free *= np.prod(1.0 - contrib, axis=0)
+        masses += contrib.T @ softmax_rows(gset.logits[rows])
     scores = 1.0 - free
     semantic = masses[:, 1:]
     labels = np.where(

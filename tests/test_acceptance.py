@@ -159,7 +159,7 @@ class TestAcceptance:
         after = bank.to_set()
         for name in ("means", "opacities", "logits"):
             assert np.abs(getattr(after, name) - getattr(before, name)).max() <= 1e-9
-        assert np.abs(after.covariances() - before.covariances()).max() <= 1e-9
+        assert np.abs(after.cov - before.cov).max() <= 1e-9
 
         # positive semidefinite fused covariances, 1000 random fusions
         for _ in range(1000):
@@ -178,7 +178,7 @@ class TestAcceptance:
             )
             b = so.GaussianMemoryBank.from_set(mem, so.FusionConfig(epsilon=0.1))
             b.fuse_frame(inc)
-            np.linalg.cholesky(b.to_set().covariances()[0] + 1e-10 * np.eye(3))
+            np.linalg.cholesky(b.to_set().cov[0] + 1e-10 * np.eye(3))
 
         # continuity: gamma -> 1 recovers the memory attributes
         logits_mem = rng.uniform(-0.25, 0.25, 12)

@@ -154,14 +154,14 @@ class TestToWorld:
         cam = unit_cam()
         out = so.to_world(cam, g)
         np.testing.assert_allclose(out.means[0], g.means[0])
-        np.testing.assert_allclose(out.covariances()[0], g.covariances()[0], atol=1e-12)
+        np.testing.assert_allclose(out.cov[0], g.cov[0], atol=1e-12)
 
     def test_pure_translation(self):
         g = so.GaussianSet([0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 0, 0], 0.5, np.zeros(4))
         cam = unit_cam(pose=so.RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0])))
         out = so.to_world(cam, g)
         np.testing.assert_allclose(out.means[0], [1, 2, 3])
-        np.testing.assert_allclose(out.covariances()[0], g.covariances()[0], atol=1e-12)
+        np.testing.assert_allclose(out.cov[0], g.cov[0], atol=1e-12)
 
     def test_covariance_eigenvalues_preserved(self):
         rng = np.random.default_rng(17)
@@ -169,8 +169,8 @@ class TestToWorld:
             g = self._gaussian(rng)
             cam = unit_cam(pose=random_rigid(rng))
             out = so.to_world(cam, g)
-            before = np.sort(np.linalg.eigvalsh(g.covariances()[0]))
-            after = np.sort(np.linalg.eigvalsh(out.covariances()[0]))
+            before = np.sort(np.linalg.eigvalsh(g.cov[0]))
+            after = np.sort(np.linalg.eigvalsh(out.cov[0]))
             np.testing.assert_allclose(after, before, atol=1e-9)
             assert out.opacities[0] == g.opacities[0]
             np.testing.assert_array_equal(out.logits[0], g.logits[0])
@@ -180,8 +180,8 @@ class TestToWorld:
         g = self._gaussian(rng)
         pose = random_rigid(rng)
         out = so.to_world(unit_cam(pose=pose), g)
-        expected = pose.rotation @ g.covariances()[0] @ pose.rotation.T
-        np.testing.assert_allclose(out.covariances()[0], expected, atol=1e-10)
+        expected = pose.rotation @ g.cov[0] @ pose.rotation.T
+        np.testing.assert_allclose(out.cov[0], expected, atol=1e-10)
 
     def test_set_transform_matches_per_primitive(self):
         rng = np.random.default_rng(23)
@@ -197,7 +197,7 @@ class TestToWorld:
             single = so.to_world(cam, gset.subset([i]))
             np.testing.assert_allclose(moved.means[i], single.means[0], atol=1e-12)
             np.testing.assert_allclose(
-                moved.covariances()[i], single.covariances()[0], atol=1e-10
+                moved.cov[i], single.cov[0], atol=1e-10
             )
 
     def test_evaluate_invariant_under_rigid_motion(self):

@@ -162,7 +162,7 @@ class TestFuseFrame:
         assert np.abs(after.means - before.means).max() <= 1e-9
         assert np.abs(after.opacities - before.opacities).max() <= 1e-9
         assert np.abs(after.logits - before.logits).max() <= 1e-9
-        assert np.abs(after.covariances() - before.covariances()).max() <= 1e-9
+        assert np.abs(after.cov - before.cov).max() <= 1e-9
 
     def test_empty_memory_inserts_everything(self):
         bank = so.GaussianMemoryBank(12)
@@ -214,7 +214,7 @@ class TestFuseFrame:
             )
             bank = so.GaussianMemoryBank.from_set(mem, so.FusionConfig(epsilon=0.08))
             bank.fuse_frame(inc)
-            cov = bank.to_set().covariances()[0]
+            cov = bank.to_set().cov[0]
             np.linalg.cholesky(cov + 1e-10 * np.eye(3))
             assert np.all(bank.scales[0] >= so.SCALE_FLOOR)
 
@@ -292,7 +292,7 @@ class TestFuseFrame:
         # differ by rounding; covariances stand in for the rotation factors,
         # which are ill-conditioned for near-isotropic covariances.
         for got, want in ((b.means, a.means), (b.scales, a.scales),
-                          (b.covariances(), a.covariances()),
+                          (b.cov, a.cov),
                           (b.opacities, a.opacities), (b.logits, a.logits)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 

@@ -29,11 +29,11 @@ def sample_row(k, position, spacing):
 class TestCovariance:
     def test_identity_rotation_diagonal(self):
         g = so.GaussianSet([0, 0, 0], [1, 2, 3], [1, 0, 0, 0], 1.0, np.zeros(3))
-        np.testing.assert_allclose(g.covariances()[0], np.diag([1.0, 4.0, 9.0]), atol=1e-12)
+        np.testing.assert_allclose(g.cov[0], np.diag([1.0, 4.0, 9.0]), atol=1e-12)
 
     def test_quarter_turn_swaps_axes(self):
         g = so.GaussianSet([0, 0, 0], [1, 2, 1], ROT_Z_90, 1.0, np.zeros(3))
-        np.testing.assert_allclose(g.covariances()[0], np.diag([4.0, 1.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(g.cov[0], np.diag([4.0, 1.0, 1.0]), atol=1e-12)
 
     def test_eigenvalues_are_squared_scales(self):
         rng = np.random.default_rng(1)
@@ -42,7 +42,7 @@ class TestCovariance:
             g = so.GaussianSet(
                 rng.normal(size=3), scale, rng.normal(size=4), 0.5, np.zeros(5)
             )
-            cov = g.covariances()[0]
+            cov = g.cov[0]
             np.testing.assert_allclose(cov, cov.T, atol=1e-12)
             np.testing.assert_allclose(
                 np.sort(np.linalg.eigvalsh(cov)), np.sort(scale ** 2), atol=1e-9
@@ -55,7 +55,7 @@ class TestCovariance:
                 rng.normal(size=3), rng.uniform(1e-4, 1.0, 3), rng.normal(size=4),
                 0.5, np.zeros(3),
             )
-            np.linalg.cholesky(g.covariances()[0])
+            np.linalg.cholesky(g.cov[0])
 
     def test_derived_factors_rebuild_the_covariance(self):
         rng = np.random.default_rng(7)
@@ -69,7 +69,7 @@ class TestCovariance:
         assert np.all(np.diff(scales, axis=1) >= 0)
         for i in range(len(gset)):
             np.testing.assert_allclose(dense_covariance(scales[i], rotations[i]),
-                                       gset.covariances()[i], atol=1e-12)
+                                       gset.cov[i], atol=1e-12)
 
 
 class TestEvaluate:
@@ -99,7 +99,7 @@ class TestEvaluate:
         for i in range(50):
             np.testing.assert_allclose(
                 values[i],
-                dense_evaluate(gset.means[i], gset.covariances()[i], pts),
+                dense_evaluate(gset.means[i], gset.cov[i], pts),
                 atol=1e-9,
             )
         # Rotated needles (two small scales): an inverse through the
@@ -118,7 +118,7 @@ class TestEvaluate:
                     mean + np.linspace(-2.0, 2.0, 9)[:, None] * scale[2] * rot[:, 2],
                 ])
                 np.testing.assert_allclose(
-                    so.evaluate(g, pts)[0], dense_evaluate(mean, g.covariances()[0], pts),
+                    so.evaluate(g, pts)[0], dense_evaluate(mean, g.cov[0], pts),
                     atol=cond * np.finfo(float).eps,
                 )
 
@@ -254,6 +254,23 @@ class TestGaussianTypes:
         gset = so.GaussianSet([0, 0, 0], [1] * 3, [1, 0, 0, 0], 1.0, np.zeros(4), frame="world")
         with pytest.raises(ValueError):
             gset.means[0, 0] = 5.0
+
+    def test_checked_constructors_copy_their_inputs(self):
+        rng = np.random.default_rng(8)
+        means, cov = rng.normal(size=(4, 3)), np.tile(np.eye(3), (4, 1, 1))
+        opacities, logits = np.full(4, 0.5), np.zeros((4, 3))
+        view = means[:2]   # taken before the sets are built
+        sets = (so.GaussianSet.from_covariances(means, cov, opacities, logits),
+                so.GaussianSet(means, np.ones((4, 3)), np.tile([1.0, 0, 0, 0], (4, 1)),
+                               opacities, logits))
+        before = [[a.copy() for a in (g.means, g.cov, g.opacities, g.logits)] for g in sets]
+        for arr in (means, cov, opacities, logits):
+            assert arr.flags.writeable
+            arr += 1.0
+        view[0, 0] = 5.0
+        for gset, old in zip(sets, before):
+            for kept, now in zip(old, (gset.means, gset.cov, gset.opacities, gset.logits)):
+                np.testing.assert_array_equal(kept, now)
 
     def test_unknown_frame_rejected(self):
         with pytest.raises(ValueError):

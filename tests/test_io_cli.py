@@ -69,7 +69,7 @@ class TestGaussianSetFormat:
         loaded = io.load_gaussians(first)
         io.save_gaussians(second, loaded)
         assert file_bytes(first) == file_bytes(second)
-        np.testing.assert_array_equal(loaded.covariances(), gset.covariances())
+        np.testing.assert_array_equal(loaded.cov, gset.cov)
         assert loaded.frame == "world"
         assert loaded.num_classes == 12 and len(loaded) == 50
 
@@ -133,7 +133,7 @@ class TestConfigFormat:
             io.parse_config("k = 8\nnot a pair\n")
 
     def test_config_text_reaches_every_field(self):
-        from splatocc.pipeline import _CONFIG_FIELDS, config_from_mapping
+        from splatocc.pipeline import config_from_mapping, config_types
 
         text = """# every pipeline key, none at its default
 k = 8
@@ -157,13 +157,18 @@ width = 320
             "base_opacity": 0.8, "opacity_decay": 0.0, "logit_gain": 4.5, "epsilon": 0.1,
             "gamma": 0.25, "tau": 0.02, "theta_occ": 0.6, "near": 0.05, "far": 8.0,
         }
-        assert set(expected) == set(_CONFIG_FIELDS)
+        assert set(expected) == set(config_types())
         cfg = config_from_mapping(io.parse_config(text))
         default = so.PipelineConfig()
-        for key, (group, attr, cast) in _CONFIG_FIELDS.items():
-            value = getattr(cfg if group is None else getattr(cfg, group), attr)
+
+        def lookup(config, key):
+            nested = (config.sampling, config.attributes, config.fusion)
+            return next(getattr(c, key) for c in (config, *nested) if hasattr(c, key))
+
+        for key, cast in config_types().items():
+            value = lookup(cfg, key)
             assert type(value) is cast and value == expected[key], key
-            assert value != getattr(default if group is None else getattr(default, group), attr), key
+            assert value != lookup(default, key), key
 
 
 def _run(capsys, argv) -> dict:
@@ -421,3 +426,53 @@ class TestCli:
         ]) == 0
         n_pixels = len(range(0, 240, 8)) * len(range(0, 180, 8))
         assert len(io.load_gaussians(gset_path)) == n_pixels * 2
+
+
+def _valid_inputs(tmp_path):
+    """One valid file per input kind that a malformed-input case replaces."""
+    spec = so.GridSpec((4, 3, 2), 0.1, np.zeros(3), 12)
+    ok = {kind: tmp_path / f"ok.{kind}" for kind in ("dmap", "cmap", "gset", "ogrid", "json")}
+    io.save_depth_map(ok["dmap"], so.DepthMap(np.ones((6, 8))))
+    io.save_class_map(ok["cmap"], np.full((6, 8), 3, dtype=np.uint8))
+    io.save_gaussians(ok["gset"], random_gaussian_set(np.random.default_rng(41), 3, 12))
+    io.save_grid(ok["ogrid"], so.OccupancyGrid(spec=spec, labels=np.ones(spec.dims, np.uint8),
+                                               scores=np.ones(spec.dims)))
+    io.save_scene(ok["json"], SyntheticScene(extent=np.array([4.0, 4.8, 2.88])))
+    return ok
+
+
+@pytest.mark.parametrize(
+    "kind, fault, words",
+    [pytest.param(kind, fault, [fault], id=f"{kind}-{fault}")
+     for kind in ("dmap", "cmap", "gset", "ogrid") for fault in ("magic", "truncated")]
+    + [
+        pytest.param("cfg", "k = 8\nnot a pair\n", ["line 2", "key = value"], id="cfg-no-equals"),
+        pytest.param("cfg", "k = 8.5\n", ["k = '8.5' is not int"], id="cfg-float-for-int"),
+        pytest.param("poses", "0.3 2.4 1.44 0\n0.3 two 1.44\n", ["line 2", "'two'"],
+                     id="poses-not-a-number"),
+        pytest.param("poses", "# x y z yaw\n0.3 2.4\n", ["line 2", "x,y,z"],
+                     id="poses-two-numbers"),
+    ],
+)
+def test_malformed_input_is_one_line_naming_its_source(tmp_path, capsys, kind, fault, words):
+    ok = _valid_inputs(tmp_path)
+    bad = tmp_path / f"bad.{kind}"
+    if fault in ("magic", "truncated"):
+        good = ok[kind].read_bytes()
+        bad.write_bytes(b"X" + good[1:] if fault == "magic" else good[:-1])
+    else:
+        bad.write_text(fault)
+    out = tmp_path / "out"
+    argv = {
+        "dmap": ["sample", "--depth", bad, "--classes", ok["cmap"], "--out", out],
+        "cmap": ["sample", "--depth", ok["dmap"], "--classes", bad, "--out", out],
+        "gset": ["prune", "--gaussians", bad, "--out", out],
+        "ogrid": ["eval", "--pred", bad, "--gt", ok["ogrid"]],
+        "cfg": ["gen-scene", "--config", bad, "--out", out],
+        "poses": ["stream", "--scene", ok["json"], "--poses", bad, "--out-grid", out],
+    }[kind]
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}"), err
+    assert all(word in err[0] for word in words), err[0]

@@ -57,7 +57,7 @@ class TestNeighborCull:
                 rng.normal(size=4), 1.0, np.zeros(4),
             )
             lo, hi = neighbor_cull(g, spec)
-            values = dense_evaluate(g.means[0], g.covariances()[0], centers)
+            values = dense_evaluate(g.means[0], g.cov[0], centers)
             hot = centers[values >= np.exp(-4.5)]
             if hot.size == 0:
                 continue
