@@ -2,27 +2,29 @@
 
 Subcommands drive the library end to end on synthetic scenes: gen-scene,
 render, sample, splat, stream, eval, prune. Every command accepts --config
-(flat key = value file) and reads it before anything else; a key that no
-command reads, or a value not of its key's type, is an error. Each setting
-flag overrides the same key of the file, and a key set by neither takes its
-default. Results print as "key = value" lines. Exit code 0 on success, 1
-with one line on error that names the faulty input file and its line or key.
+(flat key = value file) and reads it before anything else. Each input is
+parsed once, where it enters: a config value or setting flag by its key's
+parser, a pose by one parser ("x y z [yaw]", commas, whitespace or both
+between). A key that no command reads, or a value its parser rejects, is an
+error. Each setting flag overrides the same key of the file, and a key set
+by neither takes its default. `stream` fuses through `run_streaming` and
+prints the bank's per-frame FusionStats. Results print as "key = value"
+lines. Exit code 0 on success, 1 with one line on error that names the
+faulty input file and its line or key.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .camera import CameraModel
-from .fusion import GaussianMemoryBank
 from .gaussians import prune
 from .metrics import confusion, frustum_mask, iou_miou
-from .pipeline import config_from_mapping, config_types, frame_gaussians
+from .pipeline import config_from_mapping, config_types, frame_gaussians, run_streaming
 from .scenes import (
     generate_frontal_room,
     oracle_occupancy,
@@ -33,10 +35,20 @@ from .scenes import (
 from .splatting import GridSpec, splat
 
 
-# Every key some command reads, with its type; a config file may hold no
+def _triple(cast):
+    """Parser of "a,b,c" into three values of cast, named for error lines."""
+    def parse(text: str) -> tuple:
+        x, y, z = text.split(",")
+        return cast(x), cast(y), cast(z)
+    parse.__name__ = f"three {cast.__name__}s"
+    return parse
+
+
+# Every key some command reads, with its parser; a config file may hold no
 # other. The pipeline's keys and types come from its config dataclasses.
 _CONFIG_KEYS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
-                "grid-dims": str, "voxel-size": float, "grid-origin": str, **config_types()}
+                "grid-dims": _triple(int), "voxel-size": float, "grid-origin": _triple(float),
+                **config_types()}
 # Setting flags by config-file key. Flag --theta-occ stores under key
 # theta_occ, --grid-dims under grid-dims, so a flag overlays its key.
 _CAMERA_FLAGS = ("fx", "fy", "cx", "cy", "width", "height")
@@ -46,43 +58,37 @@ _FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the gr
 
 
 def _settings(args) -> dict:
-    """The --config file's key = value pairs, each key and value checked against
-    _CONFIG_KEYS, overlaid by every setting flag given."""
-    settings = io.load_config(args.config) if args.config else {}
-    for key, value in settings.items():
+    """The --config file's key = value pairs, each parsed by its key's parser,
+    overlaid by every setting flag given (parsed by argparse with the same)."""
+    settings = {}
+    for key, text in (io.load_config(args.config) if args.config else {}).items():
         if key not in _CONFIG_KEYS:
             spelled = [k for k in _CONFIG_KEYS
                        if k.replace("_", "-") == key.lstrip("-").replace("_", "-")]
             hint = f" (the file spells it {spelled[0]!r})" if spelled else ""
             raise ValueError(f"{args.config}: unknown config key {key!r}{hint}")
         try:
-            _CONFIG_KEYS[key](value)
+            settings[key] = _CONFIG_KEYS[key](text)
         except ValueError:
-            raise ValueError(f"{args.config}: {key} = {value!r} is not "
+            raise ValueError(f"{args.config}: {key} = {text!r} is not "
                              f"{_CONFIG_KEYS[key].__name__}") from None
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            settings[key] = str(value)
+            settings[key] = value
     return settings
 
 
 def _camera(settings: dict, pose) -> CameraModel:
-    width = int(settings.get("width", 240))
-    height = int(settings.get("height", 180))
-    return CameraModel(
-        fx=float(settings.get("fx", 260.0)),
-        fy=float(settings.get("fy", 260.0)),
-        cx=float(settings.get("cx", width / 2.0)),
-        cy=float(settings.get("cy", height / 2.0)),
-        width=width,
-        height=height,
-        pose=pose,
-    )
+    width, height = settings.get("width", 240), settings.get("height", 180)
+    return CameraModel(settings.get("fx", 260.0), settings.get("fy", 260.0),
+                       settings.get("cx", width / 2.0), settings.get("cy", height / 2.0),
+                       width, height, pose)
 
 
 def _parse_pose(text: str):
-    parts = [float(p) for p in text.split(",")]
+    """Upright camera pose from "x y z [yaw_deg]": commas, whitespace or both between."""
+    parts = [float(p) for p in re.split(r"\s*,\s*|\s+", text.strip())]
     if len(parts) == 3:
         parts.append(0.0)
     if len(parts) != 4:
@@ -90,13 +96,10 @@ def _parse_pose(text: str):
     return standard_pose(parts[:3], parts[3])
 
 
-def _grid_spec(settings: dict) -> GridSpec:
-    return GridSpec(
-        dims=tuple(int(d) for d in settings.get("grid-dims", "60,60,36").split(",")),
-        voxel_size=float(settings.get("voxel-size", 0.08)),
-        origin=np.array([float(v) for v in settings.get("grid-origin", "0,0,0").split(",")]),
-        num_classes=int(settings.get("num_classes", 12)),
-    )
+def _grid_spec(settings: dict, num_classes: int) -> GridSpec:
+    return GridSpec(dims=settings.get("grid-dims", (60, 60, 36)),
+                    voxel_size=settings.get("voxel-size", 0.08),
+                    origin=settings.get("grid-origin", (0.0, 0.0, 0.0)), num_classes=num_classes)
 
 
 def _emit(key, value):
@@ -129,7 +132,7 @@ def _cmd_render(args, settings) -> int:
 def _cmd_sample(args, settings) -> int:
     depth = io.load_depth_map(args.depth)
     classes = io.load_class_map(args.classes)
-    pose = _parse_pose(args.pose) if args.pose else standard_pose(np.zeros(3))
+    pose = _parse_pose(args.pose) if args.pose else standard_pose((0.0, 0.0, 0.0))
     cam = _camera(settings, pose)
     gaussians = frame_gaussians(depth, classes, cam, config_from_mapping(settings))
     io.save_gaussians(args.out, gaussians)
@@ -150,7 +153,7 @@ def _cmd_prune(args, settings) -> int:
 def _cmd_splat(args, settings) -> int:
     cfg = config_from_mapping(settings)
     gset = io.load_gaussians(args.gaussians)
-    grid = splat(gset, _grid_spec(settings), theta_occ=cfg.theta_occ)
+    grid = splat(gset, _grid_spec(settings, cfg.attributes.num_classes), theta_occ=cfg.theta_occ)
     io.save_grid(args.out, grid)
     _emit("grid", args.out)
     _emit("occupied_voxels", int((grid.labels > 0).sum()))
@@ -165,29 +168,21 @@ def _cmd_stream(args, settings) -> int:
         stripped = line.split("#", 1)[0].strip()
         if stripped:
             try:
-                poses.append(_parse_pose(stripped.replace(" ", ",")))
+                poses.append(_parse_pose(stripped))
             except ValueError as exc:
                 raise ValueError(f"{args.poses} line {lineno}: {exc}") from None
     if not poses:
         raise ValueError(f"{args.poses}: poses file holds no poses")
-
-    if "grid-dims" in settings:
-        grid = _grid_spec(settings)
-    else:
-        grid = scene_grid(scene, num_classes=cfg.attributes.num_classes)
-
-    bank = GaussianMemoryBank(cfg.attributes.num_classes, cfg.fusion)
-    for t, pose in enumerate(poses):
-        cam = _camera(settings, pose)
-        depth, classes = render_depth(scene, cam)
-        stats = bank.fuse_frame(frame_gaussians(depth, classes, cam, cfg))
+    nc = cfg.attributes.num_classes
+    grid = _grid_spec(settings, nc) if "grid-dims" in settings else scene_grid(scene, nc)
+    cams = (_camera(settings, pose) for pose in poses)
+    bank, result = run_streaming(((*render_depth(scene, cam), cam) for cam in cams), grid, cfg)
+    for t, stats in enumerate(bank.frame_stats):
         _emit(f"frame_{t}_matched", stats.matched)
         _emit(f"frame_{t}_inserted", stats.inserted)
-    fused = bank.to_set()
-    result = splat(fused, grid, theta_occ=cfg.theta_occ)
     io.save_grid(args.out_grid, result)
     if args.out_bank:
-        io.save_gaussians(args.out_bank, fused)
+        io.save_gaussians(args.out_bank, bank.to_set())
     _emit("bank_size", len(bank))
     _emit("occupied_voxels", int((result.labels > 0).sum()))
     return 0
@@ -297,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _settings(args))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

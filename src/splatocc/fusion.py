@@ -84,7 +84,7 @@ class GaussianMemoryBank:
             raise ValueError("num_classes must be >= 2")
         self.config = config
         self.num_classes = int(num_classes)
-        self.frame_count = 0
+        self.frame_stats: list = []   # one FusionStats per fused frame
         self.means = np.zeros((0, 3))
         self.cov = np.zeros((0, 3, 3))
         self.opacities = np.zeros(0)
@@ -104,6 +104,10 @@ class GaussianMemoryBank:
 
     def __len__(self) -> int:
         return self.means.shape[0]
+
+    @property
+    def frame_count(self) -> int:
+        return len(self.frame_stats)
 
     # Factors derived from ``cov`` on demand, as for a GaussianSet.
     scales, rotations = GaussianSet.scales, GaussianSet.rotations
@@ -211,6 +215,6 @@ class GaussianMemoryBank:
                          incoming.logits[ins])
 
         self._index.insert_many(np.arange(len(self)), self.means)
-        self.frame_count += 1
-        return FusionStats(matched=n_matched, inserted=n_in - n_matched)
+        self.frame_stats.append(FusionStats(matched=n_matched, inserted=n_in - n_matched))
+        return self.frame_stats[-1]
 

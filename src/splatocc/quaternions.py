@@ -33,61 +33,19 @@ def to_matrix(q):
 def from_matrix(m):
     """Quaternions (w first) from rotation matrices.
 
-    Picks the numerically dominant of the four standard extraction branches
-    per matrix, so it stays stable near 180-degree rotations. Returned
-    quaternions are normalized with w >= 0.
+    Builds the symmetric matrix K = 4 q q^T from sums and differences of the
+    entries and takes its row with the largest diagonal, 4 q_i q with
+    |q_i| >= 1/2, so the extraction stays stable near 180-degree rotations.
+    Returned quaternions are normalized with w >= 0.
     """
     m = np.asarray(m, dtype=np.float64)
-    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
-    w2 = np.maximum(0.0, 1.0 + m00 + m11 + m22)
-    x2 = np.maximum(0.0, 1.0 + m00 - m11 - m22)
-    y2 = np.maximum(0.0, 1.0 - m00 + m11 - m22)
-    z2 = np.maximum(0.0, 1.0 - m00 - m11 + m22)
-    choice = np.argmax(np.stack([w2, x2, y2, z2], axis=-1), axis=-1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sw = 2.0 * np.sqrt(w2)
-        cand_w = np.stack(
-            [
-                0.25 * sw,
-                (m[..., 2, 1] - m[..., 1, 2]) / sw,
-                (m[..., 0, 2] - m[..., 2, 0]) / sw,
-                (m[..., 1, 0] - m[..., 0, 1]) / sw,
-            ],
-            axis=-1,
-        )
-        sx = 2.0 * np.sqrt(x2)
-        cand_x = np.stack(
-            [
-                (m[..., 2, 1] - m[..., 1, 2]) / sx,
-                0.25 * sx,
-                (m[..., 0, 1] + m[..., 1, 0]) / sx,
-                (m[..., 0, 2] + m[..., 2, 0]) / sx,
-            ],
-            axis=-1,
-        )
-        sy = 2.0 * np.sqrt(y2)
-        cand_y = np.stack(
-            [
-                (m[..., 0, 2] - m[..., 2, 0]) / sy,
-                (m[..., 0, 1] + m[..., 1, 0]) / sy,
-                0.25 * sy,
-                (m[..., 1, 2] + m[..., 2, 1]) / sy,
-            ],
-            axis=-1,
-        )
-        sz = 2.0 * np.sqrt(z2)
-        cand_z = np.stack(
-            [
-                (m[..., 1, 0] - m[..., 0, 1]) / sz,
-                (m[..., 0, 2] + m[..., 2, 0]) / sz,
-                (m[..., 1, 2] + m[..., 2, 1]) / sz,
-                0.25 * sz,
-            ],
-            axis=-1,
-        )
-
-    candidates = np.stack([cand_w, cand_x, cand_y, cand_z], axis=-2)
-    q = np.take_along_axis(candidates, choice[..., None, None], axis=-2)[..., 0, :]
-    q = np.where(q[..., :1] < 0.0, -q, q)
-    return normalize(q)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.moveaxis(m, (-2, -1), (0, 1))
+    k = np.stack([
+        np.stack([1.0 + m00 + m11 + m22, m21 - m12, m02 - m20, m10 - m01], axis=-1),
+        np.stack([m21 - m12, 1.0 + m00 - m11 - m22, m01 + m10, m02 + m20], axis=-1),
+        np.stack([m02 - m20, m01 + m10, 1.0 - m00 + m11 - m22, m12 + m21], axis=-1),
+        np.stack([m10 - m01, m02 + m20, m12 + m21, 1.0 - m00 - m11 + m22], axis=-1),
+    ], axis=-2)
+    row = np.argmax(np.diagonal(k, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(k, row[..., None, None], axis=-2)[..., 0, :]
+    return normalize(np.where(q[..., :1] < 0.0, -q, q))

@@ -45,31 +45,19 @@ _INDEX_GUARD = 1e-9
 _CHUNK_PAIRS = 4_000_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned voxel lattice: counts, cell size, world origin, classes.
 
     The origin is the min corner of voxel (0, 0, 0); the center of voxel
     (i, j, k) sits at origin + (i + 1/2, j + 1/2, k + 1/2) * voxel_size.
+    It is kept as a tuple of three floats, so specs compare and hash by value.
     """
 
     dims: tuple
     voxel_size: float
-    origin: np.ndarray
+    origin: tuple
     num_classes: int = 12
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridSpec):
-            return NotImplemented
-        return (
-            self.dims == other.dims
-            and self.voxel_size == other.voxel_size
-            and self.num_classes == other.num_classes
-            and bool(np.all(self.origin == other.origin))
-        )
-
-    def __hash__(self):
-        return hash((self.dims, self.voxel_size, self.num_classes, tuple(self.origin)))
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -82,9 +70,8 @@ class GridSpec:
         origin = np.asarray(self.origin, dtype=np.float64)
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise ValueError("origin must be a finite 3-vector")
-        origin.flags.writeable = False
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "origin", tuple(origin.tolist()))
 
     @classmethod
     def for_extent(cls, min_corner, max_corner, voxel_size: float = 0.08,

@@ -184,6 +184,15 @@ class TestFuseFrame:
         assert len(bank) == old_size + stats.inserted
         assert bank.frame_count == 1
 
+    def test_frame_stats_record_every_fused_frame(self):
+        rng = np.random.default_rng(19)
+        bank = so.GaussianMemoryBank.from_set(make_set(rng.uniform(0, 1, (100, 3))))
+        assert bank.frame_stats == [] and bank.frame_count == 0
+        returned = [bank.fuse_frame(make_set(rng.uniform(0, 1, (n, 3)))) for n in (150, 80, 60)]
+        assert bank.frame_stats == returned
+        assert bank.frame_count == len(bank.frame_stats) == 3
+        assert all(s.matched > 0 and s.inserted > 0 for s in returned)
+
     def test_fused_attributes_are_convex_combinations(self):
         rng = np.random.default_rng(17)
         for _ in range(30):

@@ -59,8 +59,14 @@ class TestCovariance:
 
     def test_derived_factors_rebuild_the_covariance(self):
         rng = np.random.default_rng(7)
-        # Random rotations plus the identity and half turns (w = 0).
-        quats = np.vstack([rng.normal(size=(40, 4)), np.eye(4), [[0, 1, 1, 0], [0, 0, 1, -1]]])
+        # Random rotations, the identity, half turns (w = 0) and turns of
+        # pi - 10^-k about random axes, where w is tiny but not zero.
+        angles = np.pi - 10.0 ** -np.arange(1, 13)
+        axes = np.random.default_rng(70).normal(size=(angles.size, 3))
+        near_half = np.column_stack([np.cos(angles / 2), np.sin(angles / 2)[:, None] * axes
+                                     / np.linalg.norm(axes, axis=1, keepdims=True)])
+        quats = np.vstack([rng.normal(size=(40, 4)), np.eye(4), [[0, 1, 1, 0], [0, 0, 1, -1]],
+                           near_half])
         quats /= np.linalg.norm(quats, axis=1, keepdims=True)
         back = quaternions.from_matrix(quaternions.to_matrix(quats))
         np.testing.assert_allclose(np.abs(np.sum(back * quats, axis=1)), 1.0, atol=1e-12)

@@ -326,18 +326,30 @@ class TestCli:
         scene = SyntheticScene(extent=np.array([4.0, 4.8, 2.88]), shell_thickness=0.48)
         io.save_scene(scene_path, scene)
         poses = tmp_path / "poses.txt"
-        poses.write_text("0.3 2.4 1.44 0\n3.7 2.4 1.44 180\n")
         out_grid = tmp_path / "scene.ogrid"
         out_bank = tmp_path / "bank.gset"
-        assert main([
-            "stream", "--scene", str(scene_path), "--poses", str(poses),
-            "--out-grid", str(out_grid), "--out-bank", str(out_bank),
-            "--k", "4", "--stride", "8",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "frame_0_inserted" in out and "bank_size" in out
+        runs = []
+        # Runs of spaces, tabs and commas separate a pose's numbers as one space does.
+        for sep in (" ", "  ", "\t", ", "):
+            poses.write_text(f"0.3{sep}2.4{sep}1.44{sep}0\n3.7{sep}2.4{sep}1.44{sep}180\n")
+            out = _run(capsys, ["stream", "--scene", scene_path, "--poses", poses,
+                                "--out-grid", out_grid, "--out-bank", out_bank,
+                                "--k", "4", "--stride", "8"])
+            runs.append((out, out_grid.read_bytes(), out_bank.read_bytes()))
+        assert all(run == runs[0] for run in runs[1:])
+        assert "frame_1_inserted" in out and "bank_size" in out
         assert io.load_grid(out_grid).spec.num_classes == 12
         assert len(io.load_gaussians(out_bank)) > 0
+
+    def test_grid_too_large_to_allocate_is_one_line_error(self, tmp_path, capsys):
+        gset_path = tmp_path / "empty.gset"
+        io.save_gaussians(gset_path, so.GaussianSet.empty(12, frame="world"))
+        # 10^18 voxels: numpy refuses the allocation at once.
+        code = main(["splat", "--gaussians", str(gset_path), "--out", str(tmp_path / "o.ogrid"),
+                     "--grid-dims", "1000000,1000000,1000000"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.dmap"
@@ -428,6 +440,14 @@ class TestCli:
         assert len(io.load_gaussians(gset_path)) == n_pixels * 2
 
 
+def _ogrid(dims, voxel_size=0.1, origin=(0.0, 0.0, 0.0), voxels=None):
+    """OGRID1 bytes with this header and ``voxels`` empty voxels (default: as many
+    as dims holds)."""
+    voxels = int(np.prod(dims)) if voxels is None else voxels
+    return (b"OGRID1" + struct.pack("<IIIIffff", *dims, 12, voxel_size, *origin)
+            + bytes(voxels) + bytes(4 * voxels))
+
+
 def _valid_inputs(tmp_path):
     """One valid file per input kind that a malformed-input case replaces."""
     spec = so.GridSpec((4, 3, 2), 0.1, np.zeros(3), 12)
@@ -448,16 +468,33 @@ def _valid_inputs(tmp_path):
     + [
         pytest.param("cfg", "k = 8\nnot a pair\n", ["line 2", "key = value"], id="cfg-no-equals"),
         pytest.param("cfg", "k = 8.5\n", ["k = '8.5' is not int"], id="cfg-float-for-int"),
+        pytest.param("cfg", "grid-dims = 4,x,6\n", ["grid-dims = '4,x,6' is not three ints"],
+                     id="cfg-grid-dims-not-ints"),
+        pytest.param("cfg", "grid-origin = 0,0\n", ["grid-origin = '0,0' is not three floats"],
+                     id="cfg-grid-origin-two-values"),
         pytest.param("poses", "0.3 2.4 1.44 0\n0.3 two 1.44\n", ["line 2", "'two'"],
                      id="poses-not-a-number"),
         pytest.param("poses", "# x y z yaw\n0.3 2.4\n", ["line 2", "x,y,z"],
                      id="poses-two-numbers"),
+        pytest.param("dmap", b"DMAP1" + struct.pack("<II", 2**32 - 1, 2**32 - 1), ["truncated"],
+                     id="dmap-oversized-count"),
+        pytest.param("cmap", b"CMAP1" + struct.pack("<II", 2**32 - 1, 2**32 - 1), ["truncated"],
+                     id="cmap-oversized-count"),
+        pytest.param("ogrid", _ogrid((2**32 - 1,) * 3, voxels=4), ["truncated"],
+                     id="ogrid-oversized-count"),
+        pytest.param("ogrid", _ogrid((4, 3, 2), voxel_size=np.nan), ["voxel_size"],
+                     id="ogrid-nan-voxel-size"),
+        pytest.param("ogrid", _ogrid((4, 3, 2), origin=(0.0, np.nan, 0.0)), ["origin"],
+                     id="ogrid-nan-origin"),
+        pytest.param("ogrid", _ogrid((4, 0, 2)), ["dims"], id="ogrid-zero-dim"),
     ],
 )
 def test_malformed_input_is_one_line_naming_its_source(tmp_path, capsys, kind, fault, words):
     ok = _valid_inputs(tmp_path)
     bad = tmp_path / f"bad.{kind}"
-    if fault in ("magic", "truncated"):
+    if isinstance(fault, bytes):
+        bad.write_bytes(fault)
+    elif fault in ("magic", "truncated"):
         good = ok[kind].read_bytes()
         bad.write_bytes(b"X" + good[1:] if fault == "magic" else good[:-1])
     else:
