@@ -36,18 +36,25 @@ from .splatting import GridSpec, splat
 
 
 def _triple(cast):
-    """Parser of "a,b,c" into three values of cast, named for error lines."""
-    def parse(text: str) -> tuple:
-        x, y, z = text.split(",")
-        return cast(x), cast(y), cast(z)
-    parse.__name__ = f"three {cast.__name__}s"
-    return parse
+    return lambda text: tuple(map(cast, text.split(",")))
+
+
+def _grid_key(field: str, parse, name: str):
+    """``parse``, then GridSpec's own check of ``field``; named for error lines."""
+    def check(text: str):
+        value = parse(text)
+        GridSpec(**{"dims": (1, 1, 1), "voxel_size": 1.0, "origin": (0, 0, 0), field: value})
+        return value
+    check.__name__ = name
+    return check
 
 
 # Every key some command reads, with its parser; a config file may hold no
 # other. The pipeline's keys and types come from its config dataclasses.
 _CONFIG_KEYS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
-                "grid-dims": _triple(int), "voxel-size": float, "grid-origin": _triple(float),
+                "grid-dims": _grid_key("dims", _triple(int), "three ints >= 1"),
+                "voxel-size": _grid_key("voxel_size", float, "finite float > 0"),
+                "grid-origin": _grid_key("origin", _triple(float), "three floats, all finite"),
                 **config_types()}
 # Setting flags by config-file key. Flag --theta-occ stores under key
 # theta_occ, --grid-dims under grid-dims, so a flag overlays its key.

@@ -232,10 +232,10 @@ class AttributeConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.sigma_factor <= 0 or self.base_opacity <= 0 or self.base_opacity > 1:
-            raise ValueError("sigma_factor must be > 0 and base_opacity in (0, 1]")
-        if self.opacity_decay < 0:
-            raise ValueError("opacity_decay must be >= 0")
+        if not (0 < self.sigma_factor < np.inf and 0 < self.base_opacity <= 1):
+            raise ValueError("sigma_factor must be finite and > 0 and base_opacity in (0, 1]")
+        if not (0 < self.logit_gain < np.inf and 0 <= self.opacity_decay < np.inf):
+            raise ValueError("logit_gain must be finite and > 0, opacity_decay finite and >= 0")
 
 
 def heuristic_attributes_batch(

@@ -53,8 +53,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.scale > 0:
-            raise ValueError("scale must be > 0")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be finite and > 0")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 

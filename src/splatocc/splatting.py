@@ -7,9 +7,10 @@ The occupancy score uses the complement product
 
 which is bounded in [0, 1], monotone under adding Gaussians, and reduces to
 a * g for a single kernel. Semantics accumulate opacity-weighted softmax
-masses per class; the voxel label is the argmax over semantic classes (ties
-go to the lowest class id) when the score clears ``theta_occ``, otherwise 0
-(empty).
+masses per class, scattered once per distinct softmax column (one-hot logits
+make most classes share one); the voxel label is the argmax over semantic
+classes (ties go to the lowest class id) when the score clears ``theta_occ``,
+otherwise 0 (empty).
 
 ``splat`` evaluates every Gaussian the same way. Its box is the exact
 axis-aligned extent of the ellipsoid of ``SPLAT_CUTOFF`` (7) standard
@@ -154,11 +155,12 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     distances are its (rows, 10) quadratic-form coefficients times that
     (10, voxels) table, without materialising voxel centers. Pairs within
     ``SPLAT_CUTOFF`` Mahalanobis units scatter into the grid with one
-    bincount for the score and one per class, so results agree with an
-    unculled brute-force evaluation to well below 1e-6 even for thousands
-    of kernels. ``keep_masses`` also returns the
-    per-class masses, shaped ``spec.dims + (num_classes,)``; without it the
-    class-0 (empty) mass, which labels never read, is not accumulated.
+    bincount for the score and one per distinct softmax column; classes
+    that share a column copy its masses. Results agree with an unculled
+    brute-force evaluation to well below 1e-6 even for thousands of kernels.
+    ``keep_masses`` also returns the per-class masses, shaped
+    ``spec.dims + (num_classes,)``; without it the class-0 (empty) mass,
+    which labels never read, is not accumulated.
     """
     if gset.frame != WORLD_FRAME:
         raise ValueError("splat requires a world-frame GaussianSet")
@@ -204,6 +206,13 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         # Labels read only the semantic classes; class 0 is scattered only
         # when the caller asks for the masses.
         classes = range(0 if keep_masses else 1, spec.num_classes)
+        # Classes with bit-identical columns get bit-identical masses: only the
+        # first of them is scattered, and the others copy it after the loop.
+        scattered, source = [], {}
+        for c in classes:
+            source[c] = next((s for s in scattered if np.array_equal(soft[s], soft[c])), c)
+            if source[c] == c:
+                scattered.append(c)
 
         # Boxes of one shape share an offset table; members keep set order.
         # A shape packs into one key that sorts like the (sx, sy, sz) rows.
@@ -236,9 +245,12 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
                 kept *= np.repeat(gset.opacities[rows], per_row)
                 with np.errstate(divide="ignore"):
                     log_free += np.bincount(flat, weights=np.log1p(-kept), minlength=nv)
-                for c in classes:
+                for c in scattered:
                     weights = kept * np.repeat(soft[c, rows], per_row)
                     masses[c] += np.bincount(flat, weights=weights, minlength=nv)
+        for c, s in source.items():
+            if s != c:
+                masses[c] = masses[s]
 
     scores = 1.0 - np.exp(log_free)
     semantic = masses[1:]

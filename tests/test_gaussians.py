@@ -211,6 +211,13 @@ class TestHeuristicAttributes:
             g = so.heuristic_attributes_batch(sample_row(k, np.ones(3), 0.05), [2], cfg)
             assert g.opacities[0] == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("key", ["sigma_factor", "logit_gain", "opacity_decay"])
+    def test_nonfinite_config_rejected(self, key):
+        # Each of these would make a set that fails to load or splats to nothing.
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=key):
+                so.AttributeConfig(**{key: value})
+
     def test_label_out_of_range_rejected(self):
         s = sample_row(1, np.ones(3), 0.05)
         with pytest.raises(ValueError):

@@ -351,6 +351,42 @@ class TestCli:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
 
+    def test_nonfinite_setting_is_one_line_error(self, tmp_path, capsys):
+        # Each value used to write a set that failed to load or splatted to nothing.
+        _, depth_path, cmap_path = _render_room(tmp_path, capsys)
+        cfg_path = tmp_path / "bad.cfg"
+        out = tmp_path / "g.gset"
+        sample = ["sample", "--depth", depth_path, "--classes", cmap_path, "--out", out]
+        cases = [(["--config", cfg_path], f"{key} = {value}\n", key)
+                 for key, value in (("scale", "inf"), ("logit_gain", "nan"), ("logit_gain", "inf"),
+                                    ("sigma_factor", "inf"), ("opacity_decay", "nan"),
+                                    ("opacity_decay", "inf"))]
+        for extra, text, key in cases + [(["--scale", "nan"], "", "scale")]:
+            cfg_path.write_text(text)
+            capsys.readouterr()
+            assert main([str(a) for a in sample + extra]) == 1, text
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+            assert not out.exists()
+
+    def test_negative_flag_value_needs_equals_form(self, tmp_path, capsys):
+        # argparse takes "-0.48,..." after a space for an option; "--flag=-0.48,..." works.
+        gset_path = tmp_path / "g.gset"
+        io.save_gaussians(gset_path, random_gaussian_set(np.random.default_rng(42), 30, 12))
+        cfg_path = tmp_path / "origin.cfg"
+        cfg_path.write_text("grid-origin = -0.48,-0.48,-0.48\n")
+        splat = ["splat", "--gaussians", gset_path, "--grid-dims", "12,12,12", "--voxel-size", "0.2"]
+        from_file, from_flag = tmp_path / "file.ogrid", tmp_path / "flag.ogrid"
+        _run(capsys, splat + ["--config", cfg_path, "--out", from_file])
+        _run(capsys, splat + ["--grid-origin=-0.48,-0.48,-0.48", "--out", from_flag])
+        assert from_file.read_bytes() == from_flag.read_bytes()
+        assert io.load_grid(from_flag).spec.origin == (float(np.float32(-0.48)),) * 3
+        assert (io.load_grid(from_flag).labels > 0).any()
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in splat + ["--grid-origin", "-0.48,-0.48,-0.48", "--out", from_flag]])
+        assert exc.value.code == 2
+        assert "--grid-origin: expected one argument" in capsys.readouterr().err
+
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.dmap"
         code = main(["sample", "--depth", str(missing), "--classes", str(missing),
@@ -472,6 +508,15 @@ def _valid_inputs(tmp_path):
                      id="cfg-grid-dims-not-ints"),
         pytest.param("cfg", "grid-origin = 0,0\n", ["grid-origin = '0,0' is not three floats"],
                      id="cfg-grid-origin-two-values"),
+        pytest.param("cfg", "grid-dims = 0,5,5\n", ["grid-dims = '0,5,5' is not three ints >= 1"],
+                     id="cfg-grid-dims-zero"),
+        pytest.param("cfg", "voxel-size = 0\n", ["voxel-size = '0' is not finite float > 0"],
+                     id="cfg-voxel-size-zero"),
+        pytest.param("cfg", "voxel-size = nan\n", ["voxel-size = 'nan' is not finite float"],
+                     id="cfg-voxel-size-nan"),
+        pytest.param("cfg", "grid-origin = nan,0,0\n",
+                     ["grid-origin = 'nan,0,0' is not three floats, all finite"],
+                     id="cfg-grid-origin-nan"),
         pytest.param("poses", "0.3 2.4 1.44 0\n0.3 two 1.44\n", ["line 2", "'two'"],
                      id="poses-not-a-number"),
         pytest.param("poses", "# x y z yaw\n0.3 2.4\n", ["line 2", "x,y,z"],

@@ -39,6 +39,9 @@ class TestSampleOffsets:
             so.SamplingConfig(scale=0.0)
         with pytest.raises(ValueError):
             so.SamplingConfig(stride=0)
+        for scale in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale"):
+                so.SamplingConfig(scale=scale)
 
 
 class TestVolumetricSample:

@@ -128,6 +128,53 @@ class TestSplat:
             np.testing.assert_array_equal(grid.labels.ravel(), labels)
             assert np.abs(grid.masses.reshape(-1, 5) - masses).max() <= 1e-6
 
+    def test_one_hot_logits_share_columns_and_match_brute_force_oracle(self):
+        # One-hot logits as heuristic attributes give them: members favour
+        # classes 2 and 4 only, so classes 0, 1, 3 and 5 have one softmax
+        # column, which splat scatters once and copies.
+        rng = np.random.default_rng(21)
+        spec = small_spec(nc=6)
+        n = 120
+        logits = np.zeros((n, 6))
+        logits[np.arange(n), rng.choice([2, 4], n)] = 6.0
+        gset = so.GaussianSet(
+            means=rng.uniform(0.0, 1.6, (n, 3)), scales=rng.uniform(0.02, 0.3, (n, 3)),
+            rotations=rng.normal(size=(n, 4)), opacities=rng.uniform(0.0, 1.0, n),
+            logits=logits, frame="world",
+        )
+        grid = so.splat(gset, spec, keep_masses=True)
+        scores, labels, masses = naive_splat(gset, spec)
+        assert np.abs(grid.scores.ravel() - scores).max() <= 1e-6
+        assert np.abs(grid.masses.reshape(-1, 6) - masses).max() <= 1e-6
+        np.testing.assert_array_equal(grid.labels.ravel(), labels)
+        assert set(np.unique(labels)) == {0, 2, 4}
+        for c in (1, 3, 5):
+            np.testing.assert_array_equal(grid.masses[..., c], grid.masses[..., 0])
+        assert grid.masses[..., 0].max() > 0
+        np.testing.assert_array_equal(so.splat(gset, spec).labels, grid.labels)
+
+    def test_columns_differing_in_one_member_are_scattered_apart(self):
+        # Classes 1 and 2 share a column except at member 0, whose class-2
+        # logit is 1e-3. Member 0 sits alone, so wherever it reaches, class
+        # 2 must carry more mass than class 1; everywhere else the two match.
+        rng = np.random.default_rng(22)
+        spec = small_spec()
+        n = 20
+        means = np.vstack([[0.35, 0.35, 0.35], rng.uniform(1.0, 1.5, (n - 1, 3))])
+        logits = np.zeros((n, 4))
+        logits[:, 3] = 6.0
+        logits[0, 2] = 1e-3
+        gset = so.GaussianSet(
+            means=means, scales=np.full((n, 3), 0.04), rotations=np.tile([1.0, 0, 0, 0], (n, 1)),
+            opacities=np.full(n, 0.8), logits=logits, frame="world",
+        )
+        masses = so.splat(gset, spec, keep_masses=True).masses
+        reach = so.splat(gset.subset([0]), spec, keep_masses=True).masses[..., 3] > 0
+        rest = so.splat(gset.subset(range(1, n)), spec, keep_masses=True).masses[..., 3] > 0
+        assert reach.sum() > 50 and not np.any(reach & rest)
+        assert np.all(masses[..., 2][reach] > masses[..., 1][reach])
+        np.testing.assert_array_equal(masses[..., 2][~reach], masses[..., 1][~reach])
+
     def test_large_rotated_boxes_match_brute_force_oracle(self):
         # Squared Mahalanobis distances come from c0 + b.o + o'Mo over
         # integer offsets o from the box corner. With a 16:1 anisotropy and
