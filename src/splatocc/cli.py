@@ -6,11 +6,12 @@ render, sample, splat, stream, eval, prune. Every command accepts --config
 parsed once, where it enters: a config value or setting flag by its key's
 parser, a pose by one parser ("x y z [yaw]", commas, whitespace or both
 between). A key that no command reads, or a value its parser rejects, is an
-error. Each setting flag overrides the same key of the file, and a key set
-by neither takes its default. `stream` fuses through `run_streaming` and
-prints the bank's per-frame FusionStats. Results print as "key = value"
-lines. Exit code 0 on success, 1 with one line on error that names the
-faulty input file and its line or key.
+error, and the file's values are checked as a whole before flags override
+them. Each command has setting flags only for the keys it reads; a key in
+neither file nor flags takes its default. `stream` fuses through
+`run_streaming` and prints the bank's per-frame FusionStats. Results print
+as "key = value" lines. Exit code 0 on success, 1 with one line on error
+that names the faulty input file and its line or key.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from pathlib import Path
 
 from . import io
-from .camera import CameraModel
+from .camera import CameraModel, RigidTransform
 from .gaussians import prune
 from .metrics import confusion, frustum_mask, iou_miou
 from .pipeline import config_from_mapping, config_types, frame_gaussians, run_streaming
@@ -59,14 +59,14 @@ _CONFIG_KEYS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int
 # Setting flags by config-file key. Flag --theta-occ stores under key
 # theta_occ, --grid-dims under grid-dims, so a flag overlays its key.
 _CAMERA_FLAGS = ("fx", "fy", "cx", "cy", "width", "height")
-_PIPELINE_FLAGS = ("k", "scale", "stride", "tau", "theta_occ", "epsilon", "gamma")
+_SAMPLE_FLAGS = ("k", "scale", "stride", "tau")
 _GRID_FLAGS = ("grid-dims", "voxel-size", "grid-origin")
 _FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the grid min corner"}
 
 
 def _settings(args) -> dict:
-    """The --config file's key = value pairs, each parsed by its key's parser,
-    overlaid by every setting flag given (parsed by argparse with the same)."""
+    """The --config file's key = value pairs, parsed by their keys' parsers and
+    checked as a whole, overlaid by every setting flag given (same parsers)."""
     settings = {}
     for key, text in (io.load_config(args.config) if args.config else {}).items():
         if key not in _CONFIG_KEYS:
@@ -79,6 +79,9 @@ def _settings(args) -> dict:
         except ValueError:
             raise ValueError(f"{args.config}: {key} = {text!r} is not "
                              f"{_CONFIG_KEYS[key].__name__}") from None
+    with io._named(args.config):
+        config_from_mapping(settings)
+        _camera(settings, RigidTransform.identity())
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -113,7 +116,7 @@ def _emit(key, value):
     print(f"{key} = {value}")
 
 
-def _cmd_gen_scene(args, settings) -> int:
+def _cmd_gen_scene(args, settings, cfg) -> int:
     scene, cam = generate_frontal_room(args.seed, shell_thickness=args.shell)
     io.save_scene(args.out, scene)
     _emit("scene", args.out)
@@ -124,7 +127,7 @@ def _cmd_gen_scene(args, settings) -> int:
     return 0
 
 
-def _cmd_render(args, settings) -> int:
+def _cmd_render(args, settings, cfg) -> int:
     scene = io.load_scene(args.scene)
     cam = _camera(settings, _parse_pose(args.pose))
     depth, classes = render_depth(scene, cam)
@@ -136,29 +139,28 @@ def _cmd_render(args, settings) -> int:
     return 0
 
 
-def _cmd_sample(args, settings) -> int:
+def _cmd_sample(args, settings, cfg) -> int:
     depth = io.load_depth_map(args.depth)
     classes = io.load_class_map(args.classes)
     pose = _parse_pose(args.pose) if args.pose else standard_pose((0.0, 0.0, 0.0))
     cam = _camera(settings, pose)
-    gaussians = frame_gaussians(depth, classes, cam, config_from_mapping(settings))
+    gaussians = frame_gaussians(depth, classes, cam, cfg)
     io.save_gaussians(args.out, gaussians)
     _emit("gaussians", args.out)
     _emit("count", len(gaussians))
     return 0
 
 
-def _cmd_prune(args, settings) -> int:
+def _cmd_prune(args, settings, cfg) -> int:
     gset = io.load_gaussians(args.gaussians)
-    kept = prune(gset, config_from_mapping(settings).tau)
+    kept = prune(gset, cfg.tau)
     io.save_gaussians(args.out, kept)
     _emit("kept", len(kept))
     _emit("total", len(gset))
     return 0
 
 
-def _cmd_splat(args, settings) -> int:
-    cfg = config_from_mapping(settings)
+def _cmd_splat(args, settings, cfg) -> int:
     gset = io.load_gaussians(args.gaussians)
     grid = splat(gset, _grid_spec(settings, cfg.attributes.num_classes), theta_occ=cfg.theta_occ)
     io.save_grid(args.out, grid)
@@ -167,17 +169,11 @@ def _cmd_splat(args, settings) -> int:
     return 0
 
 
-def _cmd_stream(args, settings) -> int:
+def _cmd_stream(args, settings, cfg) -> int:
+    if "grid-dims" not in settings and settings.keys() & {"voxel-size", "grid-origin"}:
+        raise ValueError("voxel-size and grid-origin take effect only with grid-dims")
     scene = io.load_scene(args.scene)
-    cfg = config_from_mapping(settings)
-    poses = []
-    for lineno, line in enumerate(Path(args.poses).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            try:
-                poses.append(_parse_pose(stripped))
-            except ValueError as exc:
-                raise ValueError(f"{args.poses} line {lineno}: {exc}") from None
+    poses = io.load_lines(args.poses, _parse_pose)
     if not poses:
         raise ValueError(f"{args.poses}: poses file holds no poses")
     nc = cfg.attributes.num_classes
@@ -195,15 +191,12 @@ def _cmd_stream(args, settings) -> int:
     return 0
 
 
-def _cmd_eval(args, settings) -> int:
+def _cmd_eval(args, settings, cfg) -> int:
     pred = io.load_grid(args.pred)
     if args.gt:
         gt = io.load_grid(args.gt)
-    elif args.gt_scene:
-        gt = oracle_occupancy(io.load_scene(args.gt_scene), pred.spec)
     else:
-        raise ValueError("eval needs --gt or --gt-scene")
-    cfg = config_from_mapping(settings)
+        gt = oracle_occupancy(io.load_scene(args.gt_scene), pred.spec)
     mask = None
     if args.pose:
         cam = _camera(settings, _parse_pose(args.pose))
@@ -248,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="volumetric sampling + heuristic Gaussians")
     _add_common(p)
-    _add_flags(p, _CAMERA_FLAGS)
-    _add_flags(p, _PIPELINE_FLAGS)
+    _add_flags(p, _CAMERA_FLAGS + _SAMPLE_FLAGS)
     p.add_argument("--depth", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--pose", help="emit world-frame Gaussians under this pose")
@@ -265,17 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("splat", help="rasterize Gaussians into an occupancy grid")
     _add_common(p)
-    _add_flags(p, _PIPELINE_FLAGS)
-    _add_flags(p, _GRID_FLAGS)
+    _add_flags(p, ("theta_occ",) + _GRID_FLAGS)
     p.add_argument("--gaussians", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_splat)
 
     p = sub.add_parser("stream", help="fuse a pose sequence into a scene grid")
     _add_common(p)
-    _add_flags(p, _CAMERA_FLAGS)
-    _add_flags(p, _PIPELINE_FLAGS)
-    _add_flags(p, _GRID_FLAGS)
+    _add_flags(p, _CAMERA_FLAGS + _SAMPLE_FLAGS + ("theta_occ", "epsilon", "gamma") + _GRID_FLAGS)
     p.add_argument("--scene", required=True)
     p.add_argument("--poses", required=True, help="text file, one 'x y z yaw' per line")
     p.add_argument("--out-grid", required=True)
@@ -285,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="IoU / mIoU between two grids")
     _add_common(p)
     _add_flags(p, _CAMERA_FLAGS)
-    _add_flags(p, _PIPELINE_FLAGS)
     p.add_argument("--pred", required=True)
-    p.add_argument("--gt")
-    p.add_argument("--gt-scene")
+    gt = p.add_mutually_exclusive_group(required=True)
+    gt.add_argument("--gt")
+    gt.add_argument("--gt-scene")
     p.add_argument("--pose", help="enable the frustum mask for this camera pose")
     p.set_defaults(func=_cmd_eval)
 
@@ -298,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _settings(args))
+        settings = _settings(args)
+        return args.func(args, settings, config_from_mapping(settings))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -208,20 +208,37 @@ def load_scene(path) -> SyntheticScene:
             raise ValueError(f"malformed scene JSON: {exc}") from None
 
 
-def parse_config(text: str) -> dict:
-    """Flat "key = value" lines; # starts a comment, blank lines ignored."""
-    out = {}
+def _parse_lines(text: str, parse) -> list:
+    """parse(line) for each line of text, # comment stripped, blank lines
+    skipped; a ValueError from parse names the line."""
+    out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        if stripped:
+            try:
+                out.append(parse(stripped))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return out
 
 
-def load_config(path) -> dict:
+def load_lines(path, parse) -> list:
+    """_parse_lines over the text file at path; any error names path."""
     with _named(path):
-        return parse_config(Path(path).read_text())
+        return _parse_lines(Path(path).read_text(), parse)
+
+
+def _config_pair(line: str) -> tuple:
+    if "=" not in line:
+        raise ValueError("expected 'key = value'")
+    key, value = line.split("=", 1)
+    return key.strip(), value.strip()
+
+
+def parse_config(text: str) -> dict:
+    """Flat "key = value" lines; # starts a comment, blank lines ignored."""
+    return dict(_parse_lines(text, _config_pair))
+
+
+def load_config(path) -> dict:
+    return dict(load_lines(path, _config_pair))

@@ -96,14 +96,13 @@ def confusion(pred: OccupancyGrid, gt: OccupancyGrid, mask=None) -> ConfusionCou
     fn = matrix.sum(axis=1) - tp
     tp[0] = fp[0] = fn[0] = 0
 
-    p_occ = p > 0
-    g_occ = g > 0
+    # Row 0 / column 0 are the empty class, so the binary counts are blocks.
     return ConfusionCounts(
         tp=tp, fp=fp, fn=fn,
-        occupied_tp=int(np.count_nonzero(p_occ & g_occ)),
-        occupied_fp=int(np.count_nonzero(p_occ & ~g_occ)),
-        occupied_fn=int(np.count_nonzero(~p_occ & g_occ)),
-        evaluated=int(p.size),
+        occupied_tp=int(matrix[1:, 1:].sum()),
+        occupied_fp=int(matrix[0, 1:].sum()),
+        occupied_fn=int(matrix[1:, 0].sum()),
+        evaluated=int(matrix.sum()),
     )
 
 

@@ -108,15 +108,6 @@ def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig) -> SampleBatch:
     vv, uu, d = vv[valid], uu[valid], d[valid]
     n = d.size
     k = cfg.k
-    if n == 0:
-        return SampleBatch(
-            pixels=np.zeros((0, 2)),
-            ks=np.zeros(0, dtype=np.int64),
-            positions=np.zeros((0, 3)),
-            spacings=np.zeros(0),
-            num_invalid=num_invalid,
-        )
-
     rays = ray_direction(cam, np.stack([uu, vv], axis=-1).astype(np.float64))
     positions = (d[:, None] + sample_offsets(cfg))[:, :, None] * rays[:, None, :]
     return SampleBatch(

@@ -175,82 +175,81 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     # contiguous rows.
     masses = np.zeros((spec.num_classes, nv))
 
-    if len(gset):
-        dims = np.asarray(spec.dims)
-        extent = np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2))
-        lo, hi = _cull_bounds(gset.means, SPLAT_CUTOFF * extent, spec)
-        lo = np.clip(lo, 0, dims)
-        spans = np.clip(hi, 0, dims) - lo
-        alive = np.flatnonzero(np.all(spans > 0, axis=1))
+    dims = np.asarray(spec.dims)
+    extent = np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2))
+    lo, hi = _cull_bounds(gset.means, SPLAT_CUTOFF * extent, spec)
+    lo = np.clip(lo, 0, dims)
+    spans = np.clip(hi, 0, dims) - lo
+    alive = np.flatnonzero(np.all(spans > 0, axis=1))
 
-        # Quadratic-form coefficients: the center of voxel lo + o lies at
-        # corner + voxel_size * o from the mean for an integer offset o, so
-        # with P = Sigma^-1 its squared Mahalanobis distance is
-        # m2(o) = c0 + b.o + o'Mo with c0 = corner' P corner,
-        # b = 2 voxel_size P corner and M = voxel_size^2 P. coef holds these
-        # ten numbers per Gaussian in the order of _monomials.
-        prec = inverse_covariances(gset.cov)
-        corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
-        pc = np.einsum("nij,nj->ni", prec, corner)
-        quad = spec.voxel_size * spec.voxel_size * prec
-        coef = np.column_stack((
-            np.einsum("ni,ni->n", corner, pc),
-            2.0 * spec.voxel_size * pc,
-            quad[:, 0, 0], quad[:, 1, 1], quad[:, 2, 2],
-            2.0 * quad[:, 0, 1], 2.0 * quad[:, 0, 2], 2.0 * quad[:, 1, 2],
-        ))
-        soft = np.ascontiguousarray(softmax(gset.logits).T)
-        strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
-        base = lo @ strides
-        cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
-        # Labels read only the semantic classes; class 0 is scattered only
-        # when the caller asks for the masses.
-        classes = range(0 if keep_masses else 1, spec.num_classes)
-        # Classes with bit-identical columns get bit-identical masses: only the
-        # first of them is scattered, and the others copy it after the loop.
-        scattered, source = [], {}
-        for c in classes:
-            source[c] = next((s for s in scattered if np.array_equal(soft[s], soft[c])), c)
-            if source[c] == c:
-                scattered.append(c)
+    # Quadratic-form coefficients: the center of voxel lo + o lies at
+    # corner + voxel_size * o from the mean for an integer offset o, so
+    # with P = Sigma^-1 its squared Mahalanobis distance is
+    # m2(o) = c0 + b.o + o'Mo with c0 = corner' P corner,
+    # b = 2 voxel_size P corner and M = voxel_size^2 P. coef holds these
+    # ten numbers per Gaussian in the order of _monomials.
+    prec = inverse_covariances(gset.cov)
+    corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
+    pc = np.einsum("nij,nj->ni", prec, corner)
+    quad = spec.voxel_size * spec.voxel_size * prec
+    coef = np.column_stack((
+        np.einsum("ni,ni->n", corner, pc),
+        2.0 * spec.voxel_size * pc,
+        quad[:, 0, 0], quad[:, 1, 1], quad[:, 2, 2],
+        2.0 * quad[:, 0, 1], 2.0 * quad[:, 0, 2], 2.0 * quad[:, 1, 2],
+    ))
+    soft = np.ascontiguousarray(softmax(gset.logits).T)
+    strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
+    base = lo @ strides
+    cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
+    # Labels read only the semantic classes; class 0 is scattered only
+    # when the caller asks for the masses.
+    classes = range(0 if keep_masses else 1, spec.num_classes)
+    # Classes with bit-identical columns get bit-identical masses: only the
+    # first of them is scattered, and the others copy it after the loop.
+    scattered, source = [], {}
+    for c in classes:
+        source[c] = next((s for s in scattered if np.array_equal(soft[s], soft[c])), c)
+        if source[c] == c:
+            scattered.append(c)
 
-        # Boxes of one shape share an offset table; members keep set order.
-        # A shape packs into one key that sorts like the (sx, sy, sz) rows.
-        ry, rz = spec.dims[1] + 1, spec.dims[2] + 1
-        keys, group = np.unique((spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2],
-                                return_inverse=True)
-        order = alive[np.argsort(group, kind="stable")]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(group))))
-        for key, begin, end in zip(keys.tolist(), bounds[:-1], bounds[1:]):
-            shape = (key // (ry * rz), key // rz % ry, key % rz)
-            offs = np.indices(shape).reshape(3, -1)
-            flat_offs = strides @ offs
-            mono = _monomials(offs.astype(np.float64))
-            chunk = max(1, _CHUNK_PAIRS // mono.shape[1])
-            for start in range(begin, end, chunk):
-                rows = order[start:min(start + chunk, end)]
-                m2 = coef[rows] @ mono
-                ok = m2 <= cutoff_sq
-                if not ok.any():
-                    continue
-                # Kept pairs stay in row order, so per-Gaussian values reach
-                # them by repeating each row's value once per kept pair.
-                per_row = np.count_nonzero(ok, axis=1)
-                flat = (base[rows][:, None] + flat_offs)[ok]
-                # Rounding can take m2 a hair below 0 next to the mean, which
-                # would push an opacity-1 kernel above 1 and log1p to NaN.
-                kept = np.maximum(m2[ok], 0.0)
-                kept *= -0.5
-                np.exp(kept, out=kept)
-                kept *= np.repeat(gset.opacities[rows], per_row)
-                with np.errstate(divide="ignore"):
-                    log_free += np.bincount(flat, weights=np.log1p(-kept), minlength=nv)
-                for c in scattered:
-                    weights = kept * np.repeat(soft[c, rows], per_row)
-                    masses[c] += np.bincount(flat, weights=weights, minlength=nv)
-        for c, s in source.items():
-            if s != c:
-                masses[c] = masses[s]
+    # Boxes of one shape share an offset table; members keep set order.
+    # A shape packs into one key that sorts like the (sx, sy, sz) rows.
+    ry, rz = spec.dims[1] + 1, spec.dims[2] + 1
+    keys, group = np.unique((spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2],
+                            return_inverse=True)
+    order = alive[np.argsort(group, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(group))))
+    for key, begin, end in zip(keys.tolist(), bounds[:-1], bounds[1:]):
+        shape = (key // (ry * rz), key // rz % ry, key % rz)
+        offs = np.indices(shape).reshape(3, -1)
+        flat_offs = strides @ offs
+        mono = _monomials(offs.astype(np.float64))
+        chunk = max(1, _CHUNK_PAIRS // mono.shape[1])
+        for start in range(begin, end, chunk):
+            rows = order[start:min(start + chunk, end)]
+            m2 = coef[rows] @ mono
+            ok = m2 <= cutoff_sq
+            if not ok.any():
+                continue
+            # Kept pairs stay in row order, so per-Gaussian values reach
+            # them by repeating each row's value once per kept pair.
+            per_row = np.count_nonzero(ok, axis=1)
+            flat = (base[rows][:, None] + flat_offs)[ok]
+            # Rounding can take m2 a hair below 0 next to the mean, which
+            # would push an opacity-1 kernel above 1 and log1p to NaN.
+            kept = np.maximum(m2[ok], 0.0)
+            kept *= -0.5
+            np.exp(kept, out=kept)
+            kept *= np.repeat(gset.opacities[rows], per_row)
+            with np.errstate(divide="ignore"):
+                log_free += np.bincount(flat, weights=np.log1p(-kept), minlength=nv)
+            for c in scattered:
+                weights = kept * np.repeat(soft[c, rows], per_row)
+                masses[c] += np.bincount(flat, weights=weights, minlength=nv)
+    for c, s in source.items():
+        if s != c:
+            masses[c] = masses[s]
 
     scores = 1.0 - np.exp(log_free)
     semantic = masses[1:]

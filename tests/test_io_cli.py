@@ -476,6 +476,83 @@ class TestCli:
         assert len(io.load_gaussians(gset_path)) == n_pixels * 2
 
 
+# Setting flags of other commands that a command does not read, so refuses.
+_UNREAD_FLAGS = ([("sample", f) for f in ("theta-occ", "epsilon", "gamma")]
+                 + [("splat", f) for f in ("k", "scale", "stride", "tau", "epsilon", "gamma")]
+                 + [("eval", f) for f in ("k", "scale", "stride", "tau", "theta-occ", "epsilon",
+                                          "gamma")])
+
+
+def _command_argv(command, ok, out):
+    """Arguments for a run of command on the valid inputs of _valid_inputs."""
+    return {
+        "render": ["render", "--scene", ok["json"], "--pose", "0.3,2.4,1.44", "--out", out],
+        "sample": ["sample", "--depth", ok["dmap"], "--classes", ok["cmap"], "--out", out],
+        "prune": ["prune", "--gaussians", ok["gset"], "--out", out],
+        "splat": ["splat", "--gaussians", ok["gset"], "--out", out],
+        "eval": ["eval", "--pred", ok["ogrid"], "--gt", ok["ogrid"], "--pose", "0.2,0.1,0.1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
+                         ids=[f"{c}--{f}" for c, f in _UNREAD_FLAGS])
+def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    argv = _command_argv(command, _valid_inputs(tmp_path), tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + [f"--{flag}", "1"]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_takes_exactly_one_ground_truth(tmp_path, capsys):
+    ok = _valid_inputs(tmp_path)
+    for gt in (["--gt", ok["ogrid"], "--gt-scene", ok["json"]], []):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in ["eval", "--pred", ok["ogrid"]] + gt])
+        assert exc.value.code == 2
+        assert "--gt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [["--voxel-size", "0.2"], ["--grid-origin=-5,-5,-5"],
+                                     "voxel-size = 0.2\n"], ids=["flag", "origin-flag", "file"])
+def test_stream_grid_keys_need_grid_dims(tmp_path, capsys, setting):
+    ok = _valid_inputs(tmp_path)
+    poses, out_grid = tmp_path / "poses.txt", tmp_path / "scene.ogrid"
+    poses.write_text("0.3 2.4 1.44 0\n")
+    if isinstance(setting, str):
+        (tmp_path / "grid.cfg").write_text(setting)
+        setting = ["--config", tmp_path / "grid.cfg"]
+    code = main([str(a) for a in ["stream", "--scene", ok["json"], "--poses", poses,
+                                  "--out-grid", out_grid, "--k", "2", "--stride", "16"] + setting])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "grid-dims" in err[0], err
+    assert "voxel-size" in err[0] and "grid-origin" in err[0], err[0]
+    assert not out_grid.exists()
+
+
+# Each line is one the config dataclasses reject, paired with a command that
+# reads its key and one that does not.
+@pytest.mark.parametrize("line, command", [
+    ("scale = inf", "sample"), ("scale = inf", "render"),
+    ("fx = -5", "render"), ("fx = -5", "prune"),
+    ("width = 0", "render"), ("width = 0", "splat"),
+    ("near = 0", "eval"), ("near = 0", "render"),
+])
+def test_rejected_config_value_names_its_file(tmp_path, capsys, line, command):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"# checked as a whole\n{line}\n")
+    out = tmp_path / "out"
+    argv = _command_argv(command, _valid_inputs(tmp_path), out) + ["--config", cfg_path]
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: "), err
+    assert not out.exists()
+    assert main([str(a) for a in argv[:-2]]) == 0
+
+
 def _ogrid(dims, voxel_size=0.1, origin=(0.0, 0.0, 0.0), voxels=None):
     """OGRID1 bytes with this header and ``voxels`` empty voxels (default: as many
     as dims holds)."""
@@ -521,6 +598,8 @@ def _valid_inputs(tmp_path):
                      id="poses-not-a-number"),
         pytest.param("poses", "# x y z yaw\n0.3 2.4\n", ["line 2", "x,y,z"],
                      id="poses-two-numbers"),
+        pytest.param("poses", b"\xff0.3 2.4 1.44 0\n", ["can't decode"], id="poses-undecodable"),
+        pytest.param("cfg", b"\xffk = 8\n", ["can't decode"], id="cfg-undecodable"),
         pytest.param("dmap", b"DMAP1" + struct.pack("<II", 2**32 - 1, 2**32 - 1), ["truncated"],
                      id="dmap-oversized-count"),
         pytest.param("cmap", b"CMAP1" + struct.pack("<II", 2**32 - 1, 2**32 - 1), ["truncated"],

@@ -59,6 +59,11 @@ class TestVolumetricSample:
         )
         assert len(batch) == 0
         assert batch.num_invalid == 4
+        for array, shape, dtype in ((batch.pixels, (0, 2), np.float64),
+                                    (batch.ks, (0,), np.int64),
+                                    (batch.positions, (0, 3), np.float64),
+                                    (batch.spacings, (0,), np.float64)):
+            assert array.shape == shape and array.dtype == dtype
 
     def test_stride_and_count(self):
         depth = so.DepthMap(np.full((8, 8), 3.0))

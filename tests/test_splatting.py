@@ -90,6 +90,12 @@ class TestSplat:
         assert grid.labels.sum() == 0
         assert grid.scores.sum() == 0.0
 
+    def test_empty_set_keeps_zero_masses(self):
+        spec = small_spec()
+        grid = so.splat(so.GaussianSet.empty(4, frame="world"), spec, keep_masses=True)
+        assert not grid.labels.any() and not grid.scores.any()
+        assert grid.masses.shape == spec.dims + (4,) and not grid.masses.any()
+
     def test_single_gaussian_on_voxel_center(self):
         spec = small_spec()
         center = spec.origin + (np.array([8, 8, 8]) + 0.5) * spec.voxel_size
