@@ -17,11 +17,12 @@ that names the faulty input file and its line or key.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
 from . import io
-from .camera import CameraModel, RigidTransform
+from .camera import CameraModel
 from .gaussians import prune
 from .metrics import confusion, frustum_mask, iou_miou
 from .pipeline import config_from_mapping, config_types, frame_gaussians, run_streaming
@@ -39,22 +40,25 @@ def _triple(cast):
     return lambda text: tuple(map(cast, text.split(",")))
 
 
-def _grid_key(field: str, parse, name: str):
-    """``parse``, then GridSpec's own check of ``field``; named for error lines."""
+def _owned(owner, field: str, parse, name: str):
+    """``parse``, then the check of ``field`` by ``owner``'s dataclass; named for error lines."""
     def check(text: str):
         value = parse(text)
-        GridSpec(**{"dims": (1, 1, 1), "voxel_size": 1.0, "origin": (0, 0, 0), field: value})
+        dataclasses.replace(owner, **{field: value})
         return value
     check.__name__ = name
     return check
 
 
+_GRID, _CAM = GridSpec((1, 1, 1), 1.0, (0, 0, 0)), CameraModel(1.0, 1.0, 0.0, 0.0, 1, 1)
 # Every key some command reads, with its parser; a config file may hold no
 # other. The pipeline's keys and types come from its config dataclasses.
-_CONFIG_KEYS = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
-                "grid-dims": _grid_key("dims", _triple(int), "three ints >= 1"),
-                "voxel-size": _grid_key("voxel_size", float, "finite float > 0"),
-                "grid-origin": _grid_key("origin", _triple(float), "three floats, all finite"),
+_CONFIG_KEYS = {**{key: _owned(_CAM, key, float, "finite float > 0") for key in ("fx", "fy")},
+                **{key: _owned(_CAM, key, float, "finite float") for key in ("cx", "cy")},
+                **{key: _owned(_CAM, key, int, "int >= 1") for key in ("width", "height")},
+                "grid-dims": _owned(_GRID, "dims", _triple(int), "three ints >= 1"),
+                "voxel-size": _owned(_GRID, "voxel_size", float, "finite float > 0"),
+                "grid-origin": _owned(_GRID, "origin", _triple(float), "three floats, all finite"),
                 **config_types()}
 # Setting flags by config-file key. Flag --theta-occ stores under key
 # theta_occ, --grid-dims under grid-dims, so a flag overlays its key.
@@ -62,6 +66,7 @@ _CAMERA_FLAGS = ("fx", "fy", "cx", "cy", "width", "height")
 _SAMPLE_FLAGS = ("k", "scale", "stride", "tau")
 _GRID_FLAGS = ("grid-dims", "voxel-size", "grid-origin")
 _FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the grid min corner"}
+_MAX_VOXELS = 2**24  # per splat or stream grid: ~3 GB of splat scratch at 12 classes
 
 
 def _settings(args) -> dict:
@@ -81,7 +86,6 @@ def _settings(args) -> dict:
                              f"{_CONFIG_KEYS[key].__name__}") from None
     with io._named(args.config):
         config_from_mapping(settings)
-        _camera(settings, RigidTransform.identity())
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -107,9 +111,17 @@ def _parse_pose(text: str):
 
 
 def _grid_spec(settings: dict, num_classes: int) -> GridSpec:
-    return GridSpec(dims=settings.get("grid-dims", (60, 60, 36)),
+    spec = GridSpec(dims=settings.get("grid-dims", (60, 60, 36)),
                     voxel_size=settings.get("voxel-size", 0.08),
                     origin=settings.get("grid-origin", (0.0, 0.0, 0.0)), num_classes=num_classes)
+    return _budgeted("grid-dims", spec)
+
+
+def _budgeted(source, spec: GridSpec) -> GridSpec:
+    if spec.num_voxels > _MAX_VOXELS:  # checked before anything is allocated
+        raise ValueError(f"{source}: {spec.num_voxels} voxels exceed the {_MAX_VOXELS} that one "
+                         "grid may allocate")
+    return spec
 
 
 def _emit(key, value):
@@ -177,7 +189,8 @@ def _cmd_stream(args, settings, cfg) -> int:
     if not poses:
         raise ValueError(f"{args.poses}: poses file holds no poses")
     nc = cfg.attributes.num_classes
-    grid = _grid_spec(settings, nc) if "grid-dims" in settings else scene_grid(scene, nc)
+    grid = (_grid_spec(settings, nc) if "grid-dims" in settings
+            else _budgeted(args.scene, scene_grid(scene, nc)))
     cams = (_camera(settings, pose) for pose in poses)
     bank, result = run_streaming(((*render_depth(scene, cam), cam) for cam in cams), grid, cfg)
     for t, stats in enumerate(bank.frame_stats):
@@ -192,6 +205,9 @@ def _cmd_stream(args, settings, cfg) -> int:
 
 
 def _cmd_eval(args, settings, cfg) -> int:
+    flags = [f"--{key}" for key in _CAMERA_FLAGS if getattr(args, key) is not None]
+    if flags and not args.pose:
+        raise ValueError(f"{' '.join(flags)} take effect only with --pose")
     pred = io.load_grid(args.pred)
     if args.gt:
         gt = io.load_grid(args.gt)

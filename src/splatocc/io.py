@@ -38,7 +38,7 @@ import numpy as np
 
 from .gaussians import GaussianSet, WORLD_FRAME
 from .sampling import DepthMap
-from .scenes import Box, SyntheticScene, WallPatch
+from .scenes import CEILING_LABEL, FLOOR_LABEL, WALL_LABEL, Box, SyntheticScene, WallPatch
 from .splatting import GridSpec, OccupancyGrid
 
 _DMAP_MAGIC = b"DMAP1"
@@ -153,9 +153,6 @@ def save_scene(path, scene: SyntheticScene) -> None:
     payload = {
         "extent": list(scene.extent),
         "shell_thickness": scene.shell_thickness,
-        "floor_label": scene.floor_label,
-        "ceiling_label": scene.ceiling_label,
-        "wall_label": scene.wall_label,
         "boxes": [
             {"min": list(b.min_corner), "max": list(b.max_corner), "label": b.label}
             for b in scene.boxes
@@ -183,6 +180,10 @@ def load_scene(path) -> SyntheticScene:
             items = payload.get(field, [])
             if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
                 raise ValueError(f"scene JSON field {field!r} must be a list of objects")
+        for field, label in (("floor_label", FLOOR_LABEL), ("ceiling_label", CEILING_LABEL),
+                             ("wall_label", WALL_LABEL)):  # older files hold the fixed ids
+            if payload.get(field, label) != label:
+                raise ValueError(f"scene JSON field {field!r} must be {label}, its fixed class id")
         try:
             return SyntheticScene(
                 extent=np.asarray(payload["extent"], dtype=np.float64),
@@ -198,9 +199,6 @@ def load_scene(path) -> SyntheticScene:
                     )
                     for p in payload.get("patches", ())
                 ),
-                floor_label=int(payload.get("floor_label", 2)),
-                ceiling_label=int(payload.get("ceiling_label", 1)),
-                wall_label=int(payload.get("wall_label", 3)),
             )
         except KeyError as exc:
             raise ValueError(f"scene JSON lacks field {exc.args[0]!r}") from None

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .camera import CameraModel, RigidTransform
+from .camera import CameraModel, RigidTransform, ray_direction
 from .sampling import DepthMap
 from .splatting import GridSpec, OccupancyGrid
 
@@ -73,21 +73,12 @@ class WallPatch:
             raise ValueError("patch rectangle must have positive area")
 
 
-def _face_label(axis: int, side: str, scene: "SyntheticScene") -> int:
-    if axis == 2:
-        return scene.floor_label if side == "min" else scene.ceiling_label
-    return scene.wall_label
-
-
 @dataclass(frozen=True)
 class SyntheticScene:
     extent: np.ndarray
     shell_thickness: float = 0.48
     boxes: tuple = ()
     patches: tuple = ()
-    floor_label: int = FLOOR_LABEL
-    ceiling_label: int = CEILING_LABEL
-    wall_label: int = WALL_LABEL
 
     def __post_init__(self):
         extent = np.asarray(self.extent, dtype=np.float64)
@@ -128,6 +119,29 @@ def _slab_intervals(origin, dirs, lo, hi):
     return tmin.max(axis=-1), tmax.min(axis=-1), tmin, tmax
 
 
+def _shell_labels(scene: SyntheticScene, points: np.ndarray) -> np.ndarray:
+    """Labels of shell points (..., 3), the one rule that the renderer and the
+    oracle share. The base label is floor at z <= 0, ceiling at z >= the
+    room's height and wall between. A patch relabels the points in its face's
+    slab (coordinate >= extent for side "max", <= 0 for "min") and closed
+    rectangle whose base label is its face's; later patches override earlier
+    ones."""
+    z = points[..., 2]
+    base = np.where(z <= 0, FLOOR_LABEL, np.where(z >= scene.extent[2], CEILING_LABEL, WALL_LABEL))
+    labels = base.astype(np.uint8)
+    for patch in scene.patches:
+        a, (b, c) = patch.axis, [ax for ax in (0, 1, 2) if ax != patch.axis]
+        top = patch.side == "max"
+        region = (
+            (points[..., a] >= scene.extent[a] if top else points[..., a] <= 0)
+            & (base == (WALL_LABEL if a < 2 else CEILING_LABEL if top else FLOOR_LABEL))
+            & (points[..., b] >= patch.lo[0]) & (points[..., b] <= patch.hi[0])
+            & (points[..., c] >= patch.lo[1]) & (points[..., c] <= patch.hi[1])
+        )
+        labels[region] = patch.label
+    return labels
+
+
 def render_depth(scene: SyntheticScene, cam: CameraModel):
     """Analytic depth + class id map for every pixel of ``cam``.
 
@@ -136,8 +150,6 @@ def render_depth(scene: SyntheticScene, cam: CameraModel):
     hit surface's label (0 on miss). The camera must sit inside the room
     interior or entirely outside the shell.
     """
-    from .camera import ray_direction
-
     h, w = cam.height, cam.width
     vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     pix = np.stack([uu, vv], axis=-1).astype(np.float64)
@@ -145,62 +157,30 @@ def render_depth(scene: SyntheticScene, cam: CameraModel):
     origin = cam.position
 
     inside_interior = bool(np.all(origin > 0) and np.all(origin < scene.extent))
-    in_shell = (
-        np.all(origin >= scene.outer_min)
-        and np.all(origin <= scene.outer_max)
-        and not inside_interior
-    )
-    if in_shell:
+    if not inside_interior and np.all((origin >= scene.outer_min) & (origin <= scene.outer_max)):
         raise ValueError("camera may not start inside the solid shell")
-
-    best_t = np.full((h, w), np.inf)
-    best_label = np.zeros((h, w), dtype=np.uint8)
-    hit_axis = np.full((h, w), -1, dtype=np.int64)
-    hit_max_side = np.zeros((h, w), dtype=bool)
 
     if inside_interior:
         # The shell is hit where the ray exits the open interior.
-        _, t_exit, _, tmax = _slab_intervals(origin, dirs, np.zeros(3), scene.extent)
+        _, shell_t, _, tmax = _slab_intervals(origin, dirs, np.zeros(3), scene.extent)
         axis = np.argmin(tmax, axis=-1)
-        shell_t = t_exit
         shell_ok = shell_t > 0
+        lo, hi = np.zeros(3), scene.extent
     else:
-        t_enter, t_exit, tmin, _ = _slab_intervals(
-            origin, dirs, scene.outer_min, scene.outer_max
-        )
+        shell_t, t_exit, tmin, _ = _slab_intervals(origin, dirs, scene.outer_min, scene.outer_max)
         axis = np.argmax(tmin, axis=-1)
-        shell_t = t_enter
-        shell_ok = (t_enter <= t_exit) & (t_enter > 0)
+        shell_ok = (shell_t <= t_exit) & (shell_t > 0)
+        lo, hi = scene.outer_min, scene.outer_max
 
-    take = shell_ok & (shell_t < best_t)
-    best_t = np.where(take, shell_t, best_t)
-    hit_axis = np.where(take, axis, hit_axis)
-    side = np.take_along_axis(dirs, axis[..., None], axis=-1)[..., 0] > 0
-    if not inside_interior:
-        side = ~side  # entering from outside flips which plane was struck
-    hit_max_side = np.where(take, side, hit_max_side)
-
-    for a in (0, 1, 2):
-        for s in ("min", "max"):
-            face = take & (hit_axis == a) & (hit_max_side == (s == "max"))
-            if face.any():
-                best_label[face] = _face_label(a, s, scene)
-
-    for patch in scene.patches:
-        face = (
-            take
-            & (hit_axis == patch.axis)
-            & (hit_max_side == (patch.side == "max"))
-        )
-        if not face.any():
-            continue
-        point = origin + best_t[..., None] * dirs
-        others = [a for a in (0, 1, 2) if a != patch.axis]
-        in_rect = (
-            (point[..., others[0]] >= patch.lo[0]) & (point[..., others[0]] <= patch.hi[0])
-            & (point[..., others[1]] >= patch.lo[1]) & (point[..., others[1]] <= patch.hi[1])
-        )
-        best_label[face & in_rect] = patch.label
+    best_t = np.where(shell_ok, shell_t, np.inf)
+    point = origin + np.where(shell_ok, shell_t, 0.0)[..., None] * dirs
+    # Snap the hit onto the struck plane (the max one for a ray that exits up
+    # its axis or enters down it): computed, a floor hit can land at z = +1 ulp,
+    # and a wall hit at x = extent - 1 ulp, outside its patch's slab.
+    up = np.take_along_axis(dirs, axis[..., None], axis=-1)[..., 0] > 0
+    plane = np.where(up == inside_interior, hi[axis], lo[axis])
+    np.put_along_axis(point, axis[..., None], plane[..., None], axis=-1)
+    best_label = np.where(shell_ok, _shell_labels(scene, point), 0)
 
     for box in scene.boxes:
         t_enter, t_exit, _, _ = _slab_intervals(origin, dirs, box.min_corner, box.max_corner)
@@ -219,35 +199,13 @@ def oracle_occupancy(scene: SyntheticScene, spec: GridSpec) -> OccupancyGrid:
     centers = spec.voxel_centers()
     labels = np.zeros(centers.shape[0], dtype=np.uint8)
 
-    in_outer = np.all(centers >= scene.outer_min, axis=1) & np.all(
-        centers <= scene.outer_max, axis=1
-    )
+    in_outer = np.all((centers >= scene.outer_min) & (centers <= scene.outer_max), axis=1)
     in_interior = np.all(centers > 0, axis=1) & np.all(centers < scene.extent, axis=1)
     shell = in_outer & ~in_interior
-    labels[shell] = scene.wall_label
-    labels[shell & (centers[:, 2] >= scene.extent[2])] = scene.ceiling_label
-    labels[shell & (centers[:, 2] <= 0)] = scene.floor_label
-
-    for patch in scene.patches:
-        a = patch.axis
-        if patch.side == "max":
-            in_slab = (centers[:, a] >= scene.extent[a]) & (
-                centers[:, a] <= scene.extent[a] + scene.shell_thickness
-            )
-        else:
-            in_slab = (centers[:, a] >= -scene.shell_thickness) & (centers[:, a] <= 0)
-        others = [ax for ax in (0, 1, 2) if ax != a]
-        in_rect = (
-            (centers[:, others[0]] >= patch.lo[0]) & (centers[:, others[0]] <= patch.hi[0])
-            & (centers[:, others[1]] >= patch.lo[1]) & (centers[:, others[1]] <= patch.hi[1])
-        )
-        region = shell & in_slab & in_rect & (labels == _face_label(a, patch.side, scene))
-        labels[region] = patch.label
+    labels[shell] = _shell_labels(scene, centers[shell])
 
     for box in scene.boxes:
-        inside = np.all(centers >= box.min_corner, axis=1) & np.all(
-            centers <= box.max_corner, axis=1
-        )
+        inside = np.all((centers >= box.min_corner) & (centers <= box.max_corner), axis=1)
         labels[inside] = box.label
 
     labels = labels.reshape(spec.dims)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import splatocc as so
-from splatocc import io
+from splatocc import cli, io
 from splatocc.cli import main
 from splatocc.scenes import Box, SyntheticScene, WallPatch
 
@@ -120,6 +120,20 @@ class TestSceneFormat:
         assert loaded.shell_thickness == scene.shell_thickness
         assert loaded.boxes[0].label == 7
         assert loaded.patches[0].hi == (2.0, 2.0)
+
+    def test_label_keys_load_only_at_their_class_ids(self, tmp_path):
+        # Earlier files name the shell's class ids; current ones leave them out.
+        path = tmp_path / "scene.json"
+        io.save_scene(path, SyntheticScene(extent=np.array([4.0, 4.8, 2.88])))
+        payload = json.loads(path.read_text())
+        assert not any(key.endswith("_label") for key in payload)
+        path.write_text(json.dumps({**payload, "floor_label": 2, "ceiling_label": 1,
+                                    "wall_label": 3}))
+        assert io.load_scene(path).shell_thickness == 0.48
+        for key, value in (("floor_label", 3), ("ceiling_label", 2), ("wall_label", 5)):
+            path.write_text(json.dumps({**payload, key: value}))
+            with pytest.raises(ValueError, match=f"{path}: scene JSON field '{key}' must be"):
+                io.load_scene(path)
 
 
 class TestConfigFormat:
@@ -351,6 +365,27 @@ class TestCli:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
 
+    def test_grid_over_voxel_budget_is_one_line_error(self, tmp_path, capsys):
+        gset_path = tmp_path / "empty.gset"
+        io.save_gaussians(gset_path, so.GaussianSet.empty(12, frame="world"))
+        scene_path, poses = tmp_path / "hall.json", tmp_path / "poses.txt"
+        io.save_scene(scene_path, SyntheticScene(extent=np.array([1000.0, 1000.0, 10.0])))
+        poses.write_text("0.3 2.4 1.44 0\n")
+        out = tmp_path / "o.ogrid"
+        splat = ["splat", "--gaussians", gset_path, "--grid-dims", "2000,2000,500", "--out", out]
+        stream = ["stream", "--scene", scene_path, "--poses", poses, "--out-grid", out]
+        for argv, source in ((splat, "grid-dims"), (stream, scene_path)):
+            code = main([str(a) for a in argv])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith(f"error: {source}: "), err
+            assert str(2**24) in err[0] and not out.exists()
+
+    def test_voxel_budget_is_inclusive(self):
+        assert cli._budgeted("grid-dims", so.GridSpec((256, 256, 256), 0.08, np.zeros(3)))
+        with pytest.raises(ValueError, match="grid-dims: 16842752 voxels exceed"):
+            cli._budgeted("grid-dims", so.GridSpec((256, 256, 257), 0.08, np.zeros(3)))
+
     def test_nonfinite_setting_is_one_line_error(self, tmp_path, capsys):
         # Each value used to write a set that failed to load or splatted to nothing.
         _, depth_path, cmap_path = _render_room(tmp_path, capsys)
@@ -505,6 +540,30 @@ def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, command, flag):
     assert not (tmp_path / "out").exists()
 
 
+def test_camera_flag_value_is_checked_by_its_flag(tmp_path, capsys):
+    argv = _command_argv("render", _valid_inputs(tmp_path), tmp_path / "out")
+    for flag, value, name in (("fx", "-5", "finite float > 0"), ("cy", "inf", "finite float"),
+                              ("width", "0", "int >= 1")):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv + [f"--{flag}={value}"]])
+        assert exc.value.code == 2
+        assert f"argument --{flag}: invalid {name} value: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_camera_flags_need_pose(tmp_path, capsys):
+    ok = _valid_inputs(tmp_path)
+    evaluate = ["eval", "--pred", ok["ogrid"], "--gt", ok["ogrid"]]
+    code = main([str(a) for a in evaluate + ["--fx=300", "--width", "64"]])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "--fx --width" in err[0] and "--pose" in err[0], err
+    # One config file serves every command, so its camera keys stay allowed.
+    (tmp_path / "cam.cfg").write_text("fx = 300\nwidth = 64\n")
+    assert main([str(a) for a in evaluate + ["--config", tmp_path / "cam.cfg"]]) == 0
+
+
 def test_eval_takes_exactly_one_ground_truth(tmp_path, capsys):
     ok = _valid_inputs(tmp_path)
     for gt in (["--gt", ok["ogrid"], "--gt-scene", ok["json"]], []):
@@ -581,6 +640,10 @@ def _valid_inputs(tmp_path):
     + [
         pytest.param("cfg", "k = 8\nnot a pair\n", ["line 2", "key = value"], id="cfg-no-equals"),
         pytest.param("cfg", "k = 8.5\n", ["k = '8.5' is not int"], id="cfg-float-for-int"),
+        pytest.param("cfg", "fx = -5\n", ["fx = '-5' is not finite float > 0"],
+                     id="cfg-fx-negative"),
+        pytest.param("json", '{"extent": [4, 4.8, 2.88], "shell_thickness": 0.48, '
+                     '"wall_label": 5}', ["'wall_label' must be 3"], id="json-wall-label"),
         pytest.param("cfg", "grid-dims = 4,x,6\n", ["grid-dims = '4,x,6' is not three ints"],
                      id="cfg-grid-dims-not-ints"),
         pytest.param("cfg", "grid-origin = 0,0\n", ["grid-origin = '0,0' is not three floats"],
@@ -630,6 +693,7 @@ def test_malformed_input_is_one_line_naming_its_source(tmp_path, capsys, kind, f
         "gset": ["prune", "--gaussians", bad, "--out", out],
         "ogrid": ["eval", "--pred", bad, "--gt", ok["ogrid"]],
         "cfg": ["gen-scene", "--config", bad, "--out", out],
+        "json": ["render", "--scene", bad, "--pose", "0.3,2.4,1.44", "--out", out],
         "poses": ["stream", "--scene", ok["json"], "--poses", bad, "--out-grid", out],
     }[kind]
     code = main([str(a) for a in argv])

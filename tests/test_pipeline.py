@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import splatocc as so
+from splatocc.scenes import WALL_LABEL
 
 
 # Coverage-oriented settings used by the synthetic-room checks: constant
@@ -44,7 +45,7 @@ class TestRunMonocular:
         assert report.iou >= 0.9
         occupied = pred.labels[mask]
         wall_voxels = occupied[occupied > 0]
-        assert wall_voxels.size and np.all(wall_voxels == scene.wall_label)
+        assert wall_voxels.size and np.all(wall_voxels == WALL_LABEL)
 
     def test_all_invalid_depth_yields_empty_grid(self):
         cam = so.standard_camera([0.0, 0.0, 1.0], width=16, height=12)

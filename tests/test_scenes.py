@@ -1,11 +1,14 @@
 """Synthetic scenes: analytic depth rendering against an independent slab
 oracle, and exact ground-truth voxelization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import splatocc as so
-from splatocc.scenes import Box, SyntheticScene, WallPatch
+from splatocc.scenes import (CEILING_LABEL, FLOOR_LABEL, WALL_LABEL, Box, SyntheticScene,
+                             WallPatch)
 
 from oracles import slab_ray_box
 
@@ -23,7 +26,7 @@ class TestRenderDepth:
         depth, classes = so.render_depth(scene, cam)
         cy, cx = cam.height // 2, cam.width // 2
         assert depth.values[cy, cx] == pytest.approx(3.0, abs=1e-12)
-        assert classes[cy, cx] == scene.wall_label
+        assert classes[cy, cx] == WALL_LABEL
 
     def test_camera_outside_facing_away_misses(self):
         scene = simple_room()
@@ -38,7 +41,7 @@ class TestRenderDepth:
         depth, classes = so.render_depth(scene, cam)
         cy, cx = cam.height // 2, cam.width // 2
         assert depth.values[cy, cx] == pytest.approx(2.0 - scene.shell_thickness, abs=1e-12)
-        assert classes[cy, cx] == scene.wall_label
+        assert classes[cy, cx] == WALL_LABEL
 
     def test_camera_in_shell_rejected(self):
         scene = simple_room()
@@ -63,7 +66,7 @@ class TestRenderDepth:
         cy, cx = cam.height // 2, cam.width // 2
         assert classes[cy, cx] == 4  # hit lands at (y, z) = (2.4, 1.44), inside the rect
         assert depth.values[cy, cx] == pytest.approx(3.5, abs=1e-12)
-        assert scene.wall_label in np.unique(classes)
+        assert WALL_LABEL in np.unique(classes)
 
     def test_matches_independent_slab_oracle(self):
         rng = np.random.default_rng(34)
@@ -96,6 +99,78 @@ class TestRenderDepth:
                 assert depth.values[v, u] == pytest.approx(min(hits), abs=1e-9)
 
 
+def random_patched_scene(rng):
+    """Non-quantized room with two patches on each of the six faces (they
+    often overlap, and often reach past the face into the floor or ceiling
+    band) and two disjoint boxes in the far part of the room."""
+    extent = rng.uniform([3.0, 3.0, 2.4], [5.0, 5.0, 3.2])
+    shell = float(rng.uniform(0.3, 0.6))
+    patches = []
+    for axis in (0, 1, 2):
+        span = extent[[a for a in (0, 1, 2) if a != axis]]
+        for side in ("min", "max"):
+            for _ in range(2):
+                lo = rng.uniform(-shell, 0.7 * span)
+                hi = lo + rng.uniform(0.4, 0.6 * span + shell)
+                patches.append(WallPatch(axis=axis, side=side, lo=tuple(lo), hi=tuple(hi),
+                                         label=int(rng.choice([4, 5, 9, 10, 11]))))
+    boxes = tuple(
+        Box(lo, lo + rng.uniform([0.05, 0.2, 0.2], [0.15, 0.5, 0.5]) * extent,
+            label=int(rng.integers(6, 9)))
+        for lo in (rng.uniform([x0, 0.1, 0.1], [x0, 0.4, 0.4]) * extent for x0 in (0.4, 0.6))
+    )
+    return SyntheticScene(extent=extent, shell_thickness=shell, boxes=boxes,
+                          patches=tuple(patches))
+
+
+def random_cameras(rng, scene):
+    """One camera in the near part of the interior, looking roughly along +x,
+    and one outside the shell, looking at the room from a random side and
+    height; 48 x 36 px."""
+    ext = scene.extent
+    inside = rng.uniform([0.05, 0.1, 0.1], [0.3, 0.9, 0.9]) * ext
+    phi = rng.uniform(0, 2 * np.pi)
+    outside = np.append(ext[:2] / 2 + rng.uniform(5.0, 7.0) * np.array([np.cos(phi), np.sin(phi)]),
+                        rng.uniform(-1.5, ext[2] + 1.5))
+    yaw = np.rad2deg(phi) + 180.0 + rng.uniform(-15, 15)
+    return [so.standard_camera(pos, yaw_deg=float(y), width=48, height=36, focal=30.0)
+            for pos, y in ((inside, rng.uniform(-70, 70)), (outside, yaw))]
+
+
+class TestRenderMatchesOracle:
+    def test_every_hit_pixel_carries_the_oracle_label(self):
+        # Probe the oracle with one tiny voxel 1e-7 past each hit along its
+        # ray, so it lies inside the struck solid.
+        rng = np.random.default_rng(2024)
+        checked, mismatched = 0, []
+        for _ in range(4):
+            scene = random_patched_scene(rng)
+            for cam in random_cameras(rng, scene):
+                depth, classes = so.render_depth(scene, cam)
+                pix = np.stack(np.meshgrid(np.arange(48), np.arange(36)), axis=-1).astype(float)
+                dirs = cam.pose.rotate(so.ray_direction(cam, pix))
+                for v, u in zip(*np.nonzero(depth.valid_mask())):
+                    probe = cam.position + (depth.values[v, u] + 1e-7) * dirs[v, u]
+                    spec = so.GridSpec((1, 1, 1), 1e-8, probe - 0.5e-8, 12)
+                    truth = so.oracle_occupancy(scene, spec).labels[0, 0, 0]
+                    checked += 1
+                    if truth != classes[v, u]:
+                        mismatched.append((tuple(probe), int(classes[v, u]), int(truth)))
+        assert checked > 8000
+        assert not mismatched, (len(mismatched), mismatched[:5])
+
+    def test_missed_rays_raise_no_warning(self):
+        patch = WallPatch(axis=0, side="min", lo=(1.0, 0.5), hi=(3.0, 2.0), label=9)
+        scene = simple_room(patches=(patch,))
+        cam = so.standard_camera([-3.0, 2.4, 1.44], width=48, height=36, focal=12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depth, classes = so.render_depth(scene, cam)
+        valid = depth.valid_mask()
+        assert valid.any() and not valid.all()
+        assert 9 in classes and np.all(classes[~valid] == 0)
+
+
 class TestOracleOccupancy:
     def test_box_spanning_eight_voxels(self):
         spec = so.GridSpec((10, 10, 10), 0.08, np.zeros(3), 12)
@@ -118,13 +193,13 @@ class TestOracleOccupancy:
         spec = so.scene_grid(scene)
         grid = so.oracle_occupancy(scene, spec)
         lab = np.unique(grid.labels)
-        assert {0, scene.floor_label, scene.ceiling_label, scene.wall_label} <= set(lab)
+        assert {0, FLOOR_LABEL, CEILING_LABEL, WALL_LABEL} <= set(lab)
         centers = spec.voxel_centers().reshape(spec.dims + (3,))
         below = centers[..., 2] < 0
         in_outer = np.all(
             (centers >= scene.outer_min) & (centers <= scene.outer_max), axis=-1
         )
-        assert np.all(grid.labels[below & in_outer] == scene.floor_label)
+        assert np.all(grid.labels[below & in_outer] == FLOOR_LABEL)
 
     def test_overlapping_boxes_later_wins(self):
         outer = Box(np.array([1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0]), label=5)
