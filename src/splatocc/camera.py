@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME
+from .gaussians import CAMERA_FRAME, GaussianSet, WORLD_FRAME
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,8 @@ def to_world(cam: CameraModel, gset: GaussianSet) -> GaussianSet:
     opacities and logits are untouched, so covariance eigenvalues are
     preserved.
     """
+    if gset.frame != CAMERA_FRAME:
+        raise ValueError("to_world requires a camera-frame GaussianSet")
     rot = cam.pose.rotation
     # Sigma R^T, then its per-member transpose R Sigma times R^T, as two BLAS
     # products; the upper triangle is mirrored so rounding leaves it symmetric.

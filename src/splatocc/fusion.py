@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME, softmax
+from .gaussians import GaussianSet, WORLD_FRAME
 from .spatial_hash import SpatialHashGrid
 
 # Incoming Gaussians matched per batch; bounds the (query, candidate) pair
@@ -60,9 +60,16 @@ class FusionStats:
     inserted: int
 
 
+def _top1(logits) -> np.ndarray:
+    """Per-row max softmax probability as 1 / sum(exp(z - max z)), bit-identical
+    to the largest entry of the softmax: the top class's term is exp(0) = 1,
+    and correctly rounded division keeps every other entry at or below 1/sum."""
+    return 1.0 / np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1)
+
+
 def top1_confidence(gset: GaussianSet) -> np.ndarray:
     """Per-member max softmax probability of the class logits."""
-    return softmax(gset.logits).max(axis=-1)
+    return _top1(gset.logits)
 
 
 def _attributes(src, rows):
@@ -94,12 +101,11 @@ class GaussianMemoryBank:
     @classmethod
     def from_set(cls, gset: GaussianSet, config: FusionConfig = FusionConfig()):
         """Restore a bank from a checkpointed world-frame GaussianSet."""
+        if gset.frame != WORLD_FRAME:
+            raise ValueError("bank checkpoints must be world frame")
         bank = cls(gset.num_classes, config)
-        if len(gset):
-            if gset.frame != WORLD_FRAME:
-                raise ValueError("bank checkpoints must be world frame")
-            bank._append(gset.means, gset.cov, gset.opacities, gset.logits)
-            bank._index.insert_many(np.arange(len(bank)), bank.means)
+        bank._append(gset.means, gset.cov, gset.opacities, gset.logits)
+        bank._index.insert_many(np.arange(len(bank)), bank.means)
         return bank
 
     def __len__(self) -> int:
@@ -192,22 +198,21 @@ class GaussianMemoryBank:
         matched = anchors >= 0
         n_matched = int(np.count_nonzero(matched))
 
-        if n_matched:
-            gamma = self.config.gamma
-            ua, slot = np.unique(anchors[matched], return_inverse=True)
-            w_in = (1.0 - gamma) * top1_confidence(incoming)[matched]
-            w_mem = gamma * softmax(self.logits[ua]).max(axis=-1)
-            sum_w = np.zeros(ua.size)
-            np.add.at(sum_w, slot, w_in)
-            theta_in = w_in[:, None] * _attributes(incoming, matched)
-            sum_theta = np.zeros((ua.size, theta_in.shape[1]))
-            np.add.at(sum_theta, slot, theta_in)
-            fused = (w_mem[:, None] * _attributes(self, ua) + sum_theta) / (w_mem + sum_w)[:, None]
+        gamma = self.config.gamma
+        ua, slot = np.unique(anchors[matched], return_inverse=True)
+        w_in = (1.0 - gamma) * _top1(incoming.logits[matched])
+        w_mem = gamma * _top1(self.logits[ua])
+        sum_w = np.zeros(ua.size)
+        np.add.at(sum_w, slot, w_in)
+        theta_in = w_in[:, None] * _attributes(incoming, matched)
+        sum_theta = np.zeros((ua.size, theta_in.shape[1]))
+        np.add.at(sum_theta, slot, theta_in)
+        fused = (w_mem[:, None] * _attributes(self, ua) + sum_theta) / (w_mem + sum_w)[:, None]
 
-            self.means[ua] = fused[:, :3]
-            self.cov[ua] = fused[:, 3:12].reshape(-1, 3, 3)
-            self.opacities[ua] = fused[:, 12]
-            self.logits[ua] = fused[:, 13:]
+        self.means[ua] = fused[:, :3]
+        self.cov[ua] = fused[:, 3:12].reshape(-1, 3, 3)
+        self.opacities[ua] = fused[:, 12]
+        self.logits[ua] = fused[:, 13:]
 
         if n_in - n_matched:
             ins = ~matched

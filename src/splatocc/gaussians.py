@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions
-from .sampling import SampleBatch
 
 SCALE_FLOOR = 1e-4
 DEFAULT_PRUNE_TAU = 0.01
@@ -248,13 +247,11 @@ def heuristic_attributes_batch(
     sigma = sigma_factor * spacing, isotropic: the covariance is sigma^2 I.
     """
     labels = np.asarray(labels)
-    if labels.shape != (len(samples),):
-        raise ValueError("labels must have one entry per sample")
+    if labels.shape != (len(samples),) or labels.dtype.kind not in "iu":
+        raise ValueError("labels must be integer class ids, one per sample")
     if labels.size and (labels.min() < 1 or labels.max() > cfg.num_classes - 1):
         bad = labels[(labels < 1) | (labels > cfg.num_classes - 1)][0]
         raise ValueError(f"label {bad} outside valid range 1..{cfg.num_classes - 1}")
-    if not len(samples):
-        return GaussianSet.empty(cfg.num_classes, frame=CAMERA_FRAME)
     sigma = np.maximum(cfg.sigma_factor * samples.spacings, SCALE_FLOOR)
     opacities = cfg.base_opacity * np.exp(-cfg.opacity_decay * (samples.ks - 1))
     logits = np.zeros((len(samples), cfg.num_classes))

@@ -17,16 +17,21 @@ class UndefinedLossError(ValueError):
     """Every item was ignored or invalid; the mean loss is undefined."""
 
 
-def _valid_rows(targets, num_classes, ignore_index):
+def _kept(logits, targets, ignore_index):
+    """Checked float logits, the rows whose targets are not ``ignore_index``,
+    those rows' targets and their softmax."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2:
+        raise ValueError("logits must be (n_items, num_classes)")
     targets = np.asarray(targets)
-    if ignore_index is None:
-        valid = np.ones(targets.shape, dtype=bool)
-    else:
-        valid = targets != ignore_index
-    checked = targets[valid]
-    if checked.size and (checked.min() < 0 or checked.max() >= num_classes):
+    valid = np.ones(targets.shape, dtype=bool) if ignore_index is None else targets != ignore_index
+    kept = targets[valid]
+    if kept.size and (kept.min() < 0 or kept.max() >= logits.shape[1]):
         raise ValueError("targets must lie in [0, num_classes) or equal ignore_index")
-    return targets, valid
+    if kept.size == 0:
+        raise UndefinedLossError("all items ignored")
+    rows = np.flatnonzero(valid)
+    return logits, rows, kept, softmax(logits[rows])
 
 
 def focal_loss(logits, targets, gamma: float = 2.0, ignore_index=None):
@@ -35,18 +40,10 @@ def focal_loss(logits, targets, gamma: float = 2.0, ignore_index=None):
     gamma = 0 reduces exactly to mean cross-entropy. Ignored items contribute
     nothing to the value and have zero gradient rows.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError("logits must be (n_items, num_classes)")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    targets, valid = _valid_rows(targets, logits.shape[1], ignore_index)
-    rows = np.flatnonzero(valid)
-    if rows.size == 0:
-        raise UndefinedLossError("all items ignored")
-
-    p = softmax(logits[rows])
-    pt = p[np.arange(rows.size), targets[rows]]
+    logits, rows, kept, p = _kept(logits, targets, ignore_index)
+    pt = p[np.arange(rows.size), kept]
     one_minus = 1.0 - pt
     log_pt = np.log(pt)
     value = float(np.mean(-(one_minus ** gamma) * log_pt))
@@ -62,7 +59,7 @@ def focal_loss(logits, targets, gamma: float = 2.0, ignore_index=None):
         )
     coeff = lead - one_minus ** gamma
     onehot = np.zeros_like(p)
-    onehot[np.arange(rows.size), targets[rows]] = 1.0
+    onehot[np.arange(rows.size), kept] = 1.0
     grad = np.zeros_like(logits)
     grad[rows] = coeff[:, None] * (onehot - p) / rows.size
     return value, grad
@@ -86,16 +83,7 @@ def lovasz_softmax(logits, targets, ignore_index=None) -> float:
     gradient vector; classes absent from the targets are skipped and the
     result is the mean over the present ones. Always in [0, 1].
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError("logits must be (n_items, num_classes)")
-    targets, valid = _valid_rows(targets, logits.shape[1], ignore_index)
-    rows = np.flatnonzero(valid)
-    if rows.size == 0:
-        raise UndefinedLossError("all items ignored")
-
-    p = softmax(logits[rows])
-    kept = np.asarray(targets)[rows]
+    _, _, kept, p = _kept(logits, targets, ignore_index)
     losses = []
     for c in np.unique(kept):
         fg = (kept == c).astype(np.float64)

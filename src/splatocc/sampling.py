@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .camera import ray_direction
+
 
 @dataclass(frozen=True)
 class DepthMap:
@@ -95,8 +97,6 @@ def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig) -> SampleBatch:
     Output ordering is row-major over pixels with the k index innermost; an
     all-invalid depth map yields an empty batch.
     """
-    from .camera import ray_direction  # local import to avoid a cycle
-
     rows = np.arange(0, depth.height, cfg.stride)
     cols = np.arange(0, depth.width, cfg.stride)
     vv, uu = np.meshgrid(rows, cols, indexing="ij")

@@ -168,6 +168,8 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         raise ValueError(
             f"class count mismatch: set has {gset.num_classes}, grid {spec.num_classes}"
         )
+    if not 0.0 <= theta_occ <= 1.0:
+        raise ValueError("theta_occ must lie in [0, 1]")
 
     nv = spec.num_voxels
     log_free = np.zeros(nv)
@@ -213,16 +215,16 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         if source[c] == c:
             scattered.append(c)
 
-    # Boxes of one shape share an offset table; members keep set order.
-    # A shape packs into one key that sorts like the (sx, sy, sz) rows.
+    # Boxes of one shape share an offset table. One stable sort of a packed
+    # shape key, which sorts like the (sx, sy, sz) rows, groups them with
+    # members in set order; a group ends where the sorted key changes.
     ry, rz = spec.dims[1] + 1, spec.dims[2] + 1
-    keys, group = np.unique((spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2],
-                            return_inverse=True)
-    order = alive[np.argsort(group, kind="stable")]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(group))))
-    for key, begin, end in zip(keys.tolist(), bounds[:-1], bounds[1:]):
-        shape = (key // (ry * rz), key // rz % ry, key % rz)
-        offs = np.indices(shape).reshape(3, -1)
+    keys = (spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2]
+    by_key = np.argsort(keys, kind="stable")
+    order = alive[by_key]
+    bounds = np.append(np.flatnonzero(np.diff(keys[by_key], prepend=-1)), order.size)
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        offs = np.indices(spans[order[begin]]).reshape(3, -1)
         flat_offs = strides @ offs
         mono = _monomials(offs.astype(np.float64))
         chunk = max(1, _CHUNK_PAIRS // mono.shape[1])

@@ -156,6 +156,14 @@ class TestToWorld:
         np.testing.assert_allclose(out.means[0], g.means[0])
         np.testing.assert_allclose(out.cov[0], g.cov[0], atol=1e-12)
 
+    def test_world_frame_set_rejected(self):
+        # Its pose is already applied; mapping it again would move it.
+        g = so.GaussianSet([0, 0, 0], [0.1, 0.1, 0.1], [1, 0, 0, 0], 0.5, np.zeros(4),
+                           frame="world")
+        cam = unit_cam(pose=so.RigidTransform(np.eye(3), np.array([1.0, 2.0, 1.0])))
+        with pytest.raises(ValueError, match="camera-frame"):
+            so.to_world(cam, g)
+
     def test_pure_translation(self):
         g = so.GaussianSet([0, 0, 0], [0.1, 0.2, 0.3], [1, 0, 0, 0], 0.5, np.zeros(4))
         cam = unit_cam(pose=so.RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0])))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import splatocc as so
-from splatocc.gaussians import GaussianSet
+from splatocc.gaussians import GaussianSet, softmax
 from splatocc.spatial_hash import SpatialHashGrid
 
 from oracles import linear_nearest_within, linear_radius_scan
@@ -132,6 +132,15 @@ class TestTop1Confidence:
     def test_set_vectorized(self):
         gset = make_set([[0, 0, 0], [1, 1, 1]], logits=np.array([saturated_logits(2), np.zeros(12)]))
         np.testing.assert_allclose(so.top1_confidence(gset), [1.0, 1 / 12], atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1000.0])
+    def test_bit_identical_to_softmax_max(self, scale):
+        rng = np.random.default_rng(15)
+        logits = scale * rng.normal(size=(3000, 12))
+        logits[::7, 5] = logits[::7].max(axis=1)     # two-way ties for the top class
+        logits[::11] = logits[::11, :1]              # every class tied
+        gset = make_set(np.zeros((len(logits), 3)), logits=logits)
+        assert np.array_equal(so.top1_confidence(gset), softmax(logits).max(axis=-1))
 
 
 class TestFuseFrame:
@@ -323,6 +332,12 @@ class TestFuseFrame:
             bank.fuse_frame(GaussianSet.empty(12, frame="camera"))
         with pytest.raises(ValueError, match="class count"):
             bank.fuse_frame(GaussianSet.empty(6, frame="world"))
+
+    def test_empty_checkpoint_frame_is_checked(self):
+        with pytest.raises(ValueError, match="world"):
+            so.GaussianMemoryBank.from_set(GaussianSet.empty(4, frame="camera"))
+        bank = so.GaussianMemoryBank.from_set(GaussianSet.empty(4, frame="world"))
+        assert len(bank) == 0 and bank.logits.shape == (0, 4)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

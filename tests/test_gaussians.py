@@ -243,6 +243,24 @@ class TestHeuristicAttributes:
             )
             np.testing.assert_array_equal(gset.logits[i], one_hot)
 
+    def test_empty_batch_gives_empty_camera_set(self):
+        depth = so.DepthMap(np.full((4, 4), np.nan))
+        cam = so.CameraModel(fx=40, fy=40, cx=2, cy=2, width=4, height=4)
+        batch = so.volumetric_sample(depth, cam, so.SamplingConfig(k=3, scale=0.3, stride=1))
+        classes = np.full((4, 4), 3, dtype=np.uint8)
+        labels = classes[batch.pixels[:, 1].astype(np.int64), batch.pixels[:, 0].astype(np.int64)]
+        gset = so.heuristic_attributes_batch(batch, labels)
+        assert len(batch) == 0 and gset.frame == "camera"
+        assert (gset.means.shape, gset.cov.shape, gset.opacities.shape, gset.logits.shape) == (
+            (0, 3), (0, 3, 3), (0,), (0, 12))
+        assert {a.dtype for a in (gset.means, gset.cov, gset.opacities, gset.logits)} == {
+            np.dtype(np.float64)}
+
+    def test_non_integer_labels_rejected(self):
+        s = sample_row(1, np.ones(3), 0.05)
+        with pytest.raises(ValueError, match="integer"):
+            so.heuristic_attributes_batch(s, [2.0])
+
 
 class TestGaussianTypes:
     def test_opacity_bounds_enforced(self):

@@ -118,6 +118,17 @@ class TestSplat:
         with pytest.raises(ValueError, match="world"):
             so.splat(gset, small_spec())
 
+    @pytest.mark.parametrize("theta_occ", [np.nan, -0.1, 1.1])
+    def test_theta_occ_outside_unit_interval_rejected(self, theta_occ):
+        gset = single(np.full(3, 0.8), 0.05, 0.9, {2: 5.0})
+        with pytest.raises(ValueError, match=r"theta_occ must lie in \[0, 1\]"):
+            so.splat(gset, small_spec(), theta_occ=theta_occ)
+
+    def test_theta_occ_bounds_accepted(self):
+        gset = single(np.full(3, 0.85), 0.05, 0.9, {2: 5.0})
+        assert so.splat(gset, small_spec(), theta_occ=0.0).labels[8, 8, 8] == 2
+        assert not so.splat(gset, small_spec(), theta_occ=1.0).labels.any()
+
     def test_class_count_mismatch_rejected(self):
         gset = so.GaussianSet.empty(6, frame="world")
         with pytest.raises(ValueError, match="class count"):
