@@ -122,6 +122,12 @@ class GaussianMemoryBank:
         return GaussianSet._of(self.means.copy(), self.cov.copy(), self.opacities.copy(),
                                self.logits.copy(), WORLD_FRAME)
 
+    def _members(self) -> GaussianSet:
+        """Read-only views of the bank's arrays, which stay writable: no copy and,
+        unlike ``to_set``, no snapshot, so valid only until the next fuse."""
+        return GaussianSet._of(self.means.view(), self.cov.view(), self.opacities.view(),
+                               self.logits.view(), WORLD_FRAME)
+
     def _append(self, means, cov, opacities, logits) -> None:
         self.means = np.concatenate([self.means, means])
         self.cov = np.concatenate([self.cov, cov])

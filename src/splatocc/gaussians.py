@@ -146,8 +146,9 @@ def softmax(logits) -> np.ndarray:
     """Class probabilities: softmax over the last axis of ``logits``."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def factor_covariances(cov):

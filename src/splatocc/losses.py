@@ -24,6 +24,9 @@ def _kept(logits, targets, ignore_index):
     if logits.ndim != 2:
         raise ValueError("logits must be (n_items, num_classes)")
     targets = np.asarray(targets)
+    if targets.shape != logits.shape[:1]:
+        raise ValueError(f"targets must hold one entry per logits row ({logits.shape[0]}), "
+                         f"got shape {targets.shape}")
     valid = np.ones(targets.shape, dtype=bool) if ignore_index is None else targets != ignore_index
     kept = targets[valid]
     if kept.size and (kept.min() < 0 or kept.max() >= logits.shape[1]):

@@ -12,6 +12,10 @@ from .splatting import GridSpec, OccupancyGrid
 DEFAULT_NEAR = 0.01
 DEFAULT_FAR = 10.0
 
+# Voxel centers projected per block, so frustum_mask's temporaries stay a few
+# MB on scene grids; rows of a matrix product do not depend on the block.
+_MASK_BLOCK = 65536
+
 # Semantic class ids 1..11 plus 0 = empty.
 CLASS_NAMES = (
     "empty", "ceiling", "floor", "wall", "window", "chair", "bed",
@@ -62,18 +66,20 @@ def frustum_mask(spec: GridSpec, cam: CameraModel, near: float = DEFAULT_NEAR,
     if not 0 < near < far:
         raise ValueError("need 0 < near < far")
     centers = spec.voxel_centers()
-    local = (centers - cam.pose.translation) @ cam.pose.rotation
-    z = local[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = cam.fx * local[..., 0] / z + cam.cx
-        v = cam.fy * local[..., 1] / z + cam.cy
-    dist = np.linalg.norm(local, axis=-1)
-    ok = (
-        (z > 0)
-        & (u >= 0) & (u < cam.width)
-        & (v >= 0) & (v < cam.height)
-        & (dist >= near) & (dist <= far)
-    )
+    ok = np.empty(len(centers), dtype=bool)
+    for start in range(0, len(centers), _MASK_BLOCK):
+        local = (centers[start:start + _MASK_BLOCK] - cam.pose.translation) @ cam.pose.rotation
+        z = local[..., 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = cam.fx * local[..., 0] / z + cam.cx
+            v = cam.fy * local[..., 1] / z + cam.cy
+        dist = np.linalg.norm(local, axis=-1)
+        ok[start:start + _MASK_BLOCK] = (
+            (z > 0)
+            & (u >= 0) & (u < cam.width)
+            & (v >= 0) & (v < cam.height)
+            & (dist >= near) & (dist <= far)
+        )
     return ok.reshape(spec.dims)
 
 

@@ -95,10 +95,12 @@ def run_monocular(depth: DepthMap, classes: np.ndarray, cam: CameraModel,
 def run_streaming(frames, grid: GridSpec, cfg: PipelineConfig = PipelineConfig()):
     """Fuse a temporally ordered sequence of (depth, class map, camera)
     frames into a memory bank, then splat the bank into the scene grid.
+    The splat reads the bank's arrays through read-only views; it does not
+    copy the bank, as ``bank.to_set()`` would.
 
     Returns (bank, occupancy grid).
     """
     bank = GaussianMemoryBank(cfg.attributes.num_classes, cfg.fusion)
     for depth, classes, cam in frames:
         bank.fuse_frame(frame_gaussians(depth, classes, cam, cfg))
-    return bank, splat(bank.to_set(), grid, theta_occ=cfg.theta_occ)
+    return bank, splat(bank._members(), grid, theta_occ=cfg.theta_occ)

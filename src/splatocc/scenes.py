@@ -41,8 +41,8 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.min_corner, dtype=np.float64)
         hi = np.asarray(self.max_corner, dtype=np.float64)
-        if lo.shape != (3,) or hi.shape != (3,) or np.any(hi <= lo):
-            raise ValueError("box corners must be 3-vectors with max > min")
+        if lo.shape != (3,) or hi.shape != (3,) or not np.all(np.isfinite([lo, hi]) & (hi > lo)):
+            raise ValueError("box corners must be finite 3-vectors with max > min")
         if self.label < 1:
             raise ValueError("box label must be a semantic class >= 1")
         lo.flags.writeable = False
@@ -69,6 +69,8 @@ class WallPatch:
     def __post_init__(self):
         if self.axis not in (0, 1, 2) or self.side not in ("min", "max"):
             raise ValueError("axis must be 0..2 and side 'min' or 'max'")
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("patch bounds must be finite")
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise ValueError("patch rectangle must have positive area")
 
@@ -82,8 +84,8 @@ class SyntheticScene:
 
     def __post_init__(self):
         extent = np.asarray(self.extent, dtype=np.float64)
-        if extent.shape != (3,) or np.any(extent <= 0):
-            raise ValueError("extent must be a positive 3-vector")
+        if extent.shape != (3,) or not np.all(np.isfinite(extent) & (extent > 0)):
+            raise ValueError("extent must be three finite lengths > 0")
         if not self.shell_thickness > 0:
             raise ValueError("shell_thickness must be > 0")
         for box in self.boxes:

@@ -7,7 +7,7 @@ The occupancy score uses the complement product
 
 which is bounded in [0, 1], monotone under adding Gaussians, and reduces to
 a * g for a single kernel. Semantics accumulate opacity-weighted softmax
-masses per class, scattered once per distinct softmax column (one-hot logits
+masses per class, in one mass row per distinct softmax column (one-hot logits
 make most classes share one); the voxel label is the argmax over semantic
 classes (ties go to the lowest class id) when the score clears ``theta_occ``,
 otherwise 0 (empty).
@@ -24,6 +24,10 @@ integer voxel offset o from the box corner, m2(o) = c0 + b.o + o'Mo, with
 M = voxel_size^2 Sigma^-1 from ``gaussians.inverse_covariances``. The ten
 coefficients per Gaussian are computed once, so boxes of one shape need one
 matrix product of them with the shape's table of offset monomials.
+
+The working set is bounded: pairs are evaluated in chunks of at most
+``_CHUNK_PAIRS``, whose scratch arrays are allocated once per call and
+refilled in place, and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ SPLAT_CUTOFF = 7.0
 _INDEX_GUARD = 1e-9
 
 # Cap on scratch (gaussian, voxel) pairs processed per vectorized chunk.
-_CHUNK_PAIRS = 4_000_000
+_CHUNK_PAIRS = 512_000
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,7 @@ class GridSpec:
         """All voxel centers, flat (num_voxels, 3), C order (z fastest)."""
         axes = [self.origin[a] + (np.arange(self.dims[a]) + 0.5) * self.voxel_size
                 for a in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, 3)
 
 
 @dataclass
@@ -125,15 +128,14 @@ class OccupancyGrid:
 
 
 def _cull_bounds(means, radii, spec: GridSpec):
-    """Half-open index boxes of voxel centers within per-axis radii of means.
-
-    Vectorized over rows; boxes are not yet clipped to the grid.
-    """
+    """Index boxes of voxel centers within per-axis radii of means, clipped
+    to the grid: (lowest index, span) per row and axis, a span <= 0 where a
+    box misses the grid."""
     t = (means - spec.origin) / spec.voxel_size - 0.5
     r = radii / spec.voxel_size
-    lo = np.ceil(t - r - _INDEX_GUARD).astype(np.int64)
-    hi = np.floor(t + r + _INDEX_GUARD).astype(np.int64) + 1
-    return lo, hi
+    dims = np.asarray(spec.dims)
+    lo = np.clip(np.ceil(t - r - _INDEX_GUARD).astype(np.int64), 0, dims)
+    return lo, np.clip(np.floor(t + r + _INDEX_GUARD).astype(np.int64) + 1, 0, dims) - lo
 
 
 def _monomials(offs: np.ndarray) -> np.ndarray:
@@ -142,6 +144,28 @@ def _monomials(offs: np.ndarray) -> np.ndarray:
     ox, oy, oz = offs
     return np.stack((np.ones_like(ox), ox, oy, oz, ox * ox, oy * oy, oz * oz,
                      ox * oy, ox * oz, oy * oz))
+
+
+def _coefficients(gset: GaussianSet, lo, spec: GridSpec) -> np.ndarray:
+    """(n, 10) quadratic-form coefficients of each member's box, in the order
+    of ``_monomials``.
+
+    The center of voxel lo + o lies at corner + voxel_size * o from the mean
+    for an integer offset o, so with P = Sigma^-1 its squared Mahalanobis
+    distance is m2(o) = c0 + b.o + o'Mo with c0 = corner' P corner,
+    b = 2 voxel_size P corner and M = voxel_size^2 P.
+    """
+    prec = inverse_covariances(gset.cov)
+    corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
+    pc = np.einsum("nij,nj->ni", prec, corner)
+    coef = np.empty((len(prec), 10))
+    coef[:, 0] = np.einsum("ni,ni->n", corner, pc)
+    coef[:, 1:4] = 2.0 * spec.voxel_size * pc
+    # M's diagonal, then its off-diagonal entries doubled, as o'Mo counts each twice.
+    np.multiply(spec.voxel_size * spec.voxel_size, prec[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]],
+                out=coef[:, 4:])
+    coef[:, 7:] *= 2.0
+    return coef
 
 
 def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OCC,
@@ -153,10 +177,11 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     monomials and are evaluated together in chunks of at most
     ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs: a chunk's squared Mahalanobis
     distances are its (rows, 10) quadratic-form coefficients times that
-    (10, voxels) table, without materialising voxel centers. Pairs within
-    ``SPLAT_CUTOFF`` Mahalanobis units scatter into the grid with one
-    bincount for the score and one per distinct softmax column; classes
-    that share a column copy its masses. Results agree with an unculled
+    (10, voxels) table, written with its cutoff mask, flat voxel indices and
+    kept pairs into buffers allocated once per call. Kept pairs scatter into
+    the grid with one bincount for the score and one per distinct softmax
+    column, into that column's one mass row; a label maps its argmax row
+    back to the column's lowest semantic class. Results agree with an unculled
     brute-force evaluation to well below 1e-6 even for thousands of kernels.
     ``keep_masses`` also returns the per-class masses, shaped
     ``spec.dims + (num_classes,)``; without it the class-0 (empty) mass,
@@ -172,48 +197,30 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         raise ValueError("theta_occ must lie in [0, 1]")
 
     nv = spec.num_voxels
-    log_free = np.zeros(nv)
-    # Class-major, like soft below, so each class's scatter reads and adds
-    # contiguous rows.
-    masses = np.zeros((spec.num_classes, nv))
-
-    dims = np.asarray(spec.dims)
-    extent = np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2))
-    lo, hi = _cull_bounds(gset.means, SPLAT_CUTOFF * extent, spec)
-    lo = np.clip(lo, 0, dims)
-    spans = np.clip(hi, 0, dims) - lo
+    lo, spans = _cull_bounds(gset.means,
+                             SPLAT_CUTOFF * np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2)), spec)
     alive = np.flatnonzero(np.all(spans > 0, axis=1))
-
-    # Quadratic-form coefficients: the center of voxel lo + o lies at
-    # corner + voxel_size * o from the mean for an integer offset o, so
-    # with P = Sigma^-1 its squared Mahalanobis distance is
-    # m2(o) = c0 + b.o + o'Mo with c0 = corner' P corner,
-    # b = 2 voxel_size P corner and M = voxel_size^2 P. coef holds these
-    # ten numbers per Gaussian in the order of _monomials.
-    prec = inverse_covariances(gset.cov)
-    corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
-    pc = np.einsum("nij,nj->ni", prec, corner)
-    quad = spec.voxel_size * spec.voxel_size * prec
-    coef = np.column_stack((
-        np.einsum("ni,ni->n", corner, pc),
-        2.0 * spec.voxel_size * pc,
-        quad[:, 0, 0], quad[:, 1, 1], quad[:, 2, 2],
-        2.0 * quad[:, 0, 1], 2.0 * quad[:, 0, 2], 2.0 * quad[:, 1, 2],
-    ))
-    soft = np.ascontiguousarray(softmax(gset.logits).T)
+    coef = _coefficients(gset, lo, spec)
     strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
     base = lo @ strides
-    cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
-    # Labels read only the semantic classes; class 0 is scattered only
-    # when the caller asks for the masses.
-    classes = range(0 if keep_masses else 1, spec.num_classes)
-    # Classes with bit-identical columns get bit-identical masses: only the
-    # first of them is scattered, and the others copy it after the loop.
-    scattered, source = [], {}
-    for c in classes:
-        source[c] = next((s for s in scattered if np.array_equal(soft[s], soft[c])), c)
-        if source[c] == c:
+    del lo
+
+    # One mass row per distinct softmax column: a class whose column is
+    # bit-identical to an earlier one's gets bit-identical masses, so it
+    # reads that row. Semantic classes come first, in class order; class 0,
+    # which labels never read, gets a row only when the caller asks for the
+    # masses, and then last.
+    soft = softmax(gset.logits).T
+    scattered, row = [], {}
+    for c in [*range(1, spec.num_classes), *([0] if keep_masses else [])]:
+        row[c] = next((i for i, s in enumerate(scattered) if np.array_equal(soft[s], soft[c])),
+                      len(scattered))
+        if row[c] == len(scattered):
             scattered.append(c)
+    soft = soft[scattered]
+    mass = np.zeros((len(scattered), nv))
+    log_free = np.zeros(nv)
+    cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
 
     # Boxes of one shape share an offset table. One stable sort of a packed
     # shape key, which sorts like the (sx, sy, sz) rows, groups them with
@@ -223,46 +230,59 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     by_key = np.argsort(keys, kind="stable")
     order = alive[by_key]
     bounds = np.append(np.flatnonzero(np.diff(keys[by_key], prepend=-1)), order.size)
-    for begin, end in zip(bounds[:-1], bounds[1:]):
+    volumes = np.prod(spans[order[bounds[:-1]]], axis=1)
+    chunks = np.minimum(np.diff(bounds), np.maximum(1, _CHUNK_PAIRS // volumes))
+    cap = int(np.max(chunks * volumes, initial=0))
+    # The weights of a chunk reuse its m2 buffer: m2 is spent once its kept
+    # pairs are gathered out.
+    m2_buf, ok_buf, flat_buf = np.empty(cap), np.empty(cap, dtype=bool), np.empty(cap, np.int64)
+    kept_buf, kept_flat_buf = np.empty(cap), np.empty(cap, np.int64)
+    for begin, end, chunk in zip(bounds[:-1], bounds[1:], chunks):
         offs = np.indices(spans[order[begin]]).reshape(3, -1)
         flat_offs = strides @ offs
         mono = _monomials(offs.astype(np.float64))
-        chunk = max(1, _CHUNK_PAIRS // mono.shape[1])
         for start in range(begin, end, chunk):
             rows = order[start:min(start + chunk, end)]
-            m2 = coef[rows] @ mono
-            ok = m2 <= cutoff_sq
-            if not ok.any():
-                continue
+            size = rows.size * mono.shape[1]
+            m2 = np.matmul(coef[rows], mono, out=m2_buf[:size].reshape(rows.size, -1))
+            ok = np.less_equal(m2, cutoff_sq, out=ok_buf[:size].reshape(m2.shape))
             # Kept pairs stay in row order, so per-Gaussian values reach
             # them by repeating each row's value once per kept pair.
             per_row = np.count_nonzero(ok, axis=1)
-            flat = (base[rows][:, None] + flat_offs)[ok]
+            k = int(per_row.sum())
+            if not k:
+                continue
+            flat = np.add(base[rows][:, None], flat_offs, out=flat_buf[:size].reshape(m2.shape))
+            # Under its default mode "raise", take copies through a scratch
+            # array; idx is in range, so "clip" never clips.
+            idx = np.flatnonzero(ok)
+            flat = np.take(flat.ravel(), idx, out=kept_flat_buf[:k], mode="clip")
+            kept = np.take(m2.ravel(), idx, out=kept_buf[:k], mode="clip")
+            weights = m2_buf[:k]
             # Rounding can take m2 a hair below 0 next to the mean, which
             # would push an opacity-1 kernel above 1 and log1p to NaN.
-            kept = np.maximum(m2[ok], 0.0)
+            np.maximum(kept, 0.0, out=kept)
             kept *= -0.5
             np.exp(kept, out=kept)
             kept *= np.repeat(gset.opacities[rows], per_row)
             with np.errstate(divide="ignore"):
-                log_free += np.bincount(flat, weights=np.log1p(-kept), minlength=nv)
-            for c in scattered:
-                weights = kept * np.repeat(soft[c, rows], per_row)
-                masses[c] += np.bincount(flat, weights=weights, minlength=nv)
-    for c, s in source.items():
-        if s != c:
-            masses[c] = masses[s]
+                np.log1p(np.negative(kept, out=weights), out=weights)
+            log_free += np.bincount(flat, weights=weights, minlength=nv)
+            for i in range(len(scattered)):
+                np.multiply(kept, np.repeat(soft[i, rows], per_row), out=weights)
+                mass[i] += np.bincount(flat, weights=weights, minlength=nv)
 
     scores = 1.0 - np.exp(log_free)
-    semantic = masses[1:]
+    semantic = mass[:len(scattered) - (scattered[-1] == 0)]
     labels = np.where(
         (scores >= theta_occ) & (semantic.max(axis=0) > 0),
-        np.argmax(semantic, axis=0) + 1,
+        np.asarray(scattered)[np.argmax(semantic, axis=0)],
         0,
     )
     return OccupancyGrid(
         spec=spec,
         labels=labels.reshape(spec.dims),
         scores=scores.reshape(spec.dims),
-        masses=masses.T.reshape(spec.dims + (spec.num_classes,)) if keep_masses else None,
+        masses=(mass[[row[c] for c in range(spec.num_classes)]].T.reshape(
+            spec.dims + (spec.num_classes,)) if keep_masses else None),
     )

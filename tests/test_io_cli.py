@@ -429,6 +429,18 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_scene_with_nan_extent_is_one_line_error(self, tmp_path, capsys):
+        # json writes and reads NaN, so a scene file can carry one.
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps({"extent": [float("nan"), 4.0, 3.0],
+                                          "shell_thickness": 0.48}))
+        code = main(["render", "--scene", str(scene_path), "--pose", "0.3,2.4,1.44",
+                     "--out", str(tmp_path / "d.dmap")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "scene.json" in err[0] and "extent must be three finite lengths" in err[0]
+
     def test_scene_without_shell_thickness_is_one_line_error(self, tmp_path, capsys):
         room = {"extent": [4.0, 4.8, 2.88], "shell_thickness": 0.48}
         for payload, field in (

@@ -60,6 +60,13 @@ class TestFocalLoss:
         with pytest.raises(so.UndefinedLossError):
             so.focal_loss(np.zeros((2, 3)), np.array([9, 9]), ignore_index=9)
 
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_target_count_must_match_rows(self, count):
+        # Too few targets would score only the first rows; too many would
+        # index past the logits.
+        with pytest.raises(ValueError, match="one entry per logits row"):
+            so.focal_loss(np.zeros((3, 4)), np.ones(count, dtype=int))
+
     def test_nonnegative(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
@@ -122,6 +129,11 @@ class TestLovaszSoftmax:
     def test_all_ignored_raises(self):
         with pytest.raises(so.UndefinedLossError):
             so.lovasz_softmax(np.zeros((3, 4)), np.full(3, 255), ignore_index=255)
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_target_count_must_match_rows(self, count):
+        with pytest.raises(ValueError, match="one entry per logits row"):
+            so.lovasz_softmax(np.zeros((3, 4)), np.ones(count, dtype=int))
 
 
 class TestHuberDepth:

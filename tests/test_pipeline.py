@@ -138,6 +138,29 @@ class TestRunStreaming:
         assert scene_iou(fused) > scene_iou(only_a)
         assert scene_iou(fused) > scene_iou(only_b)
 
+    def test_splats_the_bank_without_copying_it(self):
+        # run_streaming splats read-only views of the bank's arrays, not a
+        # to_set() copy: the grid must be the copy's, the bank must stay
+        # writable and fuse on, and a snapshot taken before must not move.
+        scene = so.SyntheticScene(extent=np.array([4.0, 4.8, 2.88]), shell_thickness=0.48)
+        frames = self._frames(scene, [([0.3, 2.4, 1.44], 0.0), ([0.3, 2.4, 1.44], 20.0)])
+        grid_spec = so.scene_grid(scene)
+        bank, grid = so.run_streaming(frames[:1], grid_spec, ROOM_CFG)
+        copied = so.splat(bank.to_set(), grid_spec, theta_occ=ROOM_CFG.theta_occ)
+        np.testing.assert_array_equal(grid.labels, copied.labels)
+        np.testing.assert_array_equal(grid.scores, copied.scores)
+
+        names = ("means", "cov", "opacities", "logits")
+        assert all(getattr(bank, name).flags.writeable for name in names)
+        snapshot = bank.to_set()
+        frozen = [getattr(snapshot, name).copy() for name in names]
+        depth, classes, cam = frames[1]
+        stats = bank.fuse_frame(so.frame_gaussians(depth, classes, cam, ROOM_CFG))
+        assert stats.matched > 0 and bank.frame_count == 2
+        assert not np.array_equal(bank.means[:len(snapshot)], snapshot.means)
+        for name, before in zip(names, frozen):
+            np.testing.assert_array_equal(getattr(snapshot, name), before)
+
     def test_frames_accumulate_in_bank_counter(self):
         scene, cam = so.generate_frontal_room(5)
         depth, classes = so.render_depth(scene, cam)

@@ -243,6 +243,20 @@ class TestOracleOccupancy:
         with pytest.raises(ValueError, match="inside"):
             simple_room(boxes=(Box(np.array([3.5, 0.5, 0.5]), np.array([4.5, 1.0, 1.0]), 5),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_floats_rejected(self, bad):
+        # NaN fails every comparison, so a sign test alone would pass it.
+        with pytest.raises(ValueError, match="extent must be three finite lengths"):
+            simple_room(extent=np.array([bad, 4.8, 2.88]))
+        with pytest.raises(ValueError, match="box corners must be finite"):
+            Box(np.array([bad, 0.5, 0.5]), np.array([1.0, 1.0, 1.0]), 5)
+        with pytest.raises(ValueError, match="box corners must be finite"):
+            Box(np.array([0.5, 0.5, 0.5]), np.array([1.0, bad, 1.0]), 5)
+        with pytest.raises(ValueError, match="patch bounds must be finite"):
+            WallPatch(axis=0, side="max", lo=(bad, 0.5), hi=(1.0, 1.0), label=4)
+        with pytest.raises(ValueError, match="patch bounds must be finite"):
+            WallPatch(axis=0, side="max", lo=(0.5, 0.5), hi=(1.0, bad), label=4)
+
 
 class TestGenerators:
     def test_frontal_room_reproducible(self):

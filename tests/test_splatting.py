@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import splatocc as so
-from splatocc import quaternions
+from splatocc import quaternions, splatting
 from splatocc.camera import CameraModel, RigidTransform
 from splatocc.splatting import SPLAT_CUTOFF
 
@@ -191,6 +191,45 @@ class TestSplat:
         assert reach.sum() > 50 and not np.any(reach & rest)
         assert np.all(masses[..., 2][reach] > masses[..., 1][reach])
         np.testing.assert_array_equal(masses[..., 2][~reach], masses[..., 1][~reach])
+
+    @pytest.mark.parametrize("chunk", ["under_box", 1000])
+    def test_chunks_that_split_shape_groups_agree(self, monkeypatch, chunk):
+        # Equal isotropic kernels give few box shapes, each shared by many
+        # members. A chunk of 1,000 pairs holds a few boxes and one just
+        # under the smallest box holds a single box, so both split every
+        # group. One-hot logits over classes 2 and 4 make classes 0, 1, 3
+        # and 5 share one softmax column.
+        rng = np.random.default_rng(24)
+        spec = small_spec(nc=6)
+        n = 150
+        logits = np.zeros((n, 6))
+        logits[np.arange(n), rng.choice([2, 4], n)] = 6.0
+        gset = so.GaussianSet(
+            means=rng.uniform(0.2, 1.4, (n, 3)), scales=np.full((n, 3), 0.05),
+            rotations=np.tile([1.0, 0, 0, 0], (n, 1)), opacities=rng.uniform(0.2, 1.0, n),
+            logits=logits, frame="world",
+        )
+        _, spans = splatting._cull_bounds(gset.means, np.full((n, 3), SPLAT_CUTOFF * 0.05), spec)
+        volumes = np.prod(spans, axis=1)
+        if chunk == "under_box":
+            chunk = int(volumes.min()) - 1
+        _, members = np.unique(spans, axis=0, return_counts=True)
+        assert members.max() > max(1, chunk // volumes.min())
+
+        whole = so.splat(gset, spec, keep_masses=True)
+        monkeypatch.setattr(splatting, "_CHUNK_PAIRS", chunk)
+        grid = so.splat(gset, spec, keep_masses=True)
+        np.testing.assert_array_equal(grid.labels, whole.labels)
+        assert np.abs(grid.scores - whole.scores).max() <= 1e-12
+        assert np.abs(grid.masses - whole.masses).max() <= 1e-12
+        np.testing.assert_array_equal(so.splat(gset, spec).labels, grid.labels)
+        for c in (1, 3, 5):
+            np.testing.assert_array_equal(grid.masses[..., c], grid.masses[..., 0])
+        assert set(np.unique(grid.labels)) == {0, 2, 4}
+        scores, labels, masses = naive_splat(gset, spec)
+        assert np.abs(grid.scores.ravel() - scores).max() <= 1e-6
+        assert np.abs(grid.masses.reshape(-1, 6) - masses).max() <= 1e-6
+        np.testing.assert_array_equal(grid.labels.ravel(), labels)
 
     def test_large_rotated_boxes_match_brute_force_oracle(self):
         # Squared Mahalanobis distances come from c0 + b.o + o'Mo over
