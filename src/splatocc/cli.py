@@ -11,7 +11,7 @@ them. Each command has setting flags only for the keys it reads; a key in
 neither file nor flags takes its default. `stream` fuses through
 `run_streaming` and prints the bank's per-frame FusionStats. Results print
 as "key = value" lines. Exit code 0 on success, 1 with one line on error
-that names the faulty input file and its line or key.
+that names the faulty input: its file and line or key, or its flag.
 """
 
 from __future__ import annotations
@@ -110,6 +110,12 @@ def _parse_pose(text: str):
     return standard_pose(parts[:3], parts[3])
 
 
+def _pose_flag(text: str):
+    """_parse_pose for the --pose flag; any error names the flag."""
+    with io._named("--pose"):
+        return _parse_pose(text)
+
+
 def _grid_spec(settings: dict, num_classes: int) -> GridSpec:
     spec = GridSpec(dims=settings.get("grid-dims", (60, 60, 36)),
                     voxel_size=settings.get("voxel-size", 0.08),
@@ -141,7 +147,7 @@ def _cmd_gen_scene(args, settings, cfg) -> int:
 
 def _cmd_render(args, settings, cfg) -> int:
     scene = io.load_scene(args.scene)
-    cam = _camera(settings, _parse_pose(args.pose))
+    cam = _camera(settings, _pose_flag(args.pose))
     depth, classes = render_depth(scene, cam)
     io.save_depth_map(args.out, depth)
     if args.classes_out:
@@ -154,7 +160,10 @@ def _cmd_render(args, settings, cfg) -> int:
 def _cmd_sample(args, settings, cfg) -> int:
     depth = io.load_depth_map(args.depth)
     classes = io.load_class_map(args.classes)
-    pose = _parse_pose(args.pose) if args.pose else standard_pose((0.0, 0.0, 0.0))
+    if classes.shape != depth.values.shape:
+        raise ValueError(f"{args.classes}: class map shape {classes.shape} does not match the "
+                         f"depth map shape {depth.values.shape} of {args.depth}")
+    pose = _pose_flag(args.pose) if args.pose else standard_pose((0.0, 0.0, 0.0))
     cam = _camera(settings, pose)
     gaussians = frame_gaussians(depth, classes, cam, cfg)
     io.save_gaussians(args.out, gaussians)
@@ -215,7 +224,7 @@ def _cmd_eval(args, settings, cfg) -> int:
         gt = oracle_occupancy(io.load_scene(args.gt_scene), pred.spec)
     mask = None
     if args.pose:
-        cam = _camera(settings, _parse_pose(args.pose))
+        cam = _camera(settings, _pose_flag(args.pose))
         mask = frustum_mask(pred.spec, cam, near=cfg.near, far=cfg.far)
     for line in iou_miou(confusion(pred, gt, mask)).lines():
         print(line)

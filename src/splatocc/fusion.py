@@ -211,8 +211,12 @@ class GaussianMemoryBank:
         sum_w = np.zeros(ua.size)
         np.add.at(sum_w, slot, w_in)
         theta_in = w_in[:, None] * _attributes(incoming, matched)
-        sum_theta = np.zeros((ua.size, theta_in.shape[1]))
-        np.add.at(sum_theta, slot, theta_in)
+        # One flat bincount over (slot, column) bins: each bin gets the same
+        # additions in the same order as a 2-D np.add.at, at a fraction of its cost.
+        width = theta_in.shape[1]
+        sum_theta = np.bincount((slot[:, None] * width + np.arange(width)).ravel(),
+                                weights=theta_in.ravel(),
+                                minlength=ua.size * width).reshape(ua.size, width)
         fused = (w_mem[:, None] * _attributes(self, ua) + sum_theta) / (w_mem + sum_w)[:, None]
 
         self.means[ua] = fused[:, :3]

@@ -576,6 +576,33 @@ def test_eval_camera_flags_need_pose(tmp_path, capsys):
     assert main([str(a) for a in evaluate + ["--config", tmp_path / "cam.cfg"]]) == 0
 
 
+@pytest.mark.parametrize("command", ["render", "sample", "eval"])
+@pytest.mark.parametrize("pose, words", [("0.24,2.48,1.44,nan", ["finite"]),
+                                         ("0.24,two,1.44", ["'two'"])], ids=["nan", "not-a-number"])
+def test_pose_flag_error_names_the_flag(tmp_path, capsys, command, pose, words):
+    out = tmp_path / "out"
+    argv = _command_argv(command, _valid_inputs(tmp_path), out)
+    code = main([str(a) for a in argv + [f"--pose={pose}"]])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: --pose: "), err
+    assert all(word in err[0] for word in words), err[0]
+    assert not out.exists()
+
+
+def test_sample_shape_mismatch_names_both_maps(tmp_path, capsys):
+    ok = _valid_inputs(tmp_path)
+    classes, out = tmp_path / "short.cmap", tmp_path / "out"
+    io.save_class_map(classes, np.full((5, 8), 3, dtype=np.uint8))
+    code = main([str(a) for a in ["sample", "--depth", ok["dmap"], "--classes", classes,
+                                  "--out", out]])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {classes}: "), err
+    assert all(word in err[0] for word in (str(ok["dmap"]), "(5, 8)", "(6, 8)")), err[0]
+    assert not out.exists()
+
+
 def test_eval_takes_exactly_one_ground_truth(tmp_path, capsys):
     ok = _valid_inputs(tmp_path)
     for gt in (["--gt", ok["ogrid"], "--gt-scene", ok["json"]], []):

@@ -231,6 +231,35 @@ class TestSplat:
         assert np.abs(grid.masses.reshape(-1, 6) - masses).max() <= 1e-6
         np.testing.assert_array_equal(grid.labels.ravel(), labels)
 
+    @pytest.mark.parametrize("boxes_per_chunk", [1, 2])
+    def test_chunk_spans_reach_both_grid_ends(self, monkeypatch, boxes_per_chunk):
+        # Each chunk bins only over the voxels its boxes reach. Kernels at
+        # the eight corner voxels have boxes clipped to 4 voxels per axis,
+        # one shape group that holds voxel 0 and the grid's last voxel, so
+        # chunks of one or two boxes start and end spans at both grid ends.
+        rng = np.random.default_rng(25)
+        spec = small_spec()
+        corners = np.array([[x, y, z] for x in (0.05, 1.55) for y in (0.05, 1.55)
+                            for z in (0.05, 1.55)])
+        means = np.vstack([np.repeat(corners, 2, axis=0) + rng.uniform(-0.01, 0.01, (16, 3)),
+                           rng.uniform(0.4, 1.2, (6, 3))])
+        n = len(means)
+        gset = so.GaussianSet(
+            means=means, scales=np.full((n, 3), 0.05), rotations=np.tile([1.0, 0, 0, 0], (n, 1)),
+            opacities=rng.uniform(0.6, 1.0, n), logits=rng.normal(size=(n, 4)), frame="world",
+        )
+        _, spans = splatting._cull_bounds(means, np.full((n, 3), SPLAT_CUTOFF * 0.05), spec)
+        np.testing.assert_array_equal(spans[:16], 4)
+
+        whole = so.splat(gset, spec, keep_masses=True)
+        monkeypatch.setattr(splatting, "_CHUNK_PAIRS", boxes_per_chunk * 4**3)
+        grid = so.splat(gset, spec, keep_masses=True)
+        np.testing.assert_array_equal(grid.labels, whole.labels)
+        assert grid.labels.ravel()[[0, -1]].all()
+        assert np.abs(grid.scores - whole.scores).max() <= 1e-12
+        assert np.abs(grid.masses - whole.masses).max() <= 1e-12
+        np.testing.assert_array_equal(grid.labels.ravel(), naive_splat(gset, spec)[1])
+
     def test_large_rotated_boxes_match_brute_force_oracle(self):
         # Squared Mahalanobis distances come from c0 + b.o + o'Mo over
         # integer offsets o from the box corner. With a 16:1 anisotropy and
