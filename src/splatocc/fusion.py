@@ -21,7 +21,13 @@ means (cell size = match radius epsilon). Fusing a frame:
    where p is top-1 softmax confidence and gamma < 0.5 biases toward the
    newer evidence;
 3. unmatched incoming Gaussians are inserted verbatim;
-4. the index is rebuilt once over the updated means.
+4. the index is rebuilt once over the updated means, from the old members in
+   their previous key order followed by the new ones, so its stable sort
+   starts from nearly sorted keys.
+
+Each attribute (``means``, ``cov``, ``opacities``, ``logits``) is a C-contiguous
+row prefix of a buffer with spare capacity, so an insert copies only its own
+rows until a buffer fills and is doubled; ``_trim`` gives the spare rows back.
 
 Covariances are averaged as full matrices and stored as they come out: a
 convex combination of symmetric matrices each above SCALE_FLOOR^2 I is one
@@ -40,6 +46,9 @@ from .spatial_hash import SpatialHashGrid
 # Incoming Gaussians matched per batch; bounds the (query, candidate) pair
 # arrays to a few MB at the candidate counts of room-scale banks.
 _MATCH_CHUNK = 1024
+
+# The bank's per-member attributes, in the order _append takes them.
+_FIELDS = ("means", "cov", "opacities", "logits")
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,7 @@ class GaussianMemoryBank:
         self.cov = np.zeros((0, 3, 3))
         self.opacities = np.zeros(0)
         self.logits = np.zeros((0, self.num_classes))
+        self._buffers: dict = {}   # attribute name -> (buffer, the row view handed out)
         self._index = SpatialHashGrid(config.epsilon)
 
     @classmethod
@@ -128,11 +138,25 @@ class GaussianMemoryBank:
         return GaussianSet._of(self.means.view(), self.cov.view(), self.opacities.view(),
                                self.logits.view(), WORLD_FRAME)
 
-    def _append(self, means, cov, opacities, logits) -> None:
-        self.means = np.concatenate([self.means, means])
-        self.cov = np.concatenate([self.cov, cov])
-        self.opacities = np.concatenate([self.opacities, opacities])
-        self.logits = np.concatenate([self.logits, logits])
+    def _append(self, *rows) -> None:
+        """Write (means, cov, opacities, logits) rows after the last member. A full
+        buffer, or a reassigned attribute, moves to a new buffer of max(n + k, 2n) rows."""
+        n, k = len(self), len(rows[0])
+        for name, new in zip(_FIELDS, rows):
+            held = getattr(self, name)
+            buf, view = self._buffers.get(name, (None, None))
+            if held is not view or len(buf) < n + k:
+                buf = np.empty((max(n + k, 2 * n),) + held.shape[1:])
+                buf[:n] = held
+            buf[n:n + k] = new
+            self._buffers[name] = buf, buf[:n + k]
+            setattr(self, name, self._buffers[name][1])
+
+    def _trim(self) -> None:
+        """Give back the buffers' spare rows: copy each attribute out of its buffer."""
+        for name in _FIELDS:
+            self._buffers.pop(name, None)   # frees each buffer before the next copy
+            setattr(self, name, getattr(self, name).copy())
 
     def radius_neighbors(self, query, eps: float = None) -> np.ndarray:
         """Ids of members whose mean lies within the closed ball of radius
@@ -224,12 +248,14 @@ class GaussianMemoryBank:
         self.opacities[ua] = fused[:, 12]
         self.logits[ua] = fused[:, 13:]
 
-        if n_in - n_matched:
-            ins = ~matched
-            self._append(incoming.means[ins], incoming.cov[ins], incoming.opacities[ins],
-                         incoming.logits[ins])
+        ins = ~matched
+        self._append(incoming.means[ins], incoming.cov[ins], incoming.opacities[ins],
+                     incoming.logits[ins])
 
-        self._index.insert_many(np.arange(len(self)), self.means)
+        # Old members in their previous key order, then the new ones: the keys
+        # come nearly sorted, and the index's adaptive stable sort runs fast.
+        order = np.concatenate([self._index.ids, np.arange(len(self._index), len(self))])
+        self._index.insert_many(order, np.take(self.means, order, axis=0))
         self.frame_stats.append(FusionStats(matched=n_matched, inserted=n_in - n_matched))
         return self.frame_stats[-1]
 

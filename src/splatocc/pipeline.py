@@ -95,12 +95,13 @@ def run_monocular(depth: DepthMap, classes: np.ndarray, cam: CameraModel,
 def run_streaming(frames, grid: GridSpec, cfg: PipelineConfig = PipelineConfig()):
     """Fuse a temporally ordered sequence of (depth, class map, camera)
     frames into a memory bank, then splat the bank into the scene grid.
-    The splat reads the bank's arrays through read-only views; it does not
-    copy the bank, as ``bank.to_set()`` would.
+    The bank first gives back its buffers' spare rows; the splat reads its
+    arrays through read-only views, not a ``bank.to_set()`` copy.
 
     Returns (bank, occupancy grid).
     """
     bank = GaussianMemoryBank(cfg.attributes.num_classes, cfg.fusion)
     for depth, classes, cam in frames:
         bank.fuse_frame(frame_gaussians(depth, classes, cam, cfg))
+    bank._trim()
     return bank, splat(bank._members(), grid, theta_occ=cfg.theta_occ)

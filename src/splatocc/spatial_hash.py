@@ -1,13 +1,16 @@
 """Uniform-grid spatial index over 3D points, stored as sorted cell keys.
 
 Each member's cell (floor of coordinate / cell size) is packed into one int64
-key relative to the members' bounding box; members are sorted by key once, by
-a stable argsort, when the index is built, and callers whose points move
-rebuild it. Radius queries visit the cells overlapping the ball's bounding box
-(27 cells when the radius is at most the cell size). Cells that differ only
-in z have consecutive keys, so each (x, y) column of that box is one run of
-the sorted members, found by ``searchsorted``. Distance filtering is left to
-the caller, which owns the coordinate array.
+key relative to the members' bounding box; members are sorted by key with a
+stable argsort when the index is built, and callers whose points move rebuild
+it. That sort is adaptive, so a caller that passes the members in the index's
+previous order (``ids``) re-sorts nearly sorted keys at a fraction of the cost.
+Radius queries visit the cells overlapping the ball's bounding box (27 cells
+when the radius is at most the cell size). Cells that differ only in z have
+consecutive keys, so each (x, y) column of that box is one run of the sorted
+members, found by ``searchsorted``. Distance filtering is left to the caller,
+which owns the coordinate array; a caller that breaks ties by id, as fusion
+does, gets results that do not depend on the order of members in a cell.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ class SpatialHashGrid:
     def __len__(self) -> int:
         return self._ids.size
 
+    @property
+    def ids(self) -> np.ndarray:
+        """Member ids in key order."""
+        return self._ids
+
     def key(self, point) -> tuple:
         return tuple(floor(float(v) * self._inv) for v in point[:3])
 
@@ -44,7 +52,8 @@ class SpatialHashGrid:
         if not np.all(np.isfinite(cells)):
             raise ValueError("points must be finite")
         if ids.size:
-            lo, hi = cells.min(axis=0), cells.max(axis=0)
+            # One column at a time: numpy reduces a length-3 axis row by row.
+            lo, hi = (np.array([f(col) for col in cells.T]) for f in (np.min, np.max))
             if max(np.abs(lo).max(), np.abs(hi).max(), np.prod(hi - lo + 1)) >= _MAX_CELLS:
                 raise ValueError("points span too many cells for int64 cell keys")
         else:

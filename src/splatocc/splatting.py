@@ -202,7 +202,7 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     nv = spec.num_voxels
     lo, spans = _cull_bounds(gset.means,
                              SPLAT_CUTOFF * np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2)), spec)
-    alive = np.flatnonzero(np.all(spans > 0, axis=1))
+    alive = np.flatnonzero((spans[:, 0] > 0) & (spans[:, 1] > 0) & (spans[:, 2] > 0))
     coef = _coefficients(gset, lo, spec)
     strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
     base = lo @ strides
@@ -212,7 +212,8 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     # bit-identical to an earlier one's gets bit-identical masses, so it
     # reads that row. Semantic classes come first, in class order; class 0,
     # which labels never read, gets a row only when the caller asks for the
-    # masses, and then last.
+    # masses, and then last. softmax is class-major, so each column compared
+    # is a contiguous row of soft.
     soft = softmax(gset.logits).T
     scattered, row = [], {}
     for c in [*range(1, spec.num_classes), *([0] if keep_masses else [])]:

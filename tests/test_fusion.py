@@ -67,6 +67,28 @@ class TestSpatialHash:
         with pytest.raises(ValueError, match="finite"):
             grid.insert_many([0], [[np.nan, 0.5, 0.5]])
 
+    def test_result_does_not_depend_on_member_order(self):
+        rng = np.random.default_rng(24)
+        points = rng.uniform(0, 1, (3000, 3))
+        points[::5] = points[1::5]                          # shared cells and exact ties
+        perm = rng.permutation(len(points))
+        in_order, shuffled = SpatialHashGrid(0.08), SpatialHashGrid(0.08)
+        in_order.insert_many(np.arange(len(points)), points)
+        shuffled.insert_many(perm, points[perm])
+        centers = rng.uniform(-0.2, 1.2, (300, 3))
+
+        def sorted_pairs(grid, radius):
+            rows, ids = grid.pairs(centers, radius)
+            by_pair = np.lexsort((ids, rows))
+            return rows[by_pair], ids[by_pair]
+
+        for radius in (0.04, 0.08, 0.2):
+            for got, want in zip(sorted_pairs(shuffled, radius), sorted_pairs(in_order, radius)):
+                np.testing.assert_array_equal(got, want)
+            for c in centers[:50]:
+                assert set(in_order.candidates(c, radius).tolist()) == set(
+                    shuffled.candidates(c, radius).tolist())
+
 
 class TestRadiusNeighbors:
     def test_mutual_neighbors(self):
@@ -103,6 +125,103 @@ class TestRadiusNeighbors:
             make_set([[0.0, 0.0, 0.0], [0.08, 0.0, 0.0]]), so.FusionConfig(epsilon=0.08)
         )
         assert set(bank.radius_neighbors([0.0, 0.0, 0.0], 0.08)) == {0, 1}
+
+
+def growing_frames(seed, count=14, n=300):
+    """Frames that each half revisit the bank's members (a few within epsilon)
+    and half land in a block that steps outward along +-x, +-y and +-z in turn,
+    past the bank's bounding box on both sides of every axis."""
+    rng = np.random.default_rng(seed)
+    seen = np.zeros((0, 3))
+    for t in range(count):
+        step = np.zeros(3)
+        step[t % 3] = (t // 3 + 1) * (0.5 if t % 6 < 3 else -0.5)
+        fresh = rng.uniform(0, 1, (n, 3)) + step
+        if len(seen):
+            near = seen[rng.integers(0, len(seen), n)] + rng.uniform(-0.06, 0.06, (n, 3))
+        else:
+            near = rng.uniform(0, 1, (n, 3))
+        means = np.concatenate([fresh, near])
+        seen = np.concatenate([seen, means])
+        yield make_set(means, opacities=rng.uniform(0.1, 0.9, len(means)),
+                       logits=rng.normal(size=(len(means), 12)))
+
+
+class TestGrowingBank:
+    def test_index_and_matches_follow_linear_scans(self):
+        rng = np.random.default_rng(25)
+        eps = 0.08
+        bank = so.GaussianMemoryBank(12, so.FusionConfig(epsilon=eps))
+        buffers, past = [], np.zeros((2, 3), dtype=bool)   # axis sides crossed
+        for frame in growing_frames(25):
+            before = bank.to_set()
+            if len(before):
+                past |= [frame.means.min(0) < before.means.min(0),
+                         frame.means.max(0) > before.means.max(0)]
+            want = linear_nearest_within(before.means, frame.means, eps)
+            stats = bank.fuse_frame(frame)
+            assert stats.matched == np.count_nonzero(want >= 0)
+            # Every anchor moves; inserted members follow in incoming order.
+            n = len(before)
+            moved = np.flatnonzero(np.any(bank.means[:n] != before.means, axis=1))
+            np.testing.assert_array_equal(moved, np.unique(want[want >= 0]))
+            np.testing.assert_array_equal(bank.means[n:], frame.means[want < 0])
+            for q in rng.uniform(bank.means.min(0) - 0.1, bank.means.max(0) + 0.1, (40, 3)):
+                r = float(rng.uniform(0.02, eps))
+                np.testing.assert_array_equal(np.sort(bank.radius_neighbors(q, r)),
+                                              linear_radius_scan(bank.means, q, r))
+            if all(b is not bank.means.base for b in buffers):
+                buffers.append(bank.means.base)
+        assert past.all()
+        assert len(buffers) >= 4        # capacity grew several times
+        assert bank.means.flags.c_contiguous and bank.logits.flags.c_contiguous
+
+
+class TestBankStorage:
+    def test_snapshot_survives_growth(self):
+        frames = list(growing_frames(26, count=8))
+        bank = so.GaussianMemoryBank(12)
+        for frame in frames[:3]:
+            bank.fuse_frame(frame)
+        snap = bank.to_set()
+        kept = [a.copy() for a in (snap.means, snap.cov, snap.opacities, snap.logits)]
+        base = bank.means.base
+        for frame in frames[3:]:
+            bank.fuse_frame(frame)
+        assert bank.means.base is not base
+        for got, want in zip((snap.means, snap.cov, snap.opacities, snap.logits), kept):
+            assert np.array_equal(got, want)
+
+    def test_restored_bank_fuses_like_the_original(self):
+        frames = list(growing_frames(27, count=12))
+        config = so.FusionConfig(epsilon=0.08)
+        bank = so.GaussianMemoryBank(12, config)
+        for frame in frames[:5]:
+            bank.fuse_frame(frame)
+        restored = so.GaussianMemoryBank.from_set(bank.to_set(), config)
+        for frame in frames[5:]:
+            assert restored.fuse_frame(frame) == bank.fuse_frame(frame)
+        for name in ("means", "cov", "opacities", "logits"):
+            assert np.array_equal(getattr(restored, name), getattr(bank, name))
+
+    def test_assigned_attributes_are_kept(self):
+        frames = list(growing_frames(28, count=4))
+        bank = so.GaussianMemoryBank(12)
+        for frame in frames[:3]:
+            bank.fuse_frame(frame)
+        fewer = bank.opacities[:-1]
+        bank.opacities = fewer
+        assert bank.to_set().opacities is not fewer
+        assert np.array_equal(bank.to_set().opacities, fewer)
+        # A reassigned attribute is what the next fuse extends, also when the
+        # new rows fit in the spare capacity of the buffer it replaced.
+        n = len(bank)
+        bank.opacities = np.full(n, 0.25)
+        far = make_set(frames[3].means[:10] + 100.0)
+        assert len(bank.means.base) >= n + len(far)
+        bank.fuse_frame(far)
+        assert np.all(bank.opacities[:n] == 0.25)
+        np.testing.assert_array_equal(bank.opacities[n:], far.opacities)
 
 
 class TestTop1Confidence:

@@ -6,8 +6,11 @@ import pytest
 
 import splatocc as so
 from splatocc import quaternions
+from splatocc.gaussians import softmax
 
-from oracles import dense_covariance, dense_evaluate, naive_splat, random_gaussian_set
+from oracles import (
+    dense_covariance, dense_evaluate, naive_splat, random_gaussian_set, softmax_rows,
+)
 
 ROT_Z_90 = quaternions.from_matrix(
     np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -149,6 +152,23 @@ class TestEvaluate:
     def test_nonfinite_point_rejected(self):
         with pytest.raises(ValueError):
             so.evaluate(iso(), [np.nan, 0, 0])
+
+
+class TestSoftmax:
+    # Below, at and above numpy's 8-wide and 16-wide summation blocks, and
+    # past 128 classes, where its pairwise sum splits in two.
+    @pytest.mark.parametrize("num_classes", [2, 7, 8, 9, 12, 16, 17, 33, 128, 129, 300])
+    def test_bit_identical_to_oracle(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        logits = rng.normal(0.0, 4.0, (500, num_classes))
+        logits[::7] = 0.0                                  # uniform rows
+        logits[1::7, 0] = 1000.0                           # saturated rows
+        assert np.array_equal(softmax(logits), softmax_rows(logits))
+
+    def test_any_leading_shape(self):
+        logits = np.random.default_rng(3).normal(size=(4, 5, 13))
+        assert np.array_equal(softmax(logits), softmax_rows(logits))
+        assert np.array_equal(softmax(logits[0, 0]), softmax_rows(logits[0, 0]))
 
 
 class TestPrune:
