@@ -24,8 +24,13 @@ g = so.GaussianSet(
     frame="world",
 )
 mean = g.means[0]
-steps = mean + np.array([[0, 0, 0], [0.2, 0, 0], [0, 0.08, 0]])
-at_mean, sigma_x, sigma_y = so.evaluate(g, steps)[0]
+
+# Kernel values come from splat: one kernel of opacity 1 scores its own value
+# at each voxel center. Centers 0.04 m apart, the first on the mean, reach one
+# sigma along x (5 voxels) and the same Mahalanobis step along y (2 voxels).
+unit = so.GaussianSet.from_covariances(g.means, g.cov, [1.0], g.logits, frame="world")
+probe = so.splat(unit, so.GridSpec((6, 3, 1), 0.04, mean - 0.02, num_classes=6)).scores
+at_mean, sigma_x, sigma_y = probe[0, 0, 0], probe[5, 0, 0], probe[0, 2, 0]
 print("kernel at its own mean:     ", at_mean)
 print("kernel one sigma away in x: ", sigma_x)
 print("same Mahalanobis step in y: ", sigma_y)

@@ -51,4 +51,4 @@ print(f"scene IoU, both fused:     {scene_iou(frames):.3f}")
 # splatted, pruned, checkpointed to disk, and queried spatially.
 hits = bank.radius_neighbors(bank.means[0], 0.08)
 print(f"\nneighbors within 8cm of the first kernel: {hits.size}")
-print("confidence of that kernel:", round(float(so.top1_confidence(bank.to_set())[0]), 4))
+print("confidence of that kernel:", round(float(so.top1_confidence(bank.logits)[0]), 4))

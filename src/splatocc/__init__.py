@@ -25,9 +25,7 @@ from .gaussians import (
     DEFAULT_PRUNE_TAU,
     SCALE_FLOOR,
     AttributeConfig,
-    DegenerateGaussianError,
     GaussianSet,
-    evaluate,
     heuristic_attributes_batch,
     prune,
 )

@@ -130,6 +130,13 @@ def _budgeted(source, spec: GridSpec) -> GridSpec:
     return spec
 
 
+def _classes_fit(source, top: int, num_classes: int) -> None:
+    """Reject, naming source, an input whose largest class id top is not below
+    the run's class count; checked before any work starts."""
+    if top >= num_classes:
+        raise ValueError(f"{source}: class id {top} is not below the class count {num_classes}")
+
+
 def _emit(key, value):
     print(f"{key} = {value}")
 
@@ -163,6 +170,7 @@ def _cmd_sample(args, settings, cfg) -> int:
     if classes.shape != depth.values.shape:
         raise ValueError(f"{args.classes}: class map shape {classes.shape} does not match the "
                          f"depth map shape {depth.values.shape} of {args.depth}")
+    _classes_fit(args.classes, int(classes.max(initial=0)), cfg.attributes.num_classes)
     pose = _pose_flag(args.pose) if args.pose else standard_pose((0.0, 0.0, 0.0))
     cam = _camera(settings, pose)
     gaussians = frame_gaussians(depth, classes, cam, cfg)
@@ -194,10 +202,11 @@ def _cmd_stream(args, settings, cfg) -> int:
     if "grid-dims" not in settings and settings.keys() & {"voxel-size", "grid-origin"}:
         raise ValueError("voxel-size and grid-origin take effect only with grid-dims")
     scene = io.load_scene(args.scene)
+    nc = cfg.attributes.num_classes
+    _classes_fit(args.scene, scene.max_label, nc)
     poses = io.load_lines(args.poses, _parse_pose)
     if not poses:
         raise ValueError(f"{args.poses}: poses file holds no poses")
-    nc = cfg.attributes.num_classes
     grid = (_grid_spec(settings, nc) if "grid-dims" in settings
             else _budgeted(args.scene, scene_grid(scene, nc)))
     cams = (_camera(settings, pose) for pose in poses)
@@ -221,7 +230,9 @@ def _cmd_eval(args, settings, cfg) -> int:
     if args.gt:
         gt = io.load_grid(args.gt)
     else:
-        gt = oracle_occupancy(io.load_scene(args.gt_scene), pred.spec)
+        scene = io.load_scene(args.gt_scene)
+        _classes_fit(args.gt_scene, scene.max_label, pred.spec.num_classes)
+        gt = oracle_occupancy(scene, pred.spec)
     mask = None
     if args.pose:
         cam = _camera(settings, _pose_flag(args.pose))

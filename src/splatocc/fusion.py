@@ -69,16 +69,11 @@ class FusionStats:
     inserted: int
 
 
-def _top1(logits) -> np.ndarray:
+def top1_confidence(logits) -> np.ndarray:
     """Per-row max softmax probability as 1 / sum(exp(z - max z)), bit-identical
     to the largest entry of the softmax: the top class's term is exp(0) = 1,
     and correctly rounded division keeps every other entry at or below 1/sum."""
     return 1.0 / np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1)
-
-
-def top1_confidence(gset: GaussianSet) -> np.ndarray:
-    """Per-member max softmax probability of the class logits."""
-    return _top1(gset.logits)
 
 
 def _attributes(src, rows):
@@ -230,8 +225,8 @@ class GaussianMemoryBank:
 
         gamma = self.config.gamma
         ua, slot = np.unique(anchors[matched], return_inverse=True)
-        w_in = (1.0 - gamma) * _top1(incoming.logits[matched])
-        w_mem = gamma * _top1(self.logits[ua])
+        w_in = (1.0 - gamma) * top1_confidence(incoming.logits[matched])
+        w_mem = gamma * top1_confidence(self.logits[ua])
         sum_w = np.zeros(ua.size)
         np.add.at(sum_w, slot, w_in)
         theta_in = w_in[:, None] * _attributes(incoming, matched)

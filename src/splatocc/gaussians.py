@@ -26,13 +26,6 @@ DEFAULT_PRUNE_TAU = 0.01
 CAMERA_FRAME = "camera"
 WORLD_FRAME = "world"
 
-# Covariance condition number above which evaluation refuses to run.
-_CONDITION_LIMIT = 1e12
-
-
-class DegenerateGaussianError(ValueError):
-    """Raised when a covariance is too ill-conditioned to evaluate."""
-
 
 def _checked_members(means, opacities, logits):
     """Checked float copies of means, opacities and logits, so the caller's stay writable."""
@@ -205,26 +198,6 @@ def inverse_covariances(cov) -> np.ndarray:
     p01, p02, p12 = w10 * w11 + w20 * w21, w20 * w22, w21 * w22
     return np.stack((w00 * w00 + w10 * w10 + w20 * w20, p01, p02, p01, w11 * w11 + w21 * w21,
                      p12, p02, p12, w22 * w22), axis=-1).reshape(-1, 3, 3)
-
-
-def evaluate(gset: GaussianSet, points) -> np.ndarray:
-    """Kernel values exp(-0.5 * d^T Sigma^-1 d), shape (len(gset), len(points)),
-    with Sigma^-1 from :func:`inverse_covariances` as in ``splat``: 1 exactly
-    at a member's mean, decaying with Mahalanobis distance. Raises
-    DegenerateGaussianError when any member's condition number (largest /
-    smallest eigenvalue of Sigma) exceeds 1e12.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
-    eigvals = np.linalg.eigvalsh(gset.cov)
-    worst = float(np.max(eigvals[:, 2] / eigvals[:, 0], initial=0.0))
-    if worst > _CONDITION_LIMIT:
-        raise DegenerateGaussianError(
-            f"covariance condition number {worst:.3e} exceeds {_CONDITION_LIMIT:.0e}")
-    diff = points[None, :, :] - gset.means[:, None, :]
-    m2 = np.einsum("npi,npi->np", diff @ inverse_covariances(gset.cov), diff)
-    return np.exp(-0.5 * np.maximum(m2, 0.0))
 
 
 def prune(gset: GaussianSet, tau: float = DEFAULT_PRUNE_TAU) -> GaussianSet:

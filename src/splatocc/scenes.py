@@ -24,6 +24,8 @@ CEILING_LABEL = 1
 WALL_LABEL = 3
 
 _PATCHABLE_LABELS = (4, 5, 9, 10, 11)  # window, chair, tvs, furniture, objects
+# Class ids are stored as u8 (class maps, grids); 0 is empty.
+_MAX_LABEL = 255
 
 # Voxel pitch of the stock grids; generated geometry snaps to it.
 _VOXEL = 0.08
@@ -43,8 +45,8 @@ class Box:
         hi = np.asarray(self.max_corner, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,) or not np.all(np.isfinite([lo, hi]) & (hi > lo)):
             raise ValueError("box corners must be finite 3-vectors with max > min")
-        if self.label < 1:
-            raise ValueError("box label must be a semantic class >= 1")
+        if not 1 <= self.label <= _MAX_LABEL:
+            raise ValueError(f"box label must be a semantic class in 1..{_MAX_LABEL}")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "min_corner", lo)
@@ -73,6 +75,8 @@ class WallPatch:
             raise ValueError("patch bounds must be finite")
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise ValueError("patch rectangle must have positive area")
+        if not 1 <= self.label <= _MAX_LABEL:
+            raise ValueError(f"patch label must be a semantic class in 1..{_MAX_LABEL}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,8 @@ class SyntheticScene:
         extent = np.asarray(self.extent, dtype=np.float64)
         if extent.shape != (3,) or not np.all(np.isfinite(extent) & (extent > 0)):
             raise ValueError("extent must be three finite lengths > 0")
-        if not self.shell_thickness > 0:
-            raise ValueError("shell_thickness must be > 0")
+        if not 0 < self.shell_thickness < np.inf:
+            raise ValueError("shell_thickness must be finite and > 0")
         for box in self.boxes:
             if np.any(box.min_corner < 0) or np.any(box.max_corner > extent):
                 raise ValueError("boxes must lie inside the room extent")
@@ -95,6 +99,12 @@ class SyntheticScene:
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "patches", tuple(self.patches))
+
+    @property
+    def max_label(self) -> int:
+        """The largest class id the scene can give a pixel or voxel."""
+        return max(FLOOR_LABEL, CEILING_LABEL, WALL_LABEL, *(b.label for b in self.boxes),
+                   *(p.label for p in self.patches))
 
     @property
     def outer_min(self) -> np.ndarray:

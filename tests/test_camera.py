@@ -6,7 +6,7 @@ import pytest
 import splatocc as so
 from splatocc import quaternions
 
-from oracles import random_rigid
+from oracles import dense_evaluate, random_rigid
 
 SQ2 = np.sqrt(2.0)
 
@@ -214,6 +214,7 @@ class TestToWorld:
             g = self._gaussian(rng)
             pose = random_rigid(rng)
             p = rng.normal(size=3)
-            before = so.evaluate(g, p)[0, 0]
-            after = so.evaluate(so.to_world(unit_cam(pose=pose), g), pose.apply(p))[0, 0]
+            moved = so.to_world(unit_cam(pose=pose), g)
+            before = dense_evaluate(g.means[0], g.cov[0], p)[0]
+            after = dense_evaluate(moved.means[0], moved.cov[0], pose.apply(p))[0]
             assert abs(before - after) <= 1e-9

@@ -227,7 +227,7 @@ class TestBankStorage:
 class TestTop1Confidence:
     def test_uniform_logits(self):
         g = GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(12))
-        p = so.top1_confidence(g)[0]
+        p = so.top1_confidence(g.logits)[0]
         assert p == pytest.approx(1 / 12, abs=1e-12)
         assert p == pytest.approx(0.08333, abs=1e-5)
 
@@ -236,7 +236,7 @@ class TestTop1Confidence:
         vec[4] = 6.0
         g = GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
         expected = np.exp(6.0) / (np.exp(6.0) + 11.0)
-        p = so.top1_confidence(g)[0]
+        p = so.top1_confidence(g.logits)[0]
         assert p == pytest.approx(expected, abs=1e-12)
         assert p == pytest.approx(0.97346, abs=1e-5)
 
@@ -245,12 +245,12 @@ class TestTop1Confidence:
         vec[1] = vec[4] = 3.0
         g = GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, vec)
         expected = np.exp(3.0) / (2 * np.exp(3.0) + 4.0)
-        p = so.top1_confidence(g)[0]
+        p = so.top1_confidence(g.logits)[0]
         assert p == pytest.approx(expected, abs=1e-12)
 
     def test_set_vectorized(self):
         gset = make_set([[0, 0, 0], [1, 1, 1]], logits=np.array([saturated_logits(2), np.zeros(12)]))
-        np.testing.assert_allclose(so.top1_confidence(gset), [1.0, 1 / 12], atol=1e-12)
+        np.testing.assert_allclose(so.top1_confidence(gset.logits), [1.0, 1 / 12], atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 30.0, 1000.0])
     def test_bit_identical_to_softmax_max(self, scale):
@@ -259,7 +259,7 @@ class TestTop1Confidence:
         logits[::7, 5] = logits[::7].max(axis=1)     # two-way ties for the top class
         logits[::11] = logits[::11, :1]              # every class tied
         gset = make_set(np.zeros((len(logits), 3)), logits=logits)
-        assert np.array_equal(so.top1_confidence(gset), softmax(logits).max(axis=-1))
+        assert np.array_equal(so.top1_confidence(gset.logits), softmax(logits).max(axis=-1))
 
 
 class TestFuseFrame:

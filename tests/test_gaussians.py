@@ -1,5 +1,5 @@
-"""Gaussian primitives: covariance factorization, kernel values, pruning,
-heuristic attribute provider."""
+"""Gaussian primitives: covariance factorization, kernel values through
+splat's inverse, pruning, heuristic attribute provider."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,15 @@ ROT_Z_90 = quaternions.from_matrix(
 
 
 def iso(scale=1.0, opacity=1.0, nc=4):
-    return so.GaussianSet([0, 0, 0], [scale] * 3, [1, 0, 0, 0], opacity, np.zeros(nc))
+    return so.GaussianSet([0, 0, 0], [scale] * 3, [1, 0, 0, 0], opacity, np.zeros(nc),
+                          frame="world")
+
+
+def splat_at(g, points):
+    """Scores of splatting the one-row set g into one-voxel grids, one centred
+    on each point: its kernel values there when its opacity is 1."""
+    return np.array([so.splat(g, so.GridSpec((1, 1, 1), 1.0, p - 0.5, g.num_classes)).scores.item()
+                     for p in np.asarray(points, dtype=float)])
 
 
 def sample_row(k, position, spacing):
@@ -82,76 +90,39 @@ class TestCovariance:
 
 
 class TestEvaluate:
-    def test_unity_at_mean(self):
-        assert so.evaluate(iso(), [0, 0, 0])[0, 0] == 1.0
+    """Kernel values as ``splat`` computes them, through ``inverse_covariances``."""
 
     def test_isotropic_unit_distance(self):
-        assert so.evaluate(iso(), [1, 0, 0])[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-12)
-        assert so.evaluate(iso(), [1, 0, 0])[0, 0] == pytest.approx(0.606531, abs=1e-6)
+        values = splat_at(iso(), [[1, 0, 0], [-1, 0, 0]])
+        assert values[0] == values[1] == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert values[0] == pytest.approx(0.606531, abs=1e-6)
 
     def test_matches_dense_inverse_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            mean, scale, q = rng.normal(size=3), rng.uniform(0.05, 1.5, 3), rng.normal(size=4)
-            g = so.GaussianSet(mean, scale, q, 1.0, np.zeros(3))
-            pts = rng.normal(size=(10, 3)) * 2
-            np.testing.assert_allclose(
-                so.evaluate(g, pts)[0],
-                dense_evaluate(mean, dense_covariance(scale, q / np.linalg.norm(q)), pts),
-                atol=1e-9,
-            )
-        # One call on a 50-member set: row i is member i's kernel.
-        gset = random_gaussian_set(rng, 50, 3, span=2.0, scale_range=(0.05, 1.5))
-        pts = rng.normal(size=(10, 3)) * 2
-        values = so.evaluate(gset, pts)
-        assert values.shape == (50, 10)
-        for i in range(50):
-            np.testing.assert_allclose(
-                values[i],
-                dense_evaluate(gset.means[i], gset.cov[i], pts),
-                atol=1e-9,
-            )
         # Rotated needles (two small scales): an inverse through the
         # determinant cancels here. Points lie 1.5 sigma out and along the
         # long axis. The LU oracle is itself accurate only to about
         # condition number x epsilon (checked against an exact rational
         # inverse), so that is the tolerance.
+        rng = np.random.default_rng(3)
         for scale in ((1e-4, 1e-4, 1.0), (1e-3, 1e-3, 1.0), (1e-4, 1e-4, 10.0)):
             cond = (scale[2] / scale[0]) ** 2
             for _ in range(20):
                 mean, q = rng.normal(size=3), rng.normal(size=4)
-                g = so.GaussianSet(mean, scale, q, 1.0, np.zeros(3))
+                g = so.GaussianSet(mean, scale, q, 1.0, np.zeros(3), frame="world")
                 rot = quaternions.to_matrix(quaternions.normalize(q))
                 pts = np.vstack([
                     mean + (rng.normal(size=(10, 3)) * 1.5 * np.asarray(scale)) @ rot.T,
                     mean + np.linspace(-2.0, 2.0, 9)[:, None] * scale[2] * rot[:, 2],
                 ])
                 np.testing.assert_allclose(
-                    so.evaluate(g, pts)[0], dense_evaluate(mean, g.cov[0], pts),
+                    splat_at(g, pts), dense_evaluate(mean, g.cov[0], pts),
                     atol=cond * np.finfo(float).eps,
                 )
 
     def test_decreasing_in_mahalanobis_distance(self):
-        g = iso(0.5)
         radii = np.linspace(0.1, 3.0, 15)
-        vals = so.evaluate(g, radii[:, None] * [1.0, 0.0, 0.0])[0]
-        assert np.all(np.diff(vals) < 0)
-
-    def test_degenerate_covariance_raises(self):
-        g = so.GaussianSet([0, 0, 0], [1e-4, 1e-4, 150.0], [1, 0, 0, 0], 1.0, np.zeros(3))
-        with pytest.raises(so.DegenerateGaussianError):
-            so.evaluate(g, [0, 0, 0])
-        # Only the last member of a set is ill-conditioned.
-        trio = so.GaussianSet(
-            np.zeros((3, 3)), [[1, 1, 1], [0.5, 0.2, 0.9], [1e-4, 1e-4, 150.0]],
-            np.tile([1.0, 0, 0, 0], (3, 1)), [1.0, 1.0, 1.0], np.zeros((3, 3)),
-        )
-        with pytest.raises(so.DegenerateGaussianError):
-            so.evaluate(trio, [0, 0, 0])
-
-    def test_nonfinite_point_rejected(self):
-        with pytest.raises(ValueError):
-            so.evaluate(iso(), [np.nan, 0, 0])
+        values = splat_at(iso(0.5), radii[:, None] * [1.0, 0.0, 0.0])
+        assert np.all(np.diff(values) < 0)
 
 
 class TestSoftmax:

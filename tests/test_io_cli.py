@@ -659,6 +659,18 @@ def _ogrid(dims, voxel_size=0.1, origin=(0.0, 0.0, 0.0), voxels=None):
             + bytes(voxels) + bytes(4 * voxels))
 
 
+# A far-wall patch and a box in view of the camera at 0.3,2.4,1.44 looking
+# along +x, in the room of _valid_inputs.
+_PATCH = {"axis": 0, "side": "max", "lo": [1.8, 1.0], "hi": [3.0, 2.0], "label": 4}
+_BOX = {"min": [2.0, 2.0, 1.0], "max": [2.8, 2.8, 1.8], "label": 6}
+
+
+def _scene_json(shell_thickness=0.48, boxes=(), patches=()):
+    """Scene JSON text for the room of _valid_inputs (json.dumps writes inf as Infinity)."""
+    return json.dumps({"extent": [4.0, 4.8, 2.88], "shell_thickness": shell_thickness,
+                       "boxes": list(boxes), "patches": list(patches)})
+
+
 def _valid_inputs(tmp_path):
     """One valid file per input kind that a malformed-input case replaces."""
     spec = so.GridSpec((4, 3, 2), 0.1, np.zeros(3), 12)
@@ -713,6 +725,16 @@ def _valid_inputs(tmp_path):
         pytest.param("ogrid", _ogrid((4, 3, 2), origin=(0.0, np.nan, 0.0)), ["origin"],
                      id="ogrid-nan-origin"),
         pytest.param("ogrid", _ogrid((4, 0, 2)), ["dims"], id="ogrid-zero-dim"),
+        pytest.param("json", _scene_json(patches=[_PATCH | {"label": 300}]),
+                     ["patch label", "1..255"], id="json-patch-label-300"),
+        pytest.param("json", _scene_json(patches=[_PATCH | {"label": 0}]),
+                     ["patch label", "1..255"], id="json-patch-label-0"),
+        pytest.param("json", _scene_json(boxes=[_BOX | {"label": 300}]),
+                     ["box label", "1..255"], id="json-box-label-300"),
+        pytest.param("json", _scene_json(shell_thickness=float("inf")),
+                     ["shell_thickness", "finite"], id="json-infinite-shell"),
+        pytest.param("cmap", b"CMAP1" + struct.pack("<II", 8, 6) + bytes([40] * 48),
+                     ["class id 40", "class count 12"], id="cmap-class-40"),
     ],
 )
 def test_malformed_input_is_one_line_naming_its_source(tmp_path, capsys, kind, fault, words):
@@ -740,3 +762,22 @@ def test_malformed_input_is_one_line_naming_its_source(tmp_path, capsys, kind, f
     assert code == 1
     assert len(err) == 1 and err[0].startswith(f"error: {bad}"), err
     assert all(word in err[0] for word in words), err[0]
+
+
+@pytest.mark.parametrize("command", ["stream", "eval"])
+def test_scene_class_id_beyond_class_count_names_the_scene(tmp_path, capsys, command):
+    # Label 40 on a box in view and on one over every voxel of ok.ogrid's grid.
+    ok = _valid_inputs(tmp_path)
+    scene, poses, out = tmp_path / "scene.json", tmp_path / "poses.txt", tmp_path / "out"
+    scene.write_text(_scene_json(boxes=[_BOX | {"label": 40},
+                                        {"min": [0, 0, 0], "max": [0.4, 0.4, 0.4], "label": 40}]))
+    poses.write_text("0.3 2.4 1.44 0\n")
+    argv = {"stream": ["stream", "--scene", scene, "--poses", poses, "--out-grid", out,
+                       "--k", "2", "--stride", "16"],
+            "eval": ["eval", "--pred", ok["ogrid"], "--gt-scene", scene]}[command]
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {scene}: "), err
+    assert "class id 40" in err[0] and "class count 12" in err[0], err[0]
+    assert not out.exists()
