@@ -171,6 +171,10 @@ def _cmd_sample(args, settings, cfg) -> int:
         raise ValueError(f"{args.classes}: class map shape {classes.shape} does not match the "
                          f"depth map shape {depth.values.shape} of {args.depth}")
     _classes_fit(args.classes, int(classes.max(initial=0)), cfg.attributes.num_classes)
+    s = cfg.sampling.stride   # volumetric_sample reads the valid pixels of this stride
+    if (classes[::s, ::s][depth.valid_mask()[::s, ::s]] == 0).any():
+        raise ValueError(f"{args.classes}: class id 0 at a sampled pixel with a valid depth "
+                         "(0 marks pixels without one)")
     pose = _pose_flag(args.pose) if args.pose else standard_pose((0.0, 0.0, 0.0))
     cam = _camera(settings, pose)
     gaussians = frame_gaussians(depth, classes, cam, cfg)
@@ -214,6 +218,8 @@ def _cmd_stream(args, settings, cfg) -> int:
     for t, stats in enumerate(bank.frame_stats):
         _emit(f"frame_{t}_matched", stats.matched)
         _emit(f"frame_{t}_inserted", stats.inserted)
+        _emit(f"frame_{t}_candidates", stats.candidates)
+        _emit(f"frame_{t}_open", stats.open)
     io.save_grid(args.out_grid, result)
     if args.out_bank:
         io.save_gaussians(args.out_bank, bank.to_set())

@@ -1,17 +1,17 @@
 """Training-free streaming fusion of per-frame Gaussians into a memory bank.
 
 The bank holds world-frame Gaussians plus a sorted-cell-key index over their
-means (cell size = match radius epsilon). Fusing a frame:
+means (cells epsilon wide in x and y, epsilon/16 tall in z). Fusing a frame:
 
 1. every incoming Gaussian is matched to its nearest bank member within
    epsilon as the bank was before the frame (at most one anchor per
    incoming, so nothing is double counted; among members at equal distance
    the lowest id wins). Matching runs batched over fixed-size chunks of the
    frame in two exact passes: the first searches only the cells a ball of
-   radius epsilon/2 overlaps, 8 instead of 27, and settles every incoming
-   with a member strictly closer than epsilon/2, since no member outside
-   those cells can be that close; the second runs the full epsilon search
-   for the rest;
+   radius epsilon/2 overlaps, 4 (x, y) columns about epsilon tall, and
+   settles every incoming with a member strictly closer than epsilon/2,
+   since no member outside those cells can be that close; the second runs
+   the full epsilon search, 9 columns about 2 epsilon tall, for the rest;
 2. each anchor with matches is updated per attribute theta in
    {mean, covariance, opacity, logits} by the confidence-weighted average
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME
+from .gaussians import GaussianSet, WORLD_FRAME, _row_sum, _shifted_exp
 from .spatial_hash import SpatialHashGrid
 
 # Incoming Gaussians matched per batch; bounds the (query, candidate) pair
@@ -65,15 +65,20 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class FusionStats:
+    """One fused frame: incoming matched and inserted, (incoming, member) pairs
+    that matching gathered over both passes, and incoming left open by the first."""
     matched: int
     inserted: int
+    candidates: int
+    open: int
 
 
 def top1_confidence(logits) -> np.ndarray:
     """Per-row max softmax probability as 1 / sum(exp(z - max z)), bit-identical
     to the largest entry of the softmax: the top class's term is exp(0) = 1,
-    and correctly rounded division keeps every other entry at or below 1/sum."""
-    return 1.0 / np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(axis=-1)
+    and correctly rounded division keeps every other entry at or below 1/sum.
+    Computed class-major, as ``softmax`` is, with the same sum."""
+    return 1.0 / _row_sum(_shifted_exp(logits))
 
 
 def _attributes(src, rows):
@@ -164,36 +169,40 @@ class GaussianMemoryBank:
         keep = np.einsum("ij,ij->i", diff, diff) <= eps * eps
         return cand[keep]
 
-    def _nearest_within(self, queries) -> np.ndarray:
-        """Per query, the nearest member id within epsilon, or -1. Ties break
-        to the lowest id.
+    def _nearest_within(self, queries):
+        """Per query, the nearest member id within epsilon, or -1 (ties break
+        to the lowest id); the candidate pairs gathered; the queries that the
+        first pass left open.
 
         Two passes, both exact. The first visits only the cells that a ball
-        of radius epsilon/2 overlaps, at most 2 per axis, and settles every
-        query with a member strictly closer than epsilon/2. Every member
-        outside those cells lies at least epsilon/2 away, and its rounded
-        squared distance is at least the rounded (epsilon/2)^2, so the
-        nearest member and its tie break are the ones the full search finds.
-        A member at exactly epsilon/2 can sit outside the visited cells, so
-        that distance is left to the second pass, which runs the full
-        27-cell epsilon search for the queries the first left open.
+        of radius epsilon/2 overlaps, at most 2 by 2 (x, y) columns, and
+        settles every query with a member strictly closer than epsilon/2.
+        The index's query boxes hold every member whose rounded squared
+        distance is at most the rounded squared radius, so no member outside
+        the visited cells is that close, and the nearest member and its tie
+        break are the ones the full search finds. A member at exactly
+        epsilon/2 can sit outside the visited cells, so that distance is
+        left to the second pass, which runs the full epsilon search for the
+        queries the first left open.
         """
         eps = self.config.epsilon
         half = 0.5 * eps
         # d2 <= nextafter(h^2, 0) is d2 < h^2.
-        anchors = self._nearest(queries, half, np.nextafter(half * half, 0.0))
+        anchors, gathered = self._nearest(queries, half, np.nextafter(half * half, 0.0))
         open_rows = np.flatnonzero(anchors < 0)
-        anchors[open_rows] = self._nearest(queries[open_rows], eps, eps ** 2)
-        return anchors
+        anchors[open_rows], more = self._nearest(queries[open_rows], eps, eps ** 2)
+        return anchors, gathered + more, open_rows.size
 
-    def _nearest(self, queries, radius: float, limit2: float) -> np.ndarray:
+    def _nearest(self, queries, radius: float, limit2: float):
         """Per query, the nearest member at squared distance <= limit2 among
-        the cells a ball of ``radius`` overlaps, or -1. Ties break to the
-        lowest id."""
+        the cells a ball of ``radius`` overlaps, or -1 (ties break to the
+        lowest id); and the number of candidate pairs gathered."""
         anchors = np.full(len(queries), -1, dtype=np.int64)
+        gathered = 0
         for start in range(0, len(queries), _MATCH_CHUNK):
             chunk = queries[start:start + _MATCH_CHUNK]
             rows, ids = self._index.pairs(chunk, radius)
+            gathered += rows.size
             diff = np.take(self.means, ids, axis=0)
             diff -= np.take(chunk, rows, axis=0)
             d2 = np.einsum("ij,ij->i", diff, diff)
@@ -203,7 +212,7 @@ class GaussianMemoryBank:
             nearest = np.repeat(np.minimum.reduceat(d2, heads), np.diff(heads, append=rows.size))
             tied = np.where(d2 == nearest, ids, np.iinfo(np.int64).max)
             anchors[start + rows[heads]] = np.minimum.reduceat(tied, heads)
-        return anchors
+        return anchors, gathered
 
     def fuse_frame(self, incoming: GaussianSet) -> FusionStats:
         """Fuse one frame's world-frame Gaussians into the bank.
@@ -219,7 +228,7 @@ class GaussianMemoryBank:
             )
 
         n_in = len(incoming)
-        anchors = self._nearest_within(incoming.means)
+        anchors, candidates, n_open = self._nearest_within(incoming.means)
         matched = anchors >= 0
         n_matched = int(np.count_nonzero(matched))
 
@@ -251,6 +260,7 @@ class GaussianMemoryBank:
         # come nearly sorted, and the index's adaptive stable sort runs fast.
         order = np.concatenate([self._index.ids, np.arange(len(self._index), len(self))])
         self._index.insert_many(order, np.take(self.means, order, axis=0))
-        self.frame_stats.append(FusionStats(matched=n_matched, inserted=n_in - n_matched))
+        self.frame_stats.append(FusionStats(matched=n_matched, inserted=n_in - n_matched,
+                                            candidates=candidates, open=n_open))
         return self.frame_stats[-1]
 

@@ -157,13 +157,19 @@ def _row_sum(e) -> np.ndarray:
     return total
 
 
-def softmax(logits) -> np.ndarray:
-    """Class probabilities: softmax over the last axis of ``logits``, computed on
-    one class-major copy (contiguous rows, one per class) and returned as its
-    transposed view. Bit-identical to ``e / e.sum(-1)`` with ``e = exp(z - max z)``."""
+def _shifted_exp(logits) -> np.ndarray:
+    """exp(z - max z) over the last axis of ``logits``, on one class-major copy
+    (contiguous rows, one per class)."""
     z = np.moveaxis(np.asarray(logits, dtype=np.float64), -1, 0).copy()
     z -= z.max(axis=0)
-    np.exp(z, out=z)
+    return np.exp(z, out=z)
+
+
+def softmax(logits) -> np.ndarray:
+    """Class probabilities: softmax over the last axis of ``logits``, computed on
+    ``_shifted_exp``'s class-major copy and returned as its transposed view.
+    Bit-identical to ``e / e.sum(-1)`` with ``e = exp(z - max z)``."""
+    z = _shifted_exp(logits)
     z /= _row_sum(z)
     return np.moveaxis(z, 0, -1)
 

@@ -1,16 +1,19 @@
-"""Uniform-grid spatial index over 3D points, stored as sorted cell keys.
+"""Grid spatial index over 3D points, stored as sorted cell keys.
 
-Each member's cell (floor of coordinate / cell size) is packed into one int64
-key relative to the members' bounding box; members are sorted by key with a
-stable argsort when the index is built, and callers whose points move rebuild
-it. That sort is adaptive, so a caller that passes the members in the index's
-previous order (``ids``) re-sorts nearly sorted keys at a fraction of the cost.
-Radius queries visit the cells overlapping the ball's bounding box (27 cells
-when the radius is at most the cell size). Cells that differ only in z have
-consecutive keys, so each (x, y) column of that box is one run of the sorted
-members, found by ``searchsorted``. Distance filtering is left to the caller,
-which owns the coordinate array; a caller that breaks ties by id, as fusion
-does, gets results that do not depend on the order of members in a cell.
+Cells are one cell size wide in x and y and 1/_Z_SPLIT of it tall in z. Each
+member's cell is packed into one int64 key relative to the members' bounding
+box; members are sorted by key with a stable argsort when the index is built,
+and callers whose points move rebuild it. That sort is adaptive, so a caller
+that passes the members in the index's previous order (``ids``) re-sorts
+nearly sorted keys at a fraction of the cost. Cells that differ only in z have
+consecutive keys, so each (x, y) column of a query's box is one run of the
+sorted members, found by ``searchsorted``. ``pairs`` reads the fine z cells
+the ball's bounding box overlaps: a ball of radius at most half the cell size
+reads 4 columns about one cell size tall. ``key`` and ``candidates`` work in
+whole cubic cells, each the union of _Z_SPLIT fine ones. Distance filtering is
+left to the caller, which owns the coordinate array; a caller that breaks ties
+by id, as fusion does, gets results that do not depend on the order of
+members in a cell.
 """
 
 from __future__ import annotations
@@ -19,8 +22,19 @@ from math import floor, isfinite
 
 import numpy as np
 
-# Packed keys stay well inside int64 for any box of cells this many wide.
+# Packed keys stay well inside int64 for any box of (fine) cells this many wide.
 _MAX_CELLS = 2 ** 62
+
+# Fine z cells per cell. A fine index is floor(fl(v / cell) * _Z_SPLIT): scaling
+# by a power of two is exact, so every fine cell lies inside exactly one cell.
+_Z_SPLIT = 16
+_SCALE = np.array([1.0, 1.0, _Z_SPLIT])
+
+# A query's box is the box of a ball this many radii wide. A member whose
+# distance rounds to at most the radius lies within (1 + 2^-51) radii, but can
+# sit past c + r rounded: z = 0.01 is 0.08 from -0.07 in floats, yet above
+# fl(-0.07 + 0.08). The margin keeps every such member inside the box.
+_REACH = 1.0 + 2.0 ** -48
 
 
 class SpatialHashGrid:
@@ -48,7 +62,9 @@ class SpatialHashGrid:
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if ids.size != points.shape[0]:
             raise ValueError("members and points differ in length")
-        cells = np.floor(points * self._inv)
+        cells = points * self._inv   # one (n, 3) temporary, scaled and floored in place
+        cells *= _SCALE
+        np.floor(cells, out=cells)
         if not np.all(np.isfinite(cells)):
             raise ValueError("points must be finite")
         if ids.size:
@@ -72,15 +88,17 @@ class SpatialHashGrid:
         return (rel[..., 0] * self._ny + rel[..., 1]) * self._nz + rel[..., 2]
 
     def candidates(self, center, radius: float) -> np.ndarray:
-        """Member ids from every cell overlapping the ball's bounding box."""
+        """Member ids from every (cubic) cell overlapping the ball's bounding box."""
         cx, cy, cz, radius = float(center[0]), float(center[1]), float(center[2]), float(radius)
         if not (isfinite(cx) and isfinite(cy) and isfinite(cz) and isfinite(radius)):
             raise ValueError("query center and radius must be finite")
+        radius *= _REACH
         inv = self._inv
         (bx, by, bz), (tx, ty, tz) = self._base, self._top
         x0, x1 = max(floor((cx - radius) * inv), bx), min(floor((cx + radius) * inv), tx)
         y0, y1 = max(floor((cy - radius) * inv), by), min(floor((cy + radius) * inv), ty)
-        z0, z1 = max(floor((cz - radius) * inv), bz), min(floor((cz + radius) * inv), tz)
+        z0 = max(floor((cz - radius) * inv) * _Z_SPLIT, bz)
+        z1 = min(floor((cz + radius) * inv) * _Z_SPLIT + _Z_SPLIT - 1, tz)
         if x0 > x1 or y0 > y1 or z0 > z1:
             return self._ids[:0]
         ny, nz = self._ny, self._nz
@@ -94,15 +112,18 @@ class SpatialHashGrid:
         return np.concatenate([ids[pos[k]:pos[k + 1]] for k in range(0, len(pos), 2)])
 
     def pairs(self, centers, radius: float):
-        """(query row, member id) for every member in a cell that overlaps
+        """(query row, member id) for every member in a fine cell that overlaps
         each ball's bounding box. Rows come out in ascending order."""
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         radius = float(radius)
         if not (np.all(np.isfinite(centers)) and isfinite(radius)):
             raise ValueError("query centers and radius must be finite")
+        radius *= _REACH
         base, top = np.asarray(self._base), np.asarray(self._top)
-        lo = np.clip(np.floor((centers - radius) * self._inv), base, top + 1).astype(np.int64)
-        hi = np.clip(np.floor((centers + radius) * self._inv), base - 1, top).astype(np.int64)
+        lo = np.floor((centers - radius) * self._inv * _SCALE)
+        hi = np.floor((centers + radius) * self._inv * _SCALE)
+        lo = np.clip(lo, base, top + 1).astype(np.int64)
+        hi = np.clip(hi, base - 1, top).astype(np.int64)
         span = np.maximum(hi - lo + 1, 0)
         lo -= base
         # One entry per (query, x, y) column; each is a run of consecutive keys.

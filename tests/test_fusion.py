@@ -5,7 +5,7 @@ import pytest
 
 import splatocc as so
 from splatocc.gaussians import GaussianSet, softmax
-from splatocc.spatial_hash import SpatialHashGrid
+from splatocc.spatial_hash import _Z_SPLIT, SpatialHashGrid
 
 from oracles import linear_nearest_within, linear_radius_scan
 
@@ -38,17 +38,25 @@ class TestSpatialHash:
         assert 1 not in grid.candidates([0.04, 0.04, 0.04], 0.05)
 
     def test_pairs_agree_with_candidates(self):
+        # pairs reads fine z cells, candidates whole cells: pairs is a subset of
+        # candidates, and candidates is every member of the cells, by key(),
+        # that overlap the ball's bounding box.
         rng = np.random.default_rng(21)
         points = rng.uniform(0, 1, (2000, 3))
         grid = SpatialHashGrid(0.08)
         grid.insert_many(range(len(points)), points)
+        keys = np.array([grid.key(p) for p in points])
         centers = rng.uniform(-0.3, 1.3, (200, 3))
         for radius in (0.0, 0.03, 0.08, 0.17, 0.25):
             rows, ids = grid.pairs(centers, radius)
             assert np.all(np.diff(rows) >= 0)
             for r, c in enumerate(centers):
                 got = np.sort(ids[rows == r])
-                np.testing.assert_array_equal(got, np.sort(grid.candidates(c, radius)))
+                cand = np.sort(grid.candidates(c, radius))
+                assert np.isin(got, cand).all()
+                box = np.floor(np.stack([c - radius, c + radius]) * (1 / 0.08))
+                overlap = np.flatnonzero(np.all((keys >= box[0]) & (keys <= box[1]), axis=1))
+                np.testing.assert_array_equal(cand, overlap)
                 diff = points[got] - c
                 within = got[np.einsum("ij,ij->i", diff, diff) <= radius ** 2]
                 np.testing.assert_array_equal(within, linear_radius_scan(points, c, radius))
@@ -119,6 +127,13 @@ class TestRadiusNeighbors:
             eps = float(rng.uniform(0.08, 0.25))
             got = set(bank.radius_neighbors(q, eps).tolist())
             assert got == set(linear_radius_scan(means, q, eps).tolist())
+
+    def test_member_past_the_rounded_box_edge(self):
+        # The member's distance, 0.08 + 5e-324, rounds to 0.08, but it lies
+        # below 0.08 - 0.08 = 0, in the cell under the query box's lowest one.
+        bank = so.GaussianMemoryBank.from_set(make_set([[0.5, 0.5, -5e-324]]))
+        assert list(bank.radius_neighbors([0.5, 0.5, 0.08], 0.08)) == [0]
+        assert bank.fuse_frame(make_set([[0.5, 0.5, 0.08]])).matched == 1
 
     def test_closed_ball_boundary(self):
         bank = so.GaussianMemoryBank.from_set(
@@ -260,6 +275,11 @@ class TestTop1Confidence:
         logits[::11] = logits[::11, :1]              # every class tied
         gset = make_set(np.zeros((len(logits), 3)), logits=logits)
         assert np.array_equal(so.top1_confidence(gset.logits), softmax(logits).max(axis=-1))
+        # Every branch of the class-major sum: pairwise blocks of 8 and splits past 128.
+        for nc in (2, 7, 8, 9, 16, 17, 33, 128, 129, 300):
+            logits = scale * rng.normal(size=(500, nc))
+            logits[::7, nc - 1] = logits[::7].max(axis=1)
+            assert np.array_equal(so.top1_confidence(logits), softmax(logits).max(axis=-1)), nc
 
 
 class TestFuseFrame:
@@ -272,7 +292,7 @@ class TestFuseFrame:
         stats = bank.fuse_frame(
             make_set([[1, 1, 1]], opacities=np.array([0.4]), logits=logits[None, :])
         )
-        assert stats == so.FusionStats(matched=1, inserted=0)
+        assert stats == so.FusionStats(matched=1, inserted=0, candidates=1, open=0)
         assert abs(bank.opacities[0] - 0.52) <= 1e-9
 
     def test_identical_input_is_fixed_point(self):
@@ -296,7 +316,7 @@ class TestFuseFrame:
         bank = so.GaussianMemoryBank(12)
         incoming = make_set(np.random.default_rng(15).uniform(0, 1, (5, 3)))
         stats = bank.fuse_frame(incoming)
-        assert stats == so.FusionStats(matched=0, inserted=5)
+        assert stats == so.FusionStats(matched=0, inserted=5, candidates=0, open=5)
         assert len(bank) == 5
         np.testing.assert_array_equal(bank.to_set().means, incoming.means)
 
@@ -311,6 +331,26 @@ class TestFuseFrame:
         assert stats.matched + stats.inserted == 300
         assert len(bank) == old_size + stats.inserted
         assert bank.frame_count == 1
+
+    def test_stats_count_candidates_and_open_queries(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        eps = 0.08
+        means = rng.uniform(0, 1, (1500, 3))
+        bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
+        incoming = rng.uniform(-0.1, 1.1, (2500, 3))
+        gathered, pairs = [], SpatialHashGrid.pairs
+
+        def counted_pairs(grid, centers, radius):
+            rows, ids = pairs(grid, centers, radius)
+            gathered.append(rows.size)
+            return rows, ids
+
+        monkeypatch.setattr(SpatialHashGrid, "pairs", counted_pairs)
+        stats = bank.fuse_frame(make_set(incoming))
+        assert stats.candidates == sum(gathered) > 0
+        # Open: no member strictly closer than eps/2.
+        d2 = ((incoming[:, None, :] - means[None, :, :]) ** 2).sum(axis=-1)
+        assert stats.open == np.count_nonzero(d2.min(axis=1) >= (eps / 2) ** 2) > 0
 
     def test_frame_stats_record_every_fused_frame(self):
         rng = np.random.default_rng(19)
@@ -396,6 +436,30 @@ class TestFuseFrame:
             sites,                                                  # nearest in (eps/2, eps]
         ])
         want = linear_nearest_within(means, incoming, eps)
+        before = bank.opacities.copy()
+        stats = bank.fuse_frame(make_set(incoming, opacities=np.full(len(incoming), 0.9)))
+        assert stats.matched == np.count_nonzero(want >= 0)
+        changed = np.flatnonzero(bank.opacities[:len(means)] != before)
+        np.testing.assert_array_equal(changed, np.unique(want[want >= 0]))
+
+    def test_matches_on_fine_cell_boundaries(self):
+        # epsilon = 0.08 is not a power of two, so v / epsilon rounds. Each
+        # site, alone in its (x, y) column, holds members on a fine z cell
+        # boundary k * eps / _Z_SPLIT, or half way between two, and on the
+        # floats next to it; incoming lie exactly eps/2 and eps from them
+        # along z, where the fine cells that a query's z range reads begin
+        # and end.
+        rng = np.random.default_rng(23)
+        eps = 0.08
+        xy = 0.25 * np.indices((20, 20)).reshape(2, -1).T
+        z = (rng.integers(-40, 60, len(xy)) + rng.choice([0.0, 0.5], len(xy))) * eps / _Z_SPLIT
+        means = np.concatenate([np.column_stack([xy, v])
+                                for v in (z, np.nextafter(z, -1.0), np.nextafter(z, 1.0))])
+        bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
+        steps = [[0, 0, d] for d in (-eps, -eps / 2, eps / 2, eps)]
+        incoming = (means[:, None, :] + steps).reshape(-1, 3)
+        want = linear_nearest_within(means, incoming, eps)
+        assert 0 < np.count_nonzero(want >= 0) < len(incoming)
         before = bank.opacities.copy()
         stats = bank.fuse_frame(make_set(incoming, opacities=np.full(len(incoming), 0.9)))
         assert stats.matched == np.count_nonzero(want >= 0)

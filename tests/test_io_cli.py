@@ -352,6 +352,7 @@ class TestCli:
             runs.append((out, out_grid.read_bytes(), out_bank.read_bytes()))
         assert all(run == runs[0] for run in runs[1:])
         assert "frame_1_inserted" in out and "bank_size" in out
+        assert "frame_1_candidates" in out and "frame_1_open" in out
         assert io.load_grid(out_grid).spec.num_classes == 12
         assert len(io.load_gaussians(out_bank)) > 0
 
@@ -735,6 +736,8 @@ def _valid_inputs(tmp_path):
                      ["shell_thickness", "finite"], id="json-infinite-shell"),
         pytest.param("cmap", b"CMAP1" + struct.pack("<II", 8, 6) + bytes([40] * 48),
                      ["class id 40", "class count 12"], id="cmap-class-40"),
+        pytest.param("cmap", b"CMAP1" + struct.pack("<II", 8, 6) + bytes(48),
+                     ["class id 0", "valid depth"], id="cmap-class-0"),
     ],
 )
 def test_malformed_input_is_one_line_naming_its_source(tmp_path, capsys, kind, fault, words):
