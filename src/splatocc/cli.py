@@ -220,6 +220,7 @@ def _cmd_stream(args, settings, cfg) -> int:
         _emit(f"frame_{t}_inserted", stats.inserted)
         _emit(f"frame_{t}_candidates", stats.candidates)
         _emit(f"frame_{t}_open", stats.open)
+        _emit(f"frame_{t}_cells", stats.cells)
     io.save_grid(args.out_grid, result)
     if args.out_bank:
         io.save_gaussians(args.out_bank, bank.to_set())

@@ -1,7 +1,9 @@
 """Training-free streaming fusion of per-frame Gaussians into a memory bank.
 
-The bank holds world-frame Gaussians plus a sorted-cell-key index over their
-means (cells epsilon wide in x and y, epsilon/16 tall in z). Fusing a frame:
+The bank holds world-frame Gaussians plus a grid index over their means:
+members sorted by cell (cells epsilon wide in x and y, epsilon/16 tall in z,
+coarser only for a bank spread too wide for the index's fixed-size table)
+and a dense int32 table of where each cell's run starts. Fusing a frame:
 
 1. every incoming Gaussian is matched to its nearest bank member within
    epsilon as the bank was before the frame (at most one anchor per
@@ -66,11 +68,13 @@ class FusionConfig:
 @dataclass(frozen=True)
 class FusionStats:
     """One fused frame: incoming matched and inserted, (incoming, member) pairs
-    that matching gathered over both passes, and incoming left open by the first."""
+    that matching gathered over both passes, incoming left open by the first,
+    and the index's occupied cells after the frame."""
     matched: int
     inserted: int
     candidates: int
     open: int
+    cells: int
 
 
 def top1_confidence(logits) -> np.ndarray:
@@ -261,6 +265,7 @@ class GaussianMemoryBank:
         order = np.concatenate([self._index.ids, np.arange(len(self._index), len(self))])
         self._index.insert_many(order, np.take(self.means, order, axis=0))
         self.frame_stats.append(FusionStats(matched=n_matched, inserted=n_in - n_matched,
-                                            candidates=candidates, open=n_open))
+                                            candidates=candidates, open=n_open,
+                                            cells=self._index.cells))
         return self.frame_stats[-1]
 

@@ -124,6 +124,31 @@ def linear_nearest_within(means, queries, eps):
     return out
 
 
+def cell_pairs(points, centers, radius, cell_size, z_split, reach=1.0, shift=(0, 0, 0)):
+    """Brute-force (query row, member id) pairs of a grid index, member by
+    member: a member pairs with a query when its cell lies in the cells of
+    the query ball's bounding box, with the radius stretched by ``reach``, on
+    every axis. Fine cells are ``cell_size`` wide in x and y and
+    ``cell_size / z_split`` tall in z; an index coarsened by ``shift`` reads
+    cells floor(fine / 2^shift). Sorted by row, then id."""
+    scale = np.array([1.0, 1.0, z_split])
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+
+    def cells(p):
+        fine = np.floor(np.asarray(p, dtype=np.float64) * (1.0 / cell_size) * scale)
+        return [int(v) // 2 ** s for v, s in zip(fine, shift)]
+
+    member_cells = [cells(p) for p in points]
+    rows, ids = [], []
+    for row, c in enumerate(np.asarray(centers, dtype=np.float64).reshape(-1, 3)):
+        lo, hi = cells(c - radius * reach), cells(c + radius * reach)
+        for i, m in enumerate(member_cells):
+            if all(a <= v <= b for a, v, b in zip(lo, m, hi)):
+                rows.append(row)
+                ids.append(i)
+    return np.array(rows, dtype=np.int64), np.array(ids, dtype=np.int64)
+
+
 def projection_frustum_mask(spec, cam, near, far):
     """Per-voxel projection test written against the camera matrix directly."""
     centers = spec.voxel_centers()

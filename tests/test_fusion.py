@@ -5,9 +5,9 @@ import pytest
 
 import splatocc as so
 from splatocc.gaussians import GaussianSet, softmax
-from splatocc.spatial_hash import _Z_SPLIT, SpatialHashGrid
+from splatocc.spatial_hash import _REACH, _TABLE_CELLS, _Z_SPLIT, SpatialHashGrid
 
-from oracles import linear_nearest_within, linear_radius_scan
+from oracles import cell_pairs, linear_nearest_within, linear_radius_scan
 
 
 def make_set(means, opacities=None, logits=None, scales=0.03, nc=12):
@@ -96,6 +96,128 @@ class TestSpatialHash:
             for c in centers[:50]:
                 assert set(in_order.candidates(c, radius).tolist()) == set(
                     shuffled.candidates(c, radius).tolist())
+
+
+def sorted_pairs(rows, ids):
+    by_pair = np.lexsort((ids, rows))
+    return rows[by_pair], ids[by_pair]
+
+
+def assert_pairs_match_oracle(grid, points, centers, radius):
+    got = sorted_pairs(*grid.pairs(centers, radius))
+    want = cell_pairs(points, centers, radius, grid.cell_size, _Z_SPLIT, _REACH,
+                      grid._shift.tolist())
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    return got
+
+
+def sparse_lattice(rng, spacing=100.0, side=4, per_site=3):
+    """Members in small clusters (within 0.05 of each other) at the sites of
+    a side^3 lattice ``spacing`` metres apart."""
+    sites = spacing * np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    return np.repeat(sites, per_site, axis=0) + rng.uniform(-0.025, 0.025, (len(sites) * per_site, 3))
+
+
+class TestCellTable:
+    """The cell-start table against a brute-force cell oracle, at its edges."""
+
+    def test_empty_index(self):
+        grid = SpatialHashGrid(0.08)
+        centers = np.random.default_rng(30).uniform(-1, 1, (20, 3))
+        for radius in (0.0, 0.04, 0.5):
+            rows, ids = assert_pairs_match_oracle(grid, np.zeros((0, 3)), centers, radius)
+            assert rows.size == ids.size == 0
+            assert grid.candidates(centers[0], radius).size == 0
+        assert grid.cells == 0 and grid._starts.tolist() == [0]
+
+    def test_one_member_index(self):
+        rng = np.random.default_rng(31)
+        point = np.array([[0.3, -0.7, 1.1]])
+        grid = SpatialHashGrid(0.08)
+        grid.insert_many([0], point)
+        assert grid.cells == 1 and grid._starts.tolist() == [0, 1]
+        centers = point + rng.uniform(-0.2, 0.2, (200, 3))
+        centers[0] = point[0]
+        for radius in (0.0, 0.02, 0.04, 0.08):
+            rows, _ = assert_pairs_match_oracle(grid, point, centers, radius)
+            assert rows[0] == 0 and rows.size < len(centers)
+        rows, _ = assert_pairs_match_oracle(grid, point, centers, 0.3)
+        np.testing.assert_array_equal(rows, np.arange(len(centers)))
+
+    def test_boxes_clipped_to_the_last_cell_read_the_final_entry(self):
+        rng = np.random.default_rng(32)
+        points = rng.uniform(0, 0.5, (300, 3))
+        top = points.max(axis=0)
+        points[7] = top                      # the member in the box's last cell
+        grid = SpatialHashGrid(0.08)
+        grid.insert_many(np.arange(len(points)), points)
+        assert grid._starts[-1] == len(points)
+        # Balls past the top corner: each box is clipped to the box's last
+        # cells, and the run of the last column ends at the table's final entry.
+        for radius in (0.02, 0.08, 0.2):
+            centers = top + rng.uniform(0.0, radius, (50, 3))
+            rows, ids = assert_pairs_match_oracle(grid, points, centers, radius)
+            assert np.all(np.bincount(rows[ids == 7], minlength=len(centers)) == 1)
+        lowest = points.min(axis=0) - rng.uniform(0.0, 0.05, (50, 3))
+        assert_pairs_match_oracle(grid, points, lowest, 0.08)
+
+    @pytest.mark.parametrize("cell", [0.5, 0.08])
+    def test_members_on_cell_boundaries(self, cell):
+        # Members on fine-cell corners, and queries whose box edges fall on them.
+        rng = np.random.default_rng(33)
+        fine = np.array([cell, cell, cell / _Z_SPLIT])
+        points = rng.integers(-6, 7, (400, 3)) * fine
+        grid = SpatialHashGrid(cell)
+        grid.insert_many(np.arange(len(points)), points)
+        centers = rng.integers(-7, 8, (60, 3)) * fine
+        for radius in (0.0, cell / 2, cell, fine[2] * 3):
+            assert_pairs_match_oracle(grid, points, centers, radius)
+        for c in centers[:20]:
+            got = np.sort(grid.candidates(c, cell))
+            np.testing.assert_array_equal(got[np.isin(got, linear_radius_scan(points, c, cell))],
+                                          linear_radius_scan(points, c, cell))
+
+
+class TestWideSparseBank:
+    """Members 100 m apart: the table stays within its budget by coarsening,
+    and matching and radius queries stay exact."""
+
+    @pytest.mark.parametrize("outlier", [None, [3e5, -2e5, 7e4]])
+    def test_table_within_budget_and_exact(self, outlier):
+        rng = np.random.default_rng(34)
+        eps = 0.08
+        means = sparse_lattice(rng)
+        if outlier is not None:
+            means = np.vstack([means, outlier])
+        bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
+        index = bank._index
+        assert index._shift.any()                           # coarsened
+        assert index._starts.size <= _TABLE_CELLS + 1
+        assert index.cells <= len(means)
+        queries = means[rng.integers(0, len(means), 300)] + rng.uniform(-0.1, 0.1, (300, 3))
+        anchors, _, _ = bank._nearest_within(queries)
+        np.testing.assert_array_equal(anchors, linear_nearest_within(means, queries, eps))
+        assert np.count_nonzero(anchors >= 0) > 100
+        for q in queries[:60]:
+            r = float(rng.uniform(0.02, 0.2))
+            np.testing.assert_array_equal(np.sort(bank.radius_neighbors(q, r)),
+                                          linear_radius_scan(means, q, r))
+        assert_pairs_match_oracle(index, means, queries[:40], eps)
+
+    def test_growing_bank_stays_within_budget(self):
+        # Frames that land ever farther out coarsen the index more, and the
+        # table never passes the budget.
+        rng = np.random.default_rng(35)
+        bank = so.GaussianMemoryBank(12)
+        for t in range(6):
+            means = sparse_lattice(rng, spacing=10.0 ** t, side=2)
+            want = linear_nearest_within(bank.means, means, bank.config.epsilon)
+            stats = bank.fuse_frame(make_set(means))
+            assert stats.matched == np.count_nonzero(want >= 0)
+            assert bank._index._starts.size <= _TABLE_CELLS + 1
+            assert stats.cells == bank._index.cells <= len(bank)
+        assert bank._index._shift.any()
 
 
 class TestRadiusNeighbors:
@@ -292,7 +414,7 @@ class TestFuseFrame:
         stats = bank.fuse_frame(
             make_set([[1, 1, 1]], opacities=np.array([0.4]), logits=logits[None, :])
         )
-        assert stats == so.FusionStats(matched=1, inserted=0, candidates=1, open=0)
+        assert stats == so.FusionStats(matched=1, inserted=0, candidates=1, open=0, cells=1)
         assert abs(bank.opacities[0] - 0.52) <= 1e-9
 
     def test_identical_input_is_fixed_point(self):
@@ -316,7 +438,7 @@ class TestFuseFrame:
         bank = so.GaussianMemoryBank(12)
         incoming = make_set(np.random.default_rng(15).uniform(0, 1, (5, 3)))
         stats = bank.fuse_frame(incoming)
-        assert stats == so.FusionStats(matched=0, inserted=5, candidates=0, open=5)
+        assert stats == so.FusionStats(matched=0, inserted=5, candidates=0, open=5, cells=5)
         assert len(bank) == 5
         np.testing.assert_array_equal(bank.to_set().means, incoming.means)
 

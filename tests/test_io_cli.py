@@ -352,7 +352,7 @@ class TestCli:
             runs.append((out, out_grid.read_bytes(), out_bank.read_bytes()))
         assert all(run == runs[0] for run in runs[1:])
         assert "frame_1_inserted" in out and "bank_size" in out
-        assert "frame_1_candidates" in out and "frame_1_open" in out
+        assert "frame_1_candidates" in out and "frame_1_open" in out and "frame_1_cells" in out
         assert io.load_grid(out_grid).spec.num_classes == 12
         assert len(io.load_gaussians(out_bank)) > 0
 
