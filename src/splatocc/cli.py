@@ -175,8 +175,13 @@ def _cmd_sample(args, settings, cfg) -> int:
     if (classes[::s, ::s][depth.valid_mask()[::s, ::s]] == 0).any():
         raise ValueError(f"{args.classes}: class id 0 at a sampled pixel with a valid depth "
                          "(0 marks pixels without one)")
+    size = {"width": depth.width, "height": depth.height}   # the camera's unless set
+    for key, value in size.items():
+        if settings.get(key, value) != value:
+            raise ValueError(f"{args.depth}: {key} = {settings[key]} does not match the "
+                             f"depth map's {key} {value}")
     pose = _pose_flag(args.pose) if args.pose else standard_pose((0.0, 0.0, 0.0))
-    cam = _camera(settings, pose)
+    cam = _camera(settings | size, pose)
     gaussians = frame_gaussians(depth, classes, cam, cfg)
     io.save_gaussians(args.out, gaussians)
     _emit("gaussians", args.out)
@@ -236,6 +241,12 @@ def _cmd_eval(args, settings, cfg) -> int:
     pred = io.load_grid(args.pred)
     if args.gt:
         gt = io.load_grid(args.gt)
+        differ = [f"{f.name} {getattr(pred.spec, f.name)} against {getattr(gt.spec, f.name)}"
+                  for f in dataclasses.fields(GridSpec)
+                  if getattr(pred.spec, f.name) != getattr(gt.spec, f.name)]
+        if differ:
+            raise ValueError(f"{args.pred}: grid spec differs from that of {args.gt}: "
+                             + "; ".join(differ))
     else:
         scene = io.load_scene(args.gt_scene)
         _classes_fit(args.gt_scene, scene.max_label, pred.spec.num_classes)

@@ -8,12 +8,15 @@ and a dense int32 table of where each cell's run starts. Fusing a frame:
 1. every incoming Gaussian is matched to its nearest bank member within
    epsilon as the bank was before the frame (at most one anchor per
    incoming, so nothing is double counted; among members at equal distance
-   the lowest id wins). Matching runs batched over fixed-size chunks of the
-   frame in two exact passes: the first searches only the cells a ball of
-   radius epsilon/2 overlaps, 4 (x, y) columns about epsilon tall, and
-   settles every incoming with a member strictly closer than epsilon/2,
-   since no member outside those cells can be that close; the second runs
-   the full epsilon search, 9 columns about 2 epsilon tall, for the rest;
+   the lowest id wins). Matching runs in two exact passes, each over the
+   whole frame: the first searches only the cells a ball of radius
+   epsilon/2 overlaps, 4 (x, y) columns about epsilon tall, and settles
+   every incoming with a member strictly closer than epsilon/2, since no
+   member outside those cells can be that close; the second runs the full
+   epsilon search, 9 columns about 2 epsilon tall, for the rest. A pass
+   looks up all its columns in one index call, measures their candidates
+   in batches of whole columns cut by candidate count, and breaks ties
+   once;
 2. each anchor with matches is updated per attribute theta in
    {mean, covariance, opacity, logits} by the confidence-weighted average
 
@@ -45,9 +48,10 @@ import numpy as np
 from .gaussians import GaussianSet, WORLD_FRAME, _row_sum, _shifted_exp
 from .spatial_hash import SpatialHashGrid
 
-# Incoming Gaussians matched per batch; bounds the (query, candidate) pair
-# arrays to a few MB at the candidate counts of room-scale banks.
-_MATCH_CHUNK = 1024
+# Candidate (incoming, member) pairs measured per batch of whole columns, so
+# the pair arrays stay a few MB however dense the bank is; a column that
+# holds more is measured alone.
+_MATCH_PAIRS = 2 ** 15
 
 # The bank's per-member attributes, in the order _append takes them.
 _FIELDS = ("means", "cov", "opacities", "logits")
@@ -178,9 +182,10 @@ class GaussianMemoryBank:
         to the lowest id); the candidate pairs gathered; the queries that the
         first pass left open.
 
-        Two passes, both exact. The first visits only the cells that a ball
-        of radius epsilon/2 overlaps, at most 2 by 2 (x, y) columns, and
-        settles every query with a member strictly closer than epsilon/2.
+        Two passes, both exact and each batched over the whole frame (see
+        ``_nearest``). The first visits only the cells that a ball of radius
+        epsilon/2 overlaps, at most 2 by 2 (x, y) columns, and settles every
+        query with a member strictly closer than epsilon/2.
         The index's query boxes hold every member whose rounded squared
         distance is at most the rounded squared radius, so no member outside
         the visited cells is that close, and the nearest member and its tie
@@ -200,23 +205,34 @@ class GaussianMemoryBank:
     def _nearest(self, queries, radius: float, limit2: float):
         """Per query, the nearest member at squared distance <= limit2 among
         the cells a ball of ``radius`` overlaps, or -1 (ties break to the
-        lowest id); and the number of candidate pairs gathered."""
-        anchors = np.full(len(queries), -1, dtype=np.int64)
-        gathered = 0
-        for start in range(0, len(queries), _MATCH_CHUNK):
-            chunk = queries[start:start + _MATCH_CHUNK]
-            rows, ids = self._index.pairs(chunk, radius)
-            gathered += rows.size
+        lowest id); and the number of candidate pairs gathered.
+
+        The index reads every query's columns in one call. Their runs are
+        expanded and measured in batches of consecutive columns that hold at
+        most _MATCH_PAIRS candidates (or one column), and the pairs within
+        limit2 are reduced to anchors once. Columns come in query order, so
+        the kept rows ascend.
+        """
+        rows, start, count = self._index.columns(queries, radius)
+        ends = np.cumsum(count)   # candidates up to and including each column
+        kept = [(rows[:0], rows[:0], np.zeros(0))]   # a pass may keep no pair
+        a = 0
+        while a < rows.size:
+            b = max(int(np.searchsorted(ends, ends[a] - count[a] + _MATCH_PAIRS, "right")), a + 1)
+            pair_rows, ids = self._index.members(rows[a:b], start[a:b], count[a:b])
             diff = np.take(self.means, ids, axis=0)
-            diff -= np.take(chunk, rows, axis=0)
+            diff -= np.take(queries, pair_rows, axis=0)
             d2 = np.einsum("ij,ij->i", diff, diff)
             keep = np.flatnonzero(d2 <= limit2)
-            rows, ids, d2 = rows[keep], ids[keep], d2[keep]
-            heads = np.flatnonzero(np.diff(rows, prepend=-1))
-            nearest = np.repeat(np.minimum.reduceat(d2, heads), np.diff(heads, append=rows.size))
-            tied = np.where(d2 == nearest, ids, np.iinfo(np.int64).max)
-            anchors[start + rows[heads]] = np.minimum.reduceat(tied, heads)
-        return anchors, gathered
+            kept.append((pair_rows[keep], ids[keep], d2[keep]))
+            a = b
+        rows, ids, d2 = (np.concatenate(part) for part in zip(*kept))
+        heads = np.flatnonzero(np.diff(rows, prepend=-1))
+        nearest = np.repeat(np.minimum.reduceat(d2, heads), np.diff(heads, append=rows.size))
+        tied = np.where(d2 == nearest, ids, np.iinfo(np.int64).max)
+        anchors = np.full(len(queries), -1, dtype=np.int64)
+        anchors[rows[heads]] = np.minimum.reduceat(tied, heads)
+        return anchors, int(count.sum())
 
     def fuse_frame(self, incoming: GaussianSet) -> FusionStats:
         """Fuse one frame's world-frame Gaussians into the bank.

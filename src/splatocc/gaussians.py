@@ -209,11 +209,13 @@ def inverse_covariances(cov) -> np.ndarray:
 def prune(gset: GaussianSet, tau: float = DEFAULT_PRUNE_TAU) -> GaussianSet:
     """Drop members with opacity below tau, preserving order.
 
-    Idempotent; tau = 0 keeps everything.
+    Idempotent; tau = 0 keeps everything. A set that loses no member is
+    returned as is: its arrays are read-only, so no copy is needed.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    return gset.subset(gset.opacities >= tau)
+    keep = gset.opacities >= tau
+    return gset if keep.all() else gset.subset(keep)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,14 @@ first, until it fits. Coarse cells are floor(fine / 2^s), and
 floor(floor(v) / 2^s) = floor(v / 2^s), so they nest the fine ones and a
 query's box still covers every member within its radius.
 
-``pairs`` reads the cells the ball's bounding box overlaps: a ball of radius
-at most half the cell size reads 4 columns about one cell size tall.
-``candidates`` reads those overlapping the whole cubic cells (each _Z_SPLIT
-fine ones) the box overlaps, and ``key`` gives a point's cubic cell.
+``columns`` reads the cells each ball's bounding box overlaps, for a whole
+batch of balls at once: one (query, run start, run length) row per (x, y)
+column, found from the table in constant time. A ball of radius at most half
+the cell size reads 4 columns about one cell size tall. ``members`` expands
+any slice of those rows into (query, member id) pairs, so a caller can bound
+the pairs it holds at a time; ``pairs`` is the two in one call.
+``candidates`` reads, for one ball, the cells of the whole cubic cells (each
+_Z_SPLIT fine ones) its box overlaps, and ``key`` gives a point's cubic cell.
 Distance filtering is left to the caller, which owns the coordinates; a
 caller that breaks ties by id, as fusion does, gets results that do not
 depend on the order of members in a cell.
@@ -170,34 +174,48 @@ class SpatialHashGrid:
         ids = self._ids
         return np.concatenate([ids[pos[k]:pos[k + 1]] for k in range(0, len(pos), 2)])
 
-    def pairs(self, centers, radius: float):
-        """(query row, member id) for every member in a cell that overlaps
-        each ball's bounding box. Rows come out in ascending order."""
+    def columns(self, centers, radius: float):
+        """(query row, run start, run length) for every (x, y) column of cells
+        that each ball's bounding box overlaps: the run holds the sorted
+        members of the column's cells the box overlaps in z. Rows come out in
+        ascending order."""
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         radius = float(radius)
         if not (np.all(np.isfinite(centers)) and isfinite(radius)):
             raise ValueError("query centers and radius must be finite")
         radius *= _REACH
-        # Box bounds in fine cells, clipped so that shifting them gives the
-        # cells clipped to [base, top + 1] (lo) and [base - 1, top] (hi).
-        box_lo, box_hi = self._fine_box
-        lo = np.floor((centers - radius) * self._inv * _SCALE)
-        hi = np.floor((centers + radius) * self._inv * _SCALE)
-        lo = np.clip(lo, box_lo, box_hi).astype(np.int64) >> self._shift
-        hi = np.clip(hi, box_lo - 1, box_hi - 1).astype(np.int64) >> self._shift
-        span = np.maximum(hi - lo + 1, 0)
-        lo -= self._base
+        # Each box's lowest cell, relative to the base cell, and its extent in
+        # cells, one axis at a time (numpy broadcasts over a length-3 axis row
+        # by row). Bounds in fine cells are clipped so that shifting them gives
+        # the cells clipped to [base, top + 1] (lo) and [base - 1, top] (hi).
+        lo, span = [], []
+        for c, scale, s, base, first, past in zip(centers.T, _SCALE, self._shift.tolist(),
+                                                  self._base, *self._fine_box):
+            low = np.floor((c - radius) * self._inv * scale)
+            high = np.floor((c + radius) * self._inv * scale)
+            low = np.clip(low, first, past, out=low).astype(np.int64) >> s
+            high = np.clip(high, first - 1, past - 1, out=high).astype(np.int64) >> s
+            high -= low - 1
+            span.append(np.maximum(high, 0, out=high))
+            lo.append(low - base)
         # One entry per (query, x, y) column; each is a run of consecutive keys.
-        columns = span[:, 0] * span[:, 1]
+        span_x, span_y, span_z = span
+        columns = span_x * span_y
         rows = np.repeat(np.arange(len(centers)), columns)
         j = np.arange(rows.size) - np.repeat(np.cumsum(columns) - columns, columns)
-        first = lo[rows]
-        first[:, 0] += j // span[rows, 1]
-        first[:, 1] += j % span[rows, 1]
-        first = self._pack(*first.T)
+        dx, dy = np.divmod(j, np.repeat(span_y, columns))
+        first = np.repeat(self._pack(*lo), columns) + self._pack(dx, dy, 0)
         start = self._starts[first]
-        count = self._starts[first + span[rows, 2]] - start
-        # Expand each run [start, start + count) into member positions.
+        return rows, start, self._starts[first + np.repeat(span_z, columns)] - start
+
+    def members(self, rows, start, count):
+        """(query row, member id) for every member of the runs [start,
+        start + count) that ``columns`` gave for ``rows``, in their order."""
         rows = np.repeat(rows, count)
         pos = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
         return rows, self._ids[pos]
+
+    def pairs(self, centers, radius: float):
+        """(query row, member id) for every member in a cell that overlaps
+        each ball's bounding box. Rows come out in ascending order."""
+        return self.members(*self.columns(centers, radius))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import splatocc as so
+from splatocc import fusion
 from splatocc.gaussians import GaussianSet, softmax
 from splatocc.spatial_hash import _REACH, _TABLE_CELLS, _Z_SPLIT, SpatialHashGrid
 
@@ -177,6 +178,73 @@ class TestCellTable:
             got = np.sort(grid.candidates(c, cell))
             np.testing.assert_array_equal(got[np.isin(got, linear_radius_scan(points, c, cell))],
                                           linear_radius_scan(points, c, cell))
+
+
+def _batch_case(name):
+    """(bank means, queries, batch budget) for one batching edge."""
+    rng = np.random.default_rng(36)
+    spread = rng.uniform(0, 1, (2000, 3))                  # about 2 members per column
+    inside = rng.uniform(0, 1, (300, 3))
+    outside = rng.uniform(0, 1, (40, 3)) + [3, 0, 0]       # past the index box in x
+    stack = np.vstack([np.full((50, 3), 0.5), rng.uniform(0, 1, (200, 3))])   # 50 tied
+    return {
+        "columns-split-across-batches": (spread, inside, 16),
+        "queries-without-columns": (spread, np.vstack([outside[:20], inside[:100], outside[20:]]),
+                                    16),
+        "empty-frame": (spread, np.zeros((0, 3)), 16),
+        "one-cell-over-budget": (stack, 0.5 + rng.uniform(-0.05, 0.05, (60, 3)), 8),
+    }[name]
+
+
+class TestMatchBatches:
+    """Matching measures candidates in batches of at most _MATCH_PAIRS pairs,
+    or one column; anchors and counts do not depend on where batches are cut."""
+
+    @staticmethod
+    def match(monkeypatch, name):
+        """Check one case against the linear scan and the index's pairs; its
+        batches as (rows, run lengths)."""
+        means, queries, budget = _batch_case(name)
+        eps = 0.08
+        bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
+        d2 = ((queries[:, None, :] - means[None, :, :]) ** 2).sum(axis=-1)
+        open_rows = np.flatnonzero(np.all(d2 >= (eps / 2) ** 2, axis=1))
+        want = sum(bank._index.pairs(q, r)[0].size
+                   for q, r in ((queries, eps / 2), (queries[open_rows], eps)))
+        batches, members = [], SpatialHashGrid.members
+
+        def recorded(grid, rows, start, count):
+            batches.append((rows, count))
+            return members(grid, rows, start, count)
+
+        monkeypatch.setattr(fusion, "_MATCH_PAIRS", budget)
+        monkeypatch.setattr(SpatialHashGrid, "members", recorded)
+        anchors, candidates, n_open = bank._nearest_within(queries)
+        np.testing.assert_array_equal(anchors, linear_nearest_within(means, queries, eps))
+        assert (candidates, n_open) == (want, open_rows.size)
+        assert all(count.sum() <= budget or count.size == 1 for _, count in batches)
+        assert sum(int(count.sum()) for _, count in batches) == want
+        stats = bank.fuse_frame(make_set(queries))
+        assert (stats.matched, stats.candidates) == (np.count_nonzero(anchors >= 0), want)
+        return batches, budget
+
+    def test_queries_without_columns(self, monkeypatch):
+        means, queries, _ = _batch_case("queries-without-columns")
+        grid = SpatialHashGrid(0.08)
+        grid.insert_many(np.arange(len(means)), means)
+        assert grid.columns(queries[:20], 0.08)[0].size == 0
+        self.match(monkeypatch, "queries-without-columns")
+
+    def test_empty_frame(self, monkeypatch):
+        self.match(monkeypatch, "empty-frame")
+
+    def test_a_query_spans_batches(self, monkeypatch):
+        batches, _ = self.match(monkeypatch, "columns-split-across-batches")
+        assert any(a[-1] == b[0] for (a, _), (b, _) in zip(batches, batches[1:]))
+
+    def test_a_column_over_budget_is_one_batch(self, monkeypatch):
+        batches, budget = self.match(monkeypatch, "one-cell-over-budget")
+        assert any(count.sum() > budget for _, count in batches)
 
 
 class TestWideSparseBank:
@@ -454,25 +522,22 @@ class TestFuseFrame:
         assert len(bank) == old_size + stats.inserted
         assert bank.frame_count == 1
 
-    def test_stats_count_candidates_and_open_queries(self, monkeypatch):
+    def test_stats_count_candidates_and_open_queries(self):
         rng = np.random.default_rng(20)
         eps = 0.08
         means = rng.uniform(0, 1, (1500, 3))
         bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
         incoming = rng.uniform(-0.1, 1.1, (2500, 3))
-        gathered, pairs = [], SpatialHashGrid.pairs
-
-        def counted_pairs(grid, centers, radius):
-            rows, ids = pairs(grid, centers, radius)
-            gathered.append(rows.size)
-            return rows, ids
-
-        monkeypatch.setattr(SpatialHashGrid, "pairs", counted_pairs)
-        stats = bank.fuse_frame(make_set(incoming))
-        assert stats.candidates == sum(gathered) > 0
         # Open: no member strictly closer than eps/2.
         d2 = ((incoming[:, None, :] - means[None, :, :]) ** 2).sum(axis=-1)
-        assert stats.open == np.count_nonzero(d2.min(axis=1) >= (eps / 2) ** 2) > 0
+        open_rows = np.flatnonzero(d2.min(axis=1) >= (eps / 2) ** 2)
+        # Candidates: the pairs of the eps/2 pass over every incoming, and of
+        # the eps pass over the open ones.
+        want = sum(bank._index.pairs(q, r)[0].size
+                   for q, r in ((incoming, eps / 2), (incoming[open_rows], eps)))
+        stats = bank.fuse_frame(make_set(incoming))
+        assert stats.candidates == want > 0
+        assert stats.open == open_rows.size > 0
 
     def test_frame_stats_record_every_fused_frame(self):
         rng = np.random.default_rng(19)

@@ -160,7 +160,8 @@ class TestPrune:
 
     def test_zero_tau_is_identity(self):
         gset = self._set([0.0, 0.3, 1.0])
-        assert len(so.prune(gset, 0.0)) == 3
+        assert so.prune(gset, 0.0) is gset   # nothing dropped: no copy
+        assert so.prune(gset, 0.3).opacities.tolist() == [0.3, 1.0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)

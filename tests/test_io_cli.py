@@ -604,6 +604,28 @@ def test_sample_shape_mismatch_names_both_maps(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, words", [
+    (["--width", "16"], ["width = 16", "width 8"]),
+    (["--height", "12", "--width", "8"], ["height = 12", "height 6"]),
+])
+def test_sample_camera_size_must_match_the_depth_map(tmp_path, capsys, flags, words):
+    # A camera wider than the 8 x 6 map skews every ray through cx = width / 2.
+    ok = _valid_inputs(tmp_path)
+    out = tmp_path / "out.gset"
+    argv = ["sample", "--depth", ok["dmap"], "--classes", ok["cmap"], "--out", out]
+    code = main([str(a) for a in argv + flags])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {ok['dmap']}: "), err
+    assert all(word in err[0] for word in words), err[0]
+    assert not out.exists()
+    # The map's own size, given or not, is the camera's.
+    given = tmp_path / "given.gset"
+    assert main([str(a) for a in argv[:-1] + [given, "--width", "8", "--height", "6"]]) == 0
+    assert main([str(a) for a in argv]) == 0
+    assert out.read_bytes() == given.read_bytes()
+
+
 def test_eval_takes_exactly_one_ground_truth(tmp_path, capsys):
     ok = _valid_inputs(tmp_path)
     for gt in (["--gt", ok["ogrid"], "--gt-scene", ok["json"]], []):
@@ -726,6 +748,8 @@ def _valid_inputs(tmp_path):
         pytest.param("ogrid", _ogrid((4, 3, 2), origin=(0.0, np.nan, 0.0)), ["origin"],
                      id="ogrid-nan-origin"),
         pytest.param("ogrid", _ogrid((4, 0, 2)), ["dims"], id="ogrid-zero-dim"),
+        pytest.param("ogrid", _ogrid((4, 3, 3)), ["ok.ogrid", "dims (4, 3, 3) against (4, 3, 2)"],
+                     id="ogrid-grid-spec-differs"),
         pytest.param("json", _scene_json(patches=[_PATCH | {"label": 300}]),
                      ["patch label", "1..255"], id="json-patch-label-300"),
         pytest.param("json", _scene_json(patches=[_PATCH | {"label": 0}]),
