@@ -24,7 +24,12 @@ and a dense int32 table of where each cell's run starts. Fusing a frame:
                 / (gamma * p_mem + (1 - gamma) * sum_j p_j)
 
    where p is top-1 softmax confidence and gamma < 0.5 biases toward the
-   newer evidence;
+   newer evidence. One stable argsort groups the matched incoming by
+   anchor, in incoming order within a group. The sums then run in rounds:
+   round r adds to every anchor with at least r matches its r-th, so each
+   sum starts from 0.0 and takes its terms in incoming order, one field at
+   a time. There are as many rounds as the most matches of one anchor, and
+   rounds after the first touch only the anchors with more than one;
 3. unmatched incoming Gaussians are inserted verbatim;
 4. the index is rebuilt once over the updated means, from the old members in
    their previous key order followed by the new ones, so its stable sort
@@ -73,12 +78,14 @@ class FusionConfig:
 class FusionStats:
     """One fused frame: incoming matched and inserted, (incoming, member) pairs
     that matching gathered over both passes, incoming left open by the first,
-    and the index's occupied cells after the frame."""
+    the index's occupied cells after the frame, and the distinct bank members
+    the frame updated."""
     matched: int
     inserted: int
     candidates: int
     open: int
     cells: int
+    anchors: int
 
 
 def top1_confidence(logits) -> np.ndarray:
@@ -87,13 +94,6 @@ def top1_confidence(logits) -> np.ndarray:
     and correctly rounded division keeps every other entry at or below 1/sum.
     Computed class-major, as ``softmax`` is, with the same sum."""
     return 1.0 / _row_sum(_shifted_exp(logits))
-
-
-def _attributes(src, rows):
-    """The fused attributes of ``src``'s selected rows side by side: mean (3),
-    covariance (9), opacity (1) and logits."""
-    return np.hstack([src.means[rows], src.cov[rows].reshape(-1, 9),
-                      src.opacities[rows][:, None], src.logits[rows]])
 
 
 class GaussianMemoryBank:
@@ -250,27 +250,41 @@ class GaussianMemoryBank:
         n_in = len(incoming)
         anchors, candidates, n_open = self._nearest_within(incoming.means)
         matched = anchors >= 0
-        n_matched = int(np.count_nonzero(matched))
+
+        # Matched incoming grouped by anchor, in incoming order within a group;
+        # the anchors ua ascend.
+        rows = np.flatnonzero(matched)
+        rows = rows[np.argsort(anchors[rows], kind="stable")]
+        heads = np.flatnonzero(np.diff(anchors[rows], prepend=-1))
+        ua = anchors[rows[heads]]
+        counts = np.diff(heads, append=rows.size)
+        # Round r adds to every anchor with at least r matches its r-th:
+        # (anchor slots, their grouped positions heads + r - 1).
+        rounds, slots = [(slice(None), heads)], np.flatnonzero(counts > 1)
+        while slots.size:
+            rounds.append((slots, heads[slots] + len(rounds)))
+            slots = slots[counts[slots] > len(rounds)]
+
+        def summed(values):
+            total = np.zeros((ua.size,) + values.shape[1:])
+            for at, pos in rounds:
+                total[at] += values[pos]
+            return total
 
         gamma = self.config.gamma
-        ua, slot = np.unique(anchors[matched], return_inverse=True)
-        w_in = (1.0 - gamma) * top1_confidence(incoming.logits[matched])
+        w_in = (1.0 - gamma) * top1_confidence(incoming.logits[rows])
         w_mem = gamma * top1_confidence(self.logits[ua])
-        sum_w = np.zeros(ua.size)
-        np.add.at(sum_w, slot, w_in)
-        theta_in = w_in[:, None] * _attributes(incoming, matched)
-        # One flat bincount over (slot, column) bins: each bin gets the same
-        # additions in the same order as a 2-D np.add.at, at a fraction of its cost.
-        width = theta_in.shape[1]
-        sum_theta = np.bincount((slot[:, None] * width + np.arange(width)).ravel(),
-                                weights=theta_in.ravel(),
-                                minlength=ua.size * width).reshape(ua.size, width)
-        fused = (w_mem[:, None] * _attributes(self, ua) + sum_theta) / (w_mem + sum_w)[:, None]
-
-        self.means[ua] = fused[:, :3]
-        self.cov[ua] = fused[:, 3:12].reshape(-1, 3, 3)
-        self.opacities[ua] = fused[:, 12]
-        self.logits[ua] = fused[:, 13:]
+        den = w_mem + summed(w_in)
+        for name in _FIELDS:
+            dst = getattr(self, name)
+            shape = (-1,) + (1,) * (dst.ndim - 1)
+            theta = np.take(getattr(incoming, name), rows, axis=0)
+            theta *= w_in.reshape(shape)
+            fused = np.take(dst, ua, axis=0)
+            fused *= w_mem.reshape(shape)
+            fused += summed(theta)
+            fused /= den.reshape(shape)
+            dst[ua] = fused
 
         ins = ~matched
         self._append(incoming.means[ins], incoming.cov[ins], incoming.opacities[ins],
@@ -280,8 +294,8 @@ class GaussianMemoryBank:
         # come nearly sorted, and the index's adaptive stable sort runs fast.
         order = np.concatenate([self._index.ids, np.arange(len(self._index), len(self))])
         self._index.insert_many(order, np.take(self.means, order, axis=0))
-        self.frame_stats.append(FusionStats(matched=n_matched, inserted=n_in - n_matched,
+        self.frame_stats.append(FusionStats(matched=rows.size, inserted=n_in - rows.size,
                                             candidates=candidates, open=n_open,
-                                            cells=self._index.cells))
+                                            cells=self._index.cells, anchors=ua.size))
         return self.frame_stats[-1]
 

@@ -251,6 +251,7 @@ def heuristic_attributes_batch(
     ``labels`` gives one class id per sample. opacity = base_opacity *
     exp(-opacity_decay * (k - 1)), so deeper interior samples fade;
     sigma = sigma_factor * spacing, isotropic: the covariance is sigma^2 I.
+    A sigma^2 that overflows float64 raises ValueError naming the settings.
     """
     labels = np.asarray(labels)
     if labels.shape != (len(samples),) or labels.dtype.kind not in "iu":
@@ -258,9 +259,14 @@ def heuristic_attributes_batch(
     if labels.size and (labels.min() < 1 or labels.max() > cfg.num_classes - 1):
         bad = labels[(labels < 1) | (labels > cfg.num_classes - 1)][0]
         raise ValueError(f"label {bad} outside valid range 1..{cfg.num_classes - 1}")
-    sigma = np.maximum(cfg.sigma_factor * samples.spacings, SCALE_FLOOR)
+    with np.errstate(over="ignore"):   # reported below, naming the settings
+        sigma = np.maximum(cfg.sigma_factor * samples.spacings, SCALE_FLOOR)
+        variance = sigma * sigma
+    if not np.all(np.isfinite(variance)):
+        raise ValueError("kernel variance (sigma_factor * sample spacing)^2 overflows float64: "
+                         "lower sigma_factor or scale")
     opacities = cfg.base_opacity * np.exp(-cfg.opacity_decay * (samples.ks - 1))
     logits = np.zeros((len(samples), cfg.num_classes))
     logits[np.arange(len(samples)), labels] = cfg.logit_gain
-    cov = (sigma * sigma)[:, None, None] * np.eye(3)
+    cov = variance[:, None, None] * np.eye(3)
     return GaussianSet._of(samples.positions, cov, opacities, logits, CAMERA_FRAME)

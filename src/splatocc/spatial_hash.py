@@ -177,8 +177,9 @@ class SpatialHashGrid:
     def columns(self, centers, radius: float):
         """(query row, run start, run length) for every (x, y) column of cells
         that each ball's bounding box overlaps: the run holds the sorted
-        members of the column's cells the box overlaps in z. Rows come out in
-        ascending order."""
+        members of the column's cells the box overlaps in z. A box that misses
+        the index on any axis gives no column. Rows come out in ascending
+        order."""
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
         radius = float(radius)
         if not (np.all(np.isfinite(centers)) and isfinite(radius)):
@@ -199,8 +200,9 @@ class SpatialHashGrid:
             span.append(np.maximum(high, 0, out=high))
             lo.append(low - base)
         # One entry per (query, x, y) column; each is a run of consecutive keys.
+        # A box clipped empty on any axis has none.
         span_x, span_y, span_z = span
-        columns = span_x * span_y
+        columns = span_x * span_y * (span_z > 0)
         rows = np.repeat(np.arange(len(centers)), columns)
         j = np.arange(rows.size) - np.repeat(np.cumsum(columns) - columns, columns)
         dx, dy = np.divmod(j, np.repeat(span_y, columns))

@@ -124,6 +124,40 @@ def linear_nearest_within(means, queries, eps):
     return out
 
 
+def sequential_fuse(bank, incoming, eps, gamma):
+    """Brute-force fusion of one frame, anchor by anchor: (means, cov,
+    opacities, logits) of the bank GaussianSet ``bank`` after fusing
+    ``incoming``. Each incoming takes its anchor from linear_nearest_within;
+    an anchor's weighted sums start from 0.0 and add its matches one at a
+    time in incoming order, and
+
+        theta <- (gamma p_mem theta_mem + sum_j (1 - gamma) p_j theta_j)
+                 / (gamma p_mem + sum_j (1 - gamma) p_j),
+
+    p being the largest softmax probability. Unmatched incoming are
+    appended in incoming order."""
+    fields = ("means", "cov", "opacities", "logits")
+    out = {name: np.array(getattr(bank, name), dtype=np.float64) for name in fields}
+    anchors = linear_nearest_within(bank.means, incoming.means, eps)
+
+    def confidence(logits):
+        return float(softmax_rows(np.asarray(logits)[None, :]).max())
+
+    for a in sorted(set(anchors[anchors >= 0].tolist())):
+        sum_w = 0.0
+        sums = {name: np.zeros_like(out[name][a]) for name in fields}
+        for j in np.flatnonzero(anchors == a):
+            w = (1.0 - gamma) * confidence(incoming.logits[j])
+            sum_w += w
+            for name in fields:
+                sums[name] += w * getattr(incoming, name)[j]
+        w_mem = gamma * confidence(bank.logits[a])
+        for name in fields:
+            out[name][a] = (w_mem * out[name][a] + sums[name]) / (w_mem + sum_w)
+    new = anchors < 0
+    return tuple(np.concatenate([out[name], getattr(incoming, name)[new]]) for name in fields)
+
+
 def cell_pairs(points, centers, radius, cell_size, z_split, reach=1.0, shift=(0, 0, 0)):
     """Brute-force (query row, member id) pairs of a grid index, member by
     member: a member pairs with a query when its cell lies in the cells of

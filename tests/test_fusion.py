@@ -8,7 +8,7 @@ from splatocc import fusion
 from splatocc.gaussians import GaussianSet, softmax
 from splatocc.spatial_hash import _REACH, _TABLE_CELLS, _Z_SPLIT, SpatialHashGrid
 
-from oracles import cell_pairs, linear_nearest_within, linear_radius_scan
+from oracles import cell_pairs, linear_nearest_within, linear_radius_scan, sequential_fuse
 
 
 def make_set(means, opacities=None, logits=None, scales=0.03, nc=12):
@@ -187,10 +187,12 @@ def _batch_case(name):
     inside = rng.uniform(0, 1, (300, 3))
     outside = rng.uniform(0, 1, (40, 3)) + [3, 0, 0]       # past the index box in x
     stack = np.vstack([np.full((50, 3), 0.5), rng.uniform(0, 1, (200, 3))])   # 50 tied
+    above = rng.uniform(0, 1, (20, 3)) + [0, 0, 2]          # over the index box in z only
     return {
         "columns-split-across-batches": (spread, inside, 16),
         "queries-without-columns": (spread, np.vstack([outside[:20], inside[:100], outside[20:]]),
                                     16),
+        "queries-above-the-index": (spread, np.vstack([above, inside[:100]]), 16),
         "empty-frame": (spread, np.zeros((0, 3)), 16),
         "one-cell-over-budget": (stack, 0.5 + rng.uniform(-0.05, 0.05, (60, 3)), 8),
     }[name]
@@ -228,12 +230,20 @@ class TestMatchBatches:
         assert (stats.matched, stats.candidates) == (np.count_nonzero(anchors >= 0), want)
         return batches, budget
 
-    def test_queries_without_columns(self, monkeypatch):
-        means, queries, _ = _batch_case("queries-without-columns")
+    @staticmethod
+    def columnless(monkeypatch, name):
+        """The first 20 queries' boxes miss the index on one axis: no column."""
+        means, queries, _ = _batch_case(name)
         grid = SpatialHashGrid(0.08)
         grid.insert_many(np.arange(len(means)), means)
         assert grid.columns(queries[:20], 0.08)[0].size == 0
-        self.match(monkeypatch, "queries-without-columns")
+        TestMatchBatches.match(monkeypatch, name)
+
+    def test_queries_without_columns(self, monkeypatch):
+        self.columnless(monkeypatch, "queries-without-columns")
+
+    def test_queries_above_the_index(self, monkeypatch):
+        self.columnless(monkeypatch, "queries-above-the-index")
 
     def test_empty_frame(self, monkeypatch):
         self.match(monkeypatch, "empty-frame")
@@ -429,6 +439,75 @@ class TestBankStorage:
         np.testing.assert_array_equal(bank.opacities[n:], far.opacities)
 
 
+def signed_zero_set(rng, means):
+    """World-frame set at ``means`` with random covariances, opacities and
+    logits, where a third of the logits and of the covariances' off-diagonal
+    pairs are -0.0."""
+    n = len(means)
+    cov = np.zeros((n, 3, 3))
+    cov[:, [0, 1, 2], [0, 1, 2]] = rng.uniform(1e-4, 4e-3, (n, 3))
+    off = rng.uniform(-5e-5, 5e-5, (n, 3))
+    off[rng.uniform(size=(n, 3)) < 1 / 3] = -0.0
+    cov[:, [0, 0, 1], [1, 2, 2]] = cov[:, [1, 2, 2], [0, 0, 1]] = off
+    logits = rng.normal(size=(n, 12))
+    logits[rng.uniform(size=(n, 12)) < 1 / 3] = -0.0
+    return GaussianSet.from_covariances(means, cov, rng.uniform(0.05, 1.0, n), logits,
+                                        frame="world")
+
+
+class TestFuseOracle:
+    """fuse_frame against sequential_fuse, byte for byte: every anchor's sums
+    start from 0.0 and take its matches in incoming order."""
+
+    @staticmethod
+    def fuse(members, incoming, eps=0.08, gamma=0.4):
+        bank = so.GaussianMemoryBank.from_set(members, so.FusionConfig(epsilon=eps, gamma=gamma))
+        stats = bank.fuse_frame(incoming)
+        want = sequential_fuse(members, incoming, eps, gamma)
+        for name, expected in zip(("means", "cov", "opacities", "logits"), want):
+            got = getattr(bank, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+        anchors = linear_nearest_within(members.means, incoming.means, eps)
+        assert stats.matched == np.count_nonzero(anchors >= 0)
+        assert stats.anchors == np.unique(anchors[anchors >= 0]).size
+        return stats
+
+    def test_anchors_with_one_to_seven_matches(self):
+        # Members 0.5 apart; member i gets i % 8 matches within eps/4 of it,
+        # shuffled among the frame's other incoming. Members and incoming sit
+        # at -0.0 on some axes, so the first term of a sum can be -0.0.
+        rng = np.random.default_rng(50)
+        lattice = 0.5 * np.indices((6, 6, 2)).reshape(3, -1).T
+        lattice[::3, 0] = -0.0
+        counts = np.arange(len(lattice)) % 8
+        near = np.repeat(lattice, counts, axis=0) + rng.uniform(-0.02, 0.02, (counts.sum(), 3))
+        near[::4, 0] = -0.0
+        far = rng.uniform(0, 2.5, (40, 3)) + [0.25, 0.25, 0.25]   # some match, some do not
+        frame = np.vstack([near, far])[rng.permutation(counts.sum() + 40)]
+        stats = self.fuse(signed_zero_set(rng, lattice), signed_zero_set(rng, frame))
+        assert 0 < stats.matched < len(frame)
+
+    def test_random_dense_frame(self):
+        rng = np.random.default_rng(51)
+        members = signed_zero_set(rng, rng.uniform(0, 0.6, (300, 3)))
+        stats = self.fuse(members, signed_zero_set(rng, rng.uniform(-0.05, 0.65, (2000, 3))))
+        assert stats.matched > 1.5 * stats.anchors
+
+    def test_frame_that_matches_nothing(self):
+        rng = np.random.default_rng(52)
+        members = signed_zero_set(rng, rng.uniform(0, 1, (100, 3)))
+        stats = self.fuse(members, signed_zero_set(rng, rng.uniform(3, 4, (50, 3))))
+        assert (stats.matched, stats.anchors, stats.inserted) == (0, 0, 50)
+
+    def test_frame_where_everything_matches(self):
+        rng = np.random.default_rng(53)
+        means = rng.uniform(0, 1, (100, 3))
+        members = signed_zero_set(rng, means)
+        frame = np.repeat(means, 3, axis=0)[rng.permutation(300)] + rng.uniform(-0.01, 0.01, (300, 3))
+        stats = self.fuse(members, signed_zero_set(rng, frame))
+        assert stats.matched == 300 and stats.inserted == 0
+
+
 class TestTop1Confidence:
     def test_uniform_logits(self):
         g = GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(12))
@@ -482,7 +561,8 @@ class TestFuseFrame:
         stats = bank.fuse_frame(
             make_set([[1, 1, 1]], opacities=np.array([0.4]), logits=logits[None, :])
         )
-        assert stats == so.FusionStats(matched=1, inserted=0, candidates=1, open=0, cells=1)
+        assert stats == so.FusionStats(matched=1, inserted=0, candidates=1, open=0, cells=1,
+                                       anchors=1)
         assert abs(bank.opacities[0] - 0.52) <= 1e-9
 
     def test_identical_input_is_fixed_point(self):
@@ -506,7 +586,8 @@ class TestFuseFrame:
         bank = so.GaussianMemoryBank(12)
         incoming = make_set(np.random.default_rng(15).uniform(0, 1, (5, 3)))
         stats = bank.fuse_frame(incoming)
-        assert stats == so.FusionStats(matched=0, inserted=5, candidates=0, open=5, cells=5)
+        assert stats == so.FusionStats(matched=0, inserted=5, candidates=0, open=5, cells=5,
+                                       anchors=0)
         assert len(bank) == 5
         np.testing.assert_array_equal(bank.to_set().means, incoming.means)
 

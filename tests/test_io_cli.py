@@ -345,7 +345,9 @@ class TestCli:
         runs = []
         # Runs of spaces, tabs and commas separate a pose's numbers as one space does.
         for sep in (" ", "  ", "\t", ", "):
-            poses.write_text(f"0.3{sep}2.4{sep}1.44{sep}0\n3.7{sep}2.4{sep}1.44{sep}180\n")
+            # The third pose revisits the first, so its frame updates bank members.
+            poses.write_text(f"0.3{sep}2.4{sep}1.44{sep}0\n3.7{sep}2.4{sep}1.44{sep}180\n"
+                             f"0.3{sep}2.4{sep}1.44{sep}0\n")
             out = _run(capsys, ["stream", "--scene", scene_path, "--poses", poses,
                                 "--out-grid", out_grid, "--out-bank", out_bank,
                                 "--k", "4", "--stride", "8"])
@@ -353,6 +355,7 @@ class TestCli:
         assert all(run == runs[0] for run in runs[1:])
         assert "frame_1_inserted" in out and "bank_size" in out
         assert "frame_1_candidates" in out and "frame_1_open" in out and "frame_1_cells" in out
+        assert 0 < int(out["frame_2_anchors"]) <= int(out["frame_2_matched"])
         assert io.load_grid(out_grid).spec.num_classes == 12
         assert len(io.load_gaussians(out_bank)) > 0
 
@@ -403,6 +406,29 @@ class TestCli:
             assert main([str(a) for a in sample + extra]) == 1, text
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+            assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")   # the overflow is reported once, not warned about
+    @pytest.mark.parametrize("command", ["sample", "stream"])
+    def test_kernel_variance_overflow_is_one_line_error(self, tmp_path, capsys, command):
+        # Finite settings whose kernel variance overflows float64: sample used
+        # to write non-finite covariances, stream to fuse them into an empty
+        # grid or to fail on cell keys without naming a setting.
+        scene_path, depth_path, cmap_path = _render_room(tmp_path, capsys)
+        poses = tmp_path / "poses.txt"
+        poses.write_text("0.3 2.4 1.44 0\n")
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text("sigma_factor = 1e160\n")
+        out = tmp_path / "out"
+        argv = {"sample": ["sample", "--depth", depth_path, "--classes", cmap_path, "--out", out],
+                "stream": ["stream", "--scene", scene_path, "--poses", poses, "--out-grid", out,
+                           "--k", "4", "--stride", "8"]}[command]
+        for extra in (["--config", cfg_path], ["--scale", "1e300"]):
+            capsys.readouterr()
+            assert main([str(a) for a in argv + extra]) == 1, extra
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), err
+            assert "sigma_factor" in err[0] and "scale" in err[0], err
             assert not out.exists()
 
     def test_negative_flag_value_needs_equals_form(self, tmp_path, capsys):
