@@ -115,13 +115,18 @@ def project(cam: CameraModel, point):
     point = np.asarray(point, dtype=np.float64)
     if point.shape[-1] != 3:
         raise ValueError("point must have a trailing dimension of 3")
-    z = point[..., 2]
-    if np.any(z <= 0.0) or not np.all(np.isfinite(point)):
+    if np.any(point[..., 2] <= 0.0) or not np.all(np.isfinite(point)):
         raise ValueError("point is behind the camera (z <= 0)")
-    u = cam.fx * point[..., 0] / z + cam.cx
-    v = cam.fy * point[..., 1] / z + cam.cy
-    d = np.linalg.norm(point, axis=-1)
-    return u, v, d
+    return _project(cam, point)
+
+
+def _project(cam: CameraModel, point):
+    """project without its checks: u and v are inf or NaN where z = 0."""
+    z = point[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = cam.fx * point[..., 0] / z + cam.cx
+        v = cam.fy * point[..., 1] / z + cam.cy
+    return u, v, np.linalg.norm(point, axis=-1)
 
 
 def z_depth_to_ray_distance(cam: CameraModel, pixel, z):
@@ -129,10 +134,7 @@ def z_depth_to_ray_distance(cam: CameraModel, pixel, z):
     z = np.asarray(z, dtype=np.float64)
     if np.any(~np.isfinite(z)) or np.any(z <= 0.0):
         raise ValueError("z-depth must be finite and > 0")
-    u, v = _split_pixel(pixel)
-    x = (u - cam.cx) / cam.fx
-    y = (v - cam.cy) / cam.fy
-    return z * np.sqrt(x * x + y * y + 1.0)
+    return z / ray_direction(cam, pixel)[..., 2]
 
 
 def to_world(cam: CameraModel, gset: GaussianSet) -> GaussianSet:

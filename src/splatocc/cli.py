@@ -66,7 +66,11 @@ _CAMERA_FLAGS = ("fx", "fy", "cx", "cy", "width", "height")
 _SAMPLE_FLAGS = ("k", "scale", "stride", "tau")
 _GRID_FLAGS = ("grid-dims", "voxel-size", "grid-origin")
 _FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the grid min corner"}
-_MAX_VOXELS = 2**24  # per splat or stream grid: ~3 GB of splat scratch at 12 classes
+# Size budgets, checked before any work starts so an oversized input fails
+# as one line instead of an allocation error or a run that does not end.
+_MAX_VOXELS = 2**24   # per grid: ~3 GB of splat scratch at 12 classes
+_MAX_PIXELS = 2**24   # per camera: render_depth's (height, width, 3) arrays, 0.4 GB each
+_MAX_SAMPLES = 2**22  # per frame: its Gaussians, ~0.2 kB each at 12 classes, a few copies
 
 
 def _settings(args) -> dict:
@@ -95,6 +99,7 @@ def _settings(args) -> dict:
 
 def _camera(settings: dict, pose) -> CameraModel:
     width, height = settings.get("width", 240), settings.get("height", 180)
+    _budgeted("width, height", width * height, _MAX_PIXELS, "pixels")
     return CameraModel(settings.get("fx", 260.0), settings.get("fy", 260.0),
                        settings.get("cx", width / 2.0), settings.get("cy", height / 2.0),
                        width, height, pose)
@@ -120,14 +125,21 @@ def _grid_spec(settings: dict, num_classes: int) -> GridSpec:
     spec = GridSpec(dims=settings.get("grid-dims", (60, 60, 36)),
                     voxel_size=settings.get("voxel-size", 0.08),
                     origin=settings.get("grid-origin", (0.0, 0.0, 0.0)), num_classes=num_classes)
-    return _budgeted("grid-dims", spec)
-
-
-def _budgeted(source, spec: GridSpec) -> GridSpec:
-    if spec.num_voxels > _MAX_VOXELS:  # checked before anything is allocated
-        raise ValueError(f"{source}: {spec.num_voxels} voxels exceed the {_MAX_VOXELS} that one "
-                         "grid may allocate")
+    _budgeted("grid-dims", spec.num_voxels, _MAX_VOXELS, "voxels")
     return spec
+
+
+def _budgeted(source, count: int, budget: int, unit: str) -> None:
+    """Reject, naming source, a count of unit above its budget."""
+    if count > budget:
+        raise ValueError(f"{source}: {count} {unit} exceed the {budget} that one run may allocate")
+
+
+def _samples_budgeted(source, width: int, height: int, cfg) -> None:
+    """The samples that one frame of this size makes under cfg, against their budget."""
+    s = cfg.sampling.stride
+    _budgeted(source, -(-height // s) * -(-width // s) * cfg.sampling.k, _MAX_SAMPLES,
+              "samples per frame")
 
 
 def _classes_fit(source, top: int, num_classes: int) -> None:
@@ -166,6 +178,7 @@ def _cmd_render(args, settings, cfg) -> int:
 
 def _cmd_sample(args, settings, cfg) -> int:
     depth = io.load_depth_map(args.depth)
+    _samples_budgeted(f"{args.depth}: k, stride", depth.width, depth.height, cfg)
     classes = io.load_class_map(args.classes)
     if classes.shape != depth.values.shape:
         raise ValueError(f"{args.classes}: class map shape {classes.shape} does not match the "
@@ -216,17 +229,17 @@ def _cmd_stream(args, settings, cfg) -> int:
     poses = io.load_lines(args.poses, _parse_pose)
     if not poses:
         raise ValueError(f"{args.poses}: poses file holds no poses")
-    grid = (_grid_spec(settings, nc) if "grid-dims" in settings
-            else _budgeted(args.scene, scene_grid(scene, nc)))
-    cams = (_camera(settings, pose) for pose in poses)
+    if "grid-dims" in settings:
+        grid = _grid_spec(settings, nc)
+    else:
+        grid = scene_grid(scene, nc)
+        _budgeted(args.scene, grid.num_voxels, _MAX_VOXELS, "voxels")
+    cams = [_camera(settings, pose) for pose in poses]
+    _samples_budgeted("k, stride, width, height", cams[0].width, cams[0].height, cfg)
     bank, result = run_streaming(((*render_depth(scene, cam), cam) for cam in cams), grid, cfg)
     for t, stats in enumerate(bank.frame_stats):
-        _emit(f"frame_{t}_matched", stats.matched)
-        _emit(f"frame_{t}_inserted", stats.inserted)
-        _emit(f"frame_{t}_candidates", stats.candidates)
-        _emit(f"frame_{t}_open", stats.open)
-        _emit(f"frame_{t}_cells", stats.cells)
-        _emit(f"frame_{t}_anchors", stats.anchors)
+        for f in dataclasses.fields(stats):
+            _emit(f"frame_{t}_{f.name}", getattr(stats, f.name))
     io.save_grid(args.out_grid, result)
     if args.out_bank:
         io.save_gaussians(args.out_bank, bank.to_set())

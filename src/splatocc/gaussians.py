@@ -25,6 +25,9 @@ SCALE_FLOOR = 1e-4
 DEFAULT_PRUNE_TAU = 0.01
 CAMERA_FRAME = "camera"
 WORLD_FRAME = "world"
+# Labels are stored as u8 (class maps, grids), so a run has at most 256
+# classes: 0 (empty) plus semantic ids 1..255.
+MAX_CLASSES = 256
 
 
 def _checked_members(means, opacities, logits):
@@ -235,8 +238,8 @@ class AttributeConfig:
     logit_gain: float = 6.0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES}")
         if not (0 < self.sigma_factor < np.inf and 0 < self.base_opacity <= 1):
             raise ValueError("sigma_factor must be finite and > 0 and base_opacity in (0, 1]")
         if not (0 < self.logit_gain < np.inf and 0 <= self.opacity_decay < np.inf):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel
+from .camera import CameraModel, _project
 from .splatting import GridSpec, OccupancyGrid
 
 DEFAULT_NEAR = 0.01
@@ -29,34 +29,50 @@ class UndefinedMetricError(ValueError):
 
 @dataclass
 class ConfusionCounts:
-    """Per-class and binary occupied/empty confusion totals.
+    """(C, C) confusion matrix, ground truth in rows and prediction in columns.
 
-    Index 0 of the per-class arrays is the empty class and stays zero; the
-    geometric (binary) counts treat any nonzero label as occupied.
+    Every total is read off it. Index 0 of the per-class totals is the empty
+    class and stays zero; the binary totals count any nonzero label as occupied.
     """
 
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
-    occupied_tp: int
-    occupied_fp: int
-    occupied_fn: int
-    evaluated: int
+    matrix: np.ndarray
 
     @property
     def num_classes(self) -> int:
-        return self.tp.size
+        return self.matrix.shape[0]
+
+    @property
+    def tp(self) -> np.ndarray:
+        return np.concatenate(([0], np.diag(self.matrix)[1:]))
+
+    @property
+    def fp(self) -> np.ndarray:
+        return np.concatenate(([0], self.matrix[:, 1:].sum(axis=0))) - self.tp
+
+    @property
+    def fn(self) -> np.ndarray:
+        return np.concatenate(([0], self.matrix[1:].sum(axis=1))) - self.tp
+
+    @property
+    def occupied_tp(self) -> int:
+        return int(self.matrix[1:, 1:].sum())
+
+    @property
+    def occupied_fp(self) -> int:
+        return int(self.matrix[0, 1:].sum())
+
+    @property
+    def occupied_fn(self) -> int:
+        return int(self.matrix[1:, 0].sum())
+
+    @property
+    def evaluated(self) -> int:
+        return int(self.matrix.sum())
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         if other.num_classes != self.num_classes:
             raise ValueError("cannot merge counts with different class counts")
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn,
-            self.occupied_tp + other.occupied_tp,
-            self.occupied_fp + other.occupied_fp,
-            self.occupied_fn + other.occupied_fn,
-            self.evaluated + other.evaluated,
-        )
+        return ConfusionCounts(self.matrix + other.matrix)
 
 
 def frustum_mask(spec: GridSpec, cam: CameraModel, near: float = DEFAULT_NEAR,
@@ -69,13 +85,9 @@ def frustum_mask(spec: GridSpec, cam: CameraModel, near: float = DEFAULT_NEAR,
     ok = np.empty(len(centers), dtype=bool)
     for start in range(0, len(centers), _MASK_BLOCK):
         local = (centers[start:start + _MASK_BLOCK] - cam.pose.translation) @ cam.pose.rotation
-        z = local[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = cam.fx * local[..., 0] / z + cam.cx
-            v = cam.fy * local[..., 1] / z + cam.cy
-        dist = np.linalg.norm(local, axis=-1)
+        u, v, dist = _project(cam, local)
         ok[start:start + _MASK_BLOCK] = (
-            (z > 0)
+            (local[:, 2] > 0)
             & (u >= 0) & (u < cam.width)
             & (v >= 0) & (v < cam.height)
             & (dist >= near) & (dist <= far)
@@ -96,20 +108,7 @@ def confusion(pred: OccupancyGrid, gt: OccupancyGrid, mask=None) -> ConfusionCou
     p = pred.labels[mask].astype(np.int64)
     g = gt.labels[mask].astype(np.int64)
     nc = pred.spec.num_classes
-    matrix = np.bincount(g * nc + p, minlength=nc * nc).reshape(nc, nc)
-    tp = np.diag(matrix).copy()
-    fp = matrix.sum(axis=0) - tp
-    fn = matrix.sum(axis=1) - tp
-    tp[0] = fp[0] = fn[0] = 0
-
-    # Row 0 / column 0 are the empty class, so the binary counts are blocks.
-    return ConfusionCounts(
-        tp=tp, fp=fp, fn=fn,
-        occupied_tp=int(matrix[1:, 1:].sum()),
-        occupied_fp=int(matrix[0, 1:].sum()),
-        occupied_fn=int(matrix[1:, 0].sum()),
-        evaluated=int(matrix.sum()),
-    )
+    return ConfusionCounts(np.bincount(g * nc + p, minlength=nc * nc).reshape(nc, nc))
 
 
 @dataclass
@@ -137,12 +136,11 @@ def iou_miou(counts: ConfusionCounts) -> MetricReport:
     grid are excluded from the mean rather than scored 0 or 1."""
     denom = counts.tp + counts.fp + counts.fn
     support = denom[1:] > 0
-    if not np.any(support) and counts.occupied_tp + counts.occupied_fp + counts.occupied_fn == 0:
+    occ_denom = counts.occupied_tp + counts.occupied_fp + counts.occupied_fn
+    if not np.any(support) and occ_denom == 0:
         raise UndefinedMetricError("no class has support in either grid")
     per_class = np.full(counts.num_classes - 1, np.nan)
-    with np.errstate(invalid="ignore"):
-        per_class[support] = counts.tp[1:][support] / denom[1:][support]
+    per_class[support] = counts.tp[1:][support] / denom[1:][support]
     miou = float(per_class[support].mean()) if np.any(support) else float("nan")
-    occ_denom = counts.occupied_tp + counts.occupied_fp + counts.occupied_fn
     iou = counts.occupied_tp / occ_denom if occ_denom else float("nan")
     return MetricReport(iou=float(iou), per_class=per_class, miou=miou)

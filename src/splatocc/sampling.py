@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import ray_direction
+from .camera import backproject
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,12 @@ def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig) -> SampleBatch:
     valid = np.isfinite(d) & (d > 0.0)
     num_invalid = int(np.count_nonzero(~valid))
     vv, uu, d = vv[valid], uu[valid], d[valid]
-    n = d.size
-    k = cfg.k
-    rays = ray_direction(cam, np.stack([uu, vv], axis=-1).astype(np.float64))
-    positions = (d[:, None] + sample_offsets(cfg))[:, :, None] * rays[:, None, :]
+    pixels = np.stack([uu, vv], axis=-1).astype(np.float64)
+    positions = backproject(cam, pixels[:, None, :], d[:, None] + sample_offsets(cfg))
     return SampleBatch(
-        pixels=np.repeat(np.stack([uu, vv], axis=-1).astype(np.float64), k, axis=0),
-        ks=np.tile(np.arange(1, k + 1), n),
+        pixels=np.repeat(pixels, cfg.k, axis=0),
+        ks=np.tile(np.arange(1, cfg.k + 1), d.size),
         positions=positions.reshape(-1, 3),
-        spacings=np.full(n * k, cfg.spacing),
+        spacings=np.full(d.size * cfg.k, cfg.spacing),
         num_invalid=num_invalid,
     )

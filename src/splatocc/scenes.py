@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .camera import CameraModel, RigidTransform, ray_direction
+from .gaussians import MAX_CLASSES
 from .sampling import DepthMap
 from .splatting import GridSpec, OccupancyGrid
 
@@ -24,8 +25,7 @@ CEILING_LABEL = 1
 WALL_LABEL = 3
 
 _PATCHABLE_LABELS = (4, 5, 9, 10, 11)  # window, chair, tvs, furniture, objects
-# Class ids are stored as u8 (class maps, grids); 0 is empty.
-_MAX_LABEL = 255
+_MAX_LABEL = MAX_CLASSES - 1
 
 # Voxel pitch of the stock grids; generated geometry snaps to it.
 _VOXEL = 0.08

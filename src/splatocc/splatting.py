@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME, inverse_covariances, softmax
+from .gaussians import MAX_CLASSES, GaussianSet, WORLD_FRAME, inverse_covariances, softmax
 
 DEFAULT_THETA_OCC = 0.5
 SPLAT_CUTOFF = 7.0
@@ -72,8 +72,8 @@ class GridSpec:
             raise ValueError("dims must be three counts >= 1")
         if not 0 < self.voxel_size < np.inf:
             raise ValueError("voxel_size must be finite and > 0")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2 (empty plus one class)")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES}")
         origin = np.asarray(self.origin, dtype=np.float64)
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise ValueError("origin must be a finite 3-vector")

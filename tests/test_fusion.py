@@ -76,6 +76,13 @@ class TestSpatialHash:
         with pytest.raises(ValueError, match="finite"):
             grid.insert_many([0], [[np.nan, 0.5, 0.5]])
 
+    def test_points_beyond_int64_cell_keys_rejected(self):
+        # Finite, but 3e18 cells from the origin: past the 2**61 that packed keys allow.
+        grid = SpatialHashGrid(1.0)
+        for point in ([3e18, 0.0, 0.0], [0.0, -3e18, 0.0], [0.0, 0.0, 2e17]):
+            with pytest.raises(ValueError, match="too many cells for int64 cell keys"):
+                grid.insert_many([0, 1], [[0.0, 0.0, 0.0], point])
+
     def test_result_does_not_depend_on_member_order(self):
         rng = np.random.default_rng(24)
         points = rng.uniform(0, 1, (3000, 3))

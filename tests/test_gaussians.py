@@ -210,6 +210,12 @@ class TestHeuristicAttributes:
             with pytest.raises(ValueError, match=key):
                 so.AttributeConfig(**{key: value})
 
+    def test_class_count_bounded_by_u8_labels(self):
+        for nc in (1, 257):
+            with pytest.raises(ValueError, match=r"num_classes must lie in 2\.\.256"):
+                so.AttributeConfig(num_classes=nc)
+        assert so.AttributeConfig(num_classes=256).num_classes == 256
+
     def test_label_out_of_range_rejected(self):
         s = sample_row(1, np.ones(3), 0.05)
         with pytest.raises(ValueError):

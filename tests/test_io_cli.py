@@ -1,5 +1,6 @@
 """File formats (bit-identical round trips) and the command-line interface."""
 
+import dataclasses
 import json
 import struct
 
@@ -354,6 +355,9 @@ class TestCli:
             runs.append((out, out_grid.read_bytes(), out_bank.read_bytes()))
         assert all(run == runs[0] for run in runs[1:])
         assert "frame_1_inserted" in out and "bank_size" in out
+        # One line per FusionStats field, in field order, frame by frame.
+        assert [key for key in out if key.startswith("frame_")] == [
+            f"frame_{t}_{f.name}" for t in range(3) for f in dataclasses.fields(so.FusionStats)]
         assert "frame_1_candidates" in out and "frame_1_open" in out and "frame_1_cells" in out
         assert 0 < int(out["frame_2_anchors"]) <= int(out["frame_2_matched"])
         assert io.load_grid(out_grid).spec.num_classes == 12
@@ -386,9 +390,42 @@ class TestCli:
             assert str(2**24) in err[0] and not out.exists()
 
     def test_voxel_budget_is_inclusive(self):
-        assert cli._budgeted("grid-dims", so.GridSpec((256, 256, 256), 0.08, np.zeros(3)))
+        assert cli._grid_spec({"grid-dims": (256, 256, 256)}, 12).num_voxels == 2**24
         with pytest.raises(ValueError, match="grid-dims: 16842752 voxels exceed"):
-            cli._budgeted("grid-dims", so.GridSpec((256, 256, 257), 0.08, np.zeros(3)))
+            cli._grid_spec({"grid-dims": (256, 256, 257)}, 12)
+
+    def test_pixel_and_sample_budgets_are_inclusive(self):
+        # Checked on the sizes alone: nothing of these sizes is allocated.
+        pose = so.standard_pose((0.0, 0.0, 0.0))
+        assert cli._camera({"width": 4096, "height": 4096}, pose).width == 4096
+        with pytest.raises(ValueError, match="width, height: 16781312 pixels exceed"):
+            cli._camera({"width": 4097, "height": 4096}, pose)
+        cfg = so.PipelineConfig(sampling=so.SamplingConfig(k=4, stride=2))
+        cli._samples_budgeted("k", 2048, 2048, cfg)   # 1024 * 1024 * 4 samples = 2**22
+        cli._samples_budgeted("k", 2047, 2047, cfg)   # odd sizes round up, to the same count
+        with pytest.raises(ValueError, match="k: 4198400 samples per frame exceed"):
+            cli._samples_budgeted("k", 2049, 2048, cfg)
+
+    # Sizes whose arrays numpy cannot allocate: before the budgets each of
+    # these failed only when render_depth or volumetric_sample asked for them.
+    @pytest.mark.parametrize("command, flags, words", [
+        ("render", ["--width", "100000000"], ["width, height", "pixels"]),
+        ("stream", ["--width", "100000000"], ["width, height", "pixels"]),
+        ("stream", ["--k", "1000000000000"], ["k, stride, width, height", "samples per frame"]),
+        ("sample", ["--k", "1000000000000"], ["ok.dmap: k, stride", "samples per frame"]),
+    ])
+    def test_size_over_budget_is_one_line_naming_its_keys(self, tmp_path, capsys, command,
+                                                          flags, words):
+        ok, poses, out = _valid_inputs(tmp_path), tmp_path / "poses.txt", tmp_path / "out"
+        poses.write_text("0.3 2.4 1.44 0\n")
+        argv = (["stream", "--scene", ok["json"], "--poses", poses, "--out-grid", out]
+                if command == "stream" else _command_argv(command, ok, out))
+        code = main([str(a) for a in argv + flags])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert all(word in err[0] for word in words) and "allocate" in err[0], err[0]
+        assert not out.exists()
 
     def test_nonfinite_setting_is_one_line_error(self, tmp_path, capsys):
         # Each value used to write a set that failed to load or splatted to nothing.
@@ -700,11 +737,11 @@ def test_rejected_config_value_names_its_file(tmp_path, capsys, line, command):
     assert main([str(a) for a in argv[:-2]]) == 0
 
 
-def _ogrid(dims, voxel_size=0.1, origin=(0.0, 0.0, 0.0), voxels=None):
+def _ogrid(dims, voxel_size=0.1, origin=(0.0, 0.0, 0.0), voxels=None, num_classes=12):
     """OGRID1 bytes with this header and ``voxels`` empty voxels (default: as many
     as dims holds)."""
     voxels = int(np.prod(dims)) if voxels is None else voxels
-    return (b"OGRID1" + struct.pack("<IIIIffff", *dims, 12, voxel_size, *origin)
+    return (b"OGRID1" + struct.pack("<IIIIffff", *dims, num_classes, voxel_size, *origin)
             + bytes(voxels) + bytes(4 * voxels))
 
 
@@ -774,6 +811,14 @@ def _valid_inputs(tmp_path):
         pytest.param("ogrid", _ogrid((4, 3, 2), origin=(0.0, np.nan, 0.0)), ["origin"],
                      id="ogrid-nan-origin"),
         pytest.param("ogrid", _ogrid((4, 0, 2)), ["dims"], id="ogrid-zero-dim"),
+        pytest.param("ogrid", _ogrid((4, 3, 2), num_classes=257), ["num_classes", "2..256"],
+                     id="ogrid-257-classes"),
+        pytest.param("cfg", "num_classes = 257\n", ["num_classes", "2..256"],
+                     id="cfg-257-classes"),
+        pytest.param("gset", b"GSET2" + struct.pack("<II", 0, 1), ["class count 1"],
+                     id="gset-one-class"),
+        pytest.param("poses", "# x y z yaw\n\n# none\n", ["holds no poses"],
+                     id="poses-only-comments"),
         pytest.param("ogrid", _ogrid((4, 3, 3)), ["ok.ogrid", "dims (4, 3, 3) against (4, 3, 2)"],
                      id="ogrid-grid-spec-differs"),
         pytest.param("json", _scene_json(patches=[_PATCH | {"label": 300}]),

@@ -1,5 +1,7 @@
 """Frustum masking, confusion accumulation, and IoU / mIoU reduction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,31 @@ class TestConfusion:
         b = grid_from_labels(np.zeros((6, 5, 4)), other)
         with pytest.raises(ValueError, match="spec"):
             so.confusion(a, b)
+
+    def test_mask_shape_must_match_the_grid(self):
+        g = grid_from_labels(np.zeros((6, 5, 4)), spec_small())
+        with pytest.raises(ValueError, match="mask shape"):
+            so.confusion(g, g, np.ones((6, 5, 3), dtype=bool))
+
+    def test_totals_read_off_the_matrix(self):
+        # Ground truth in rows, prediction in columns; classes 0 (empty), 1, 2.
+        counts = so.ConfusionCounts(np.array([[5, 1, 2], [3, 7, 4], [0, 6, 8]]))
+        assert [f.name for f in dataclasses.fields(counts)] == ["matrix"]
+        assert counts.num_classes == 3
+        np.testing.assert_array_equal(counts.tp, [0, 7, 8])
+        np.testing.assert_array_equal(counts.fp, [0, 7, 6])
+        np.testing.assert_array_equal(counts.fn, [0, 7, 6])
+        assert (counts.occupied_tp, counts.occupied_fp, counts.occupied_fn) == (25, 3, 3)
+        assert counts.evaluated == 36
+        doubled = counts + counts
+        np.testing.assert_array_equal(doubled.matrix, 2 * counts.matrix)
+        assert doubled.evaluated == 72
+
+    def test_merging_different_class_counts_rejected(self):
+        a = so.confusion(*[grid_from_labels(np.zeros((6, 5, 4)), spec_small(12))] * 2)
+        b = so.confusion(*[grid_from_labels(np.zeros((6, 5, 4)), spec_small(4))] * 2)
+        with pytest.raises(ValueError, match="different class counts"):
+            a + b
 
     def test_mask_shrink_leaves_outside_counts_alone(self):
         rng = np.random.default_rng(24)

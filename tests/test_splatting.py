@@ -134,6 +134,26 @@ class TestSplat:
         with pytest.raises(ValueError, match="class count"):
             so.splat(gset, small_spec(nc=4))
 
+    def test_boxes_whose_pairs_all_miss_give_an_empty_grid(self):
+        # A needle along the grid diagonal whose axis passes 0.041 m from
+        # every voxel centre: its box holds centres, its 7-sigma ellipsoid
+        # (0.7 mm in radius) none, so its chunk keeps no pair.
+        spec = small_spec()
+        z = np.ones(3) / np.sqrt(3.0)
+        x = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        gset = so.GaussianSet(
+            means=[[0.8, 0.8, 0.85]], scales=[[1e-4, 1e-4, 0.1]],
+            rotations=[quaternions.from_matrix(np.column_stack([x, np.cross(z, x), z]))],
+            opacities=[0.9], logits=[[0.0, 5.0, 0.0, 0.0]], frame="world",
+        )
+        _, spans = splatting._cull_bounds(
+            gset.means, SPLAT_CUTOFF * np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2)), spec)
+        assert np.all(spans > 0)
+        grid = so.splat(gset, spec, keep_masses=True)
+        assert not grid.labels.any() and not grid.scores.any() and not grid.masses.any()
+        _, labels, masses = naive_splat(gset, spec)
+        assert not labels.any() and masses.max() < 1e-9
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(9)
         spec = small_spec(nc=5)
@@ -398,6 +418,21 @@ class TestSplat:
         assert spec.dims == (53, 50, 37)
         np.testing.assert_allclose(spec.origin, [-0.5, 0.0, 0.0])
 
+    def test_occupancy_grid_checks_shapes_and_labels(self):
+        spec = so.GridSpec((2, 3, 4), 0.1, np.zeros(3), 4)
+        ones = np.ones(spec.dims)
+        for labels, scores in ((np.ones((4, 3, 2)), ones), (ones, np.ones((2, 3)))):
+            with pytest.raises(ValueError, match="must match spec.dims"):
+                so.OccupancyGrid(spec=spec, labels=labels, scores=scores)
+        for bad in (4, -1):
+            labels = np.zeros(spec.dims, dtype=int)
+            labels[1, 2, 3] = bad
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, num_classes\)"):
+                so.OccupancyGrid(spec=spec, labels=labels, scores=ones)
+        spec = so.GridSpec((2, 3, 4), 0.1, np.zeros(3), 256)   # the most classes u8 labels hold
+        grid = so.OccupancyGrid(spec=spec, labels=np.full(spec.dims, 255), scores=ones)
+        assert grid.labels.dtype == np.uint8 and np.all(grid.labels == 255)
+
     def test_invalid_grid_spec_rejected(self):
         for voxel_size in (0.0, -0.08, np.inf, np.nan):
             with pytest.raises(ValueError, match="voxel_size"):
@@ -406,6 +441,14 @@ class TestSplat:
             so.GridSpec((4, 0, 4), 0.08, np.zeros(3))
         with pytest.raises(ValueError, match="origin"):
             so.GridSpec((4, 4, 4), 0.08, [0.0, np.inf, 0.0])
+        # Labels are stored as u8: a 300-class grid used to store label 299 as 43.
+        for nc in (1, 257, 300):
+            with pytest.raises(ValueError, match=r"num_classes must lie in 2\.\.256"):
+                so.GridSpec((4, 4, 4), 0.08, np.zeros(3), nc)
+        lo = np.array([-0.5, 0.0, 0.0])
+        for hi in (lo, lo + [1.0, 0.0, 1.0], lo + [1.0, 1.0, -1.0]):
+            with pytest.raises(ValueError, match="max_corner must exceed min_corner"):
+                so.GridSpec.for_extent(lo, hi)
 
     def test_monocular_default_geometry(self):
         spec = so.frontal_grid(so.standard_camera([0.0, 0.0, 0.0]))
