@@ -109,17 +109,17 @@ class TestConfusion:
 
     def test_totals_read_off_the_matrix(self):
         # Ground truth in rows, prediction in columns; classes 0 (empty), 1, 2.
-        counts = so.ConfusionCounts(np.array([[5, 1, 2], [3, 7, 4], [0, 6, 8]]))
+        counts = so.ConfusionCounts(np.array([[5, 1, 4], [3, 7, 4], [0, 9, 8]]))
         assert [f.name for f in dataclasses.fields(counts)] == ["matrix"]
         assert counts.num_classes == 3
         np.testing.assert_array_equal(counts.tp, [0, 7, 8])
-        np.testing.assert_array_equal(counts.fp, [0, 7, 6])
-        np.testing.assert_array_equal(counts.fn, [0, 7, 6])
-        assert (counts.occupied_tp, counts.occupied_fp, counts.occupied_fn) == (25, 3, 3)
-        assert counts.evaluated == 36
+        np.testing.assert_array_equal(counts.fp, [0, 10, 8])
+        np.testing.assert_array_equal(counts.fn, [0, 7, 9])
+        assert (counts.occupied_tp, counts.occupied_fp, counts.occupied_fn) == (28, 5, 3)
+        assert counts.evaluated == 41
         doubled = counts + counts
         np.testing.assert_array_equal(doubled.matrix, 2 * counts.matrix)
-        assert doubled.evaluated == 72
+        assert doubled.evaluated == 82
 
     def test_merging_different_class_counts_rejected(self):
         a = so.confusion(*[grid_from_labels(np.zeros((6, 5, 4)), spec_small(12))] * 2)
