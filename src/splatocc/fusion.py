@@ -37,7 +37,8 @@ and a dense int32 table of where each cell's run starts. Fusing a frame:
 
 Each attribute (``means``, ``cov``, ``opacities``, ``logits``) is a C-contiguous
 row prefix of a buffer with spare capacity, so an insert copies only its own
-rows until a buffer fills and is doubled; ``_trim`` gives the spare rows back.
+rows until a buffer fills and is doubled. ``_append`` writes rows and rebuilds
+the index; ``_members`` gives the spare rows back and hands out read-only views.
 
 Covariances are averaged as full matrices and stored as they come out: a
 convex combination of symmetric matrices each above SCALE_FLOOR^2 I is one
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME, _row_sum, _shifted_exp
+from .gaussians import MAX_CLASSES, GaussianSet, WORLD_FRAME, _row_sum, _shifted_exp
 from .spatial_hash import SpatialHashGrid
 
 # Candidate (incoming, member) pairs measured per batch of whole columns, so
@@ -104,8 +105,8 @@ class GaussianMemoryBank:
     """
 
     def __init__(self, num_classes: int, config: FusionConfig = FusionConfig()):
-        if num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+        if not 2 <= num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES}")
         self.config = config
         self.num_classes = int(num_classes)
         self.frame_stats: list = []   # one FusionStats per fused frame
@@ -122,8 +123,7 @@ class GaussianMemoryBank:
         if gset.frame != WORLD_FRAME:
             raise ValueError("bank checkpoints must be world frame")
         bank = cls(gset.num_classes, config)
-        bank._append(gset.means, gset.cov, gset.opacities, gset.logits)
-        bank._index.insert_many(np.arange(len(bank)), bank.means)
+        bank._append(gset)
         return bank
 
     def __len__(self) -> int:
@@ -141,30 +141,32 @@ class GaussianMemoryBank:
                                self.logits.copy(), WORLD_FRAME)
 
     def _members(self) -> GaussianSet:
-        """Read-only views of the bank's arrays, which stay writable: no copy and,
+        """Give back the buffers' spare rows (each attribute is copied out of its
+        buffer), then read-only views of the bank's arrays, which stay writable:
         unlike ``to_set``, no snapshot, so valid only until the next fuse."""
+        for name in _FIELDS:
+            self._buffers.pop(name, None)   # frees each buffer before the next copy
+            setattr(self, name, getattr(self, name).copy())
         return GaussianSet._of(self.means.view(), self.cov.view(), self.opacities.view(),
                                self.logits.view(), WORLD_FRAME)
 
-    def _append(self, *rows) -> None:
-        """Write (means, cov, opacities, logits) rows after the last member. A full
+    def _append(self, gset: GaussianSet) -> None:
+        """Write ``gset``'s rows after the last member, then rebuild the index. A full
         buffer, or a reassigned attribute, moves to a new buffer of max(n + k, 2n) rows."""
-        n, k = len(self), len(rows[0])
-        for name, new in zip(_FIELDS, rows):
+        n, k = len(self), len(gset)
+        for name in _FIELDS:
             held = getattr(self, name)
             buf, view = self._buffers.get(name, (None, None))
             if held is not view or len(buf) < n + k:
                 buf = np.empty((max(n + k, 2 * n),) + held.shape[1:])
                 buf[:n] = held
-            buf[n:n + k] = new
+            buf[n:n + k] = getattr(gset, name)
             self._buffers[name] = buf, buf[:n + k]
             setattr(self, name, self._buffers[name][1])
-
-    def _trim(self) -> None:
-        """Give back the buffers' spare rows: copy each attribute out of its buffer."""
-        for name in _FIELDS:
-            self._buffers.pop(name, None)   # frees each buffer before the next copy
-            setattr(self, name, getattr(self, name).copy())
+        # Old members in their previous key order, then the new ones: the keys
+        # come nearly sorted, and the index's adaptive stable sort runs fast.
+        order = np.concatenate([self._index.ids, np.arange(len(self._index), len(self))])
+        self._index.insert_many(order, np.take(self.means, order, axis=0))
 
     def radius_neighbors(self, query, eps: float = None) -> np.ndarray:
         """Ids of members whose mean lies within the closed ball of radius
@@ -286,14 +288,7 @@ class GaussianMemoryBank:
             fused /= den.reshape(shape)
             dst[ua] = fused
 
-        ins = ~matched
-        self._append(incoming.means[ins], incoming.cov[ins], incoming.opacities[ins],
-                     incoming.logits[ins])
-
-        # Old members in their previous key order, then the new ones: the keys
-        # come nearly sorted, and the index's adaptive stable sort runs fast.
-        order = np.concatenate([self._index.ids, np.arange(len(self._index), len(self))])
-        self._index.insert_many(order, np.take(self.means, order, axis=0))
+        self._append(incoming.subset(~matched))
         self.frame_stats.append(FusionStats(matched=rows.size, inserted=n_in - rows.size,
                                             candidates=candidates, open=n_open,
                                             cells=self._index.cells, anchors=ua.size))

@@ -38,8 +38,8 @@ def _checked_members(means, opacities, logits):
     n = means.shape[0]
     if means.shape != (n, 3):
         raise ValueError("means must have shape (n, 3)")
-    if opacities.shape != (n,) or logits.shape[0] != n or logits.shape[1] < 2:
-        raise ValueError("opacities must be (n,) and logits (n, num_classes >= 2)")
+    if opacities.shape != (n,) or logits.shape[0] != n or not 2 <= logits.shape[1] <= MAX_CLASSES:
+        raise ValueError(f"opacities must be (n,) and logits (n, num_classes in 2..{MAX_CLASSES})")
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(logits))):
         raise ValueError("means and logits must be finite")
     if np.any(~np.isfinite(opacities)) or np.any(opacities < 0) or np.any(opacities > 1):

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussians import GaussianSet, WORLD_FRAME
+from .gaussians import MAX_CLASSES, GaussianSet, WORLD_FRAME
 from .sampling import DepthMap
 from .scenes import CEILING_LABEL, FLOOR_LABEL, WALL_LABEL, Box, SyntheticScene, WallPatch
 from .splatting import GridSpec, OccupancyGrid
@@ -105,6 +105,8 @@ def save_class_map(path, classes: np.ndarray) -> None:
     classes = np.asarray(classes)
     if classes.ndim != 2:
         raise ValueError("class map must be 2-d")
+    if classes.dtype.kind not in "iu" or np.any((classes < 0) | (classes >= MAX_CLASSES)):
+        raise ValueError(f"class map must hold integer class ids in 0..{MAX_CLASSES - 1}")
     _save(path, _CMAP_MAGIC, "<II", (classes.shape[1], classes.shape[0]), (classes, np.uint8))
 
 
@@ -124,7 +126,7 @@ def save_gaussians(path, gset: GaussianSet) -> None:
 
 def load_gaussians(path, frame: str = WORLD_FRAME) -> GaussianSet:
     with _reading(path, _GSET_MAGIC, "<II") as (f, (n, nc)):
-        if nc < 2:
+        if not 2 <= nc <= MAX_CLASSES:
             raise ValueError(f"class count {nc} out of range")
         record = _read(f, "<f8", n * (10 + nc), "gaussian records").reshape(n, 10 + nc)
         cov = np.empty((n, 3, 3))

@@ -95,13 +95,12 @@ def run_monocular(depth: DepthMap, classes: np.ndarray, cam: CameraModel,
 def run_streaming(frames, grid: GridSpec, cfg: PipelineConfig = PipelineConfig()):
     """Fuse a temporally ordered sequence of (depth, class map, camera)
     frames into a memory bank, then splat the bank into the scene grid.
-    The bank first gives back its buffers' spare rows; the splat reads its
-    arrays through read-only views, not a ``bank.to_set()`` copy.
+    The splat reads the bank's arrays, trimmed of their buffers' spare rows,
+    through read-only views, not a ``bank.to_set()`` copy.
 
     Returns (bank, occupancy grid).
     """
     bank = GaussianMemoryBank(cfg.attributes.num_classes, cfg.fusion)
     for depth, classes, cam in frames:
         bank.fuse_frame(frame_gaussians(depth, classes, cam, cfg))
-    bank._trim()
     return bank, splat(bank._members(), grid, theta_occ=cfg.theta_occ)

@@ -97,15 +97,10 @@ def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig) -> SampleBatch:
     Output ordering is row-major over pixels with the k index innermost; an
     all-invalid depth map yields an empty batch.
     """
-    rows = np.arange(0, depth.height, cfg.stride)
-    cols = np.arange(0, depth.width, cfg.stride)
-    vv, uu = np.meshgrid(rows, cols, indexing="ij")
-    vv = vv.ravel()
-    uu = uu.ravel()
+    s = cfg.stride
+    valid = depth.valid_mask()[::s, ::s]
+    vv, uu = (i * s for i in np.nonzero(valid))
     d = depth.values[vv, uu]
-    valid = np.isfinite(d) & (d > 0.0)
-    num_invalid = int(np.count_nonzero(~valid))
-    vv, uu, d = vv[valid], uu[valid], d[valid]
     pixels = np.stack([uu, vv], axis=-1).astype(np.float64)
     positions = backproject(cam, pixels[:, None, :], d[:, None] + sample_offsets(cfg))
     return SampleBatch(
@@ -113,5 +108,5 @@ def volumetric_sample(depth: DepthMap, cam, cfg: SamplingConfig) -> SampleBatch:
         ks=np.tile(np.arange(1, cfg.k + 1), d.size),
         positions=positions.reshape(-1, 3),
         spacings=np.full(d.size * cfg.k, cfg.spacing),
-        num_invalid=num_invalid,
+        num_invalid=valid.size - d.size,
     )

@@ -295,7 +295,6 @@ def generate_frontal_room(seed: int, shell_thickness: float = 0.48,
     n_patches = int(rng.integers(num_patches[0], num_patches[1] + 1))
     labels = rng.choice(_PATCHABLE_LABELS, size=n_patches, replace=False)
     patches = []
-    taken = []
     attempts = 0
     while len(patches) < n_patches and attempts < 200:
         attempts += 1
@@ -303,18 +302,12 @@ def generate_frontal_room(seed: int, shell_thickness: float = 0.48,
         height = _quantize(rng.uniform(0.56, 0.8))
         y0 = _quantize(rng.uniform(cam_pos[1] - 1.2, cam_pos[1] + 1.2 - width))
         z0 = _quantize(rng.uniform(0.72, 2.16 - height))
-        rect = (y0, z0, y0 + width, z0 + height)
-        if any(
-            rect[0] < other[2] and other[0] < rect[2]
-            and rect[1] < other[3] and other[1] < rect[3]
-            for other in taken
-        ):
+        lo, hi = (y0, z0), (y0 + width, z0 + height)
+        if any(lo[0] < p.hi[0] and p.lo[0] < hi[0] and lo[1] < p.hi[1] and p.lo[1] < hi[1]
+               for p in patches):
             continue
-        taken.append(rect)
-        patches.append(
-            WallPatch(axis=0, side="max", lo=(rect[0], rect[1]), hi=(rect[2], rect[3]),
-                      label=int(labels[len(patches)]))
-        )
+        patches.append(WallPatch(axis=0, side="max", lo=lo, hi=hi,
+                                 label=int(labels[len(patches)])))
 
     scene = SyntheticScene(
         extent=np.array([ext_x, ext_y, ext_z]),

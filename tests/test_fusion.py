@@ -426,6 +426,18 @@ class TestBankStorage:
         for name in ("means", "cov", "opacities", "logits"):
             assert np.array_equal(getattr(restored, name), getattr(bank, name))
 
+    def test_index_holds_every_member_once(self):
+        # Rows enter the bank one way, and that way rebuilds the index.
+        frames = list(growing_frames(29, count=6))
+        bank = so.GaussianMemoryBank.from_set(frames[0])
+        sizes = [len(bank)]
+        np.testing.assert_array_equal(np.sort(bank._index.ids), np.arange(len(bank)))
+        for frame in frames[1:]:
+            bank.fuse_frame(frame)
+            sizes.append(len(bank))
+            np.testing.assert_array_equal(np.sort(bank._index.ids), np.arange(len(bank)))
+        assert sizes == sorted(set(sizes))   # every frame inserted some
+
     def test_assigned_attributes_are_kept(self):
         frames = list(growing_frames(28, count=4))
         bank = so.GaussianMemoryBank(12)
@@ -790,6 +802,12 @@ class TestFuseFrame:
             bank.fuse_frame(GaussianSet.empty(12, frame="camera"))
         with pytest.raises(ValueError, match="class count"):
             bank.fuse_frame(GaussianSet.empty(6, frame="world"))
+
+    def test_class_count_bounded_by_u8_labels(self):
+        for nc in (1, 257):
+            with pytest.raises(ValueError, match=r"num_classes must lie in 2\.\.256"):
+                so.GaussianMemoryBank(nc)
+        assert so.GaussianMemoryBank(256).logits.shape == (0, 256)
 
     def test_empty_checkpoint_frame_is_checked(self):
         with pytest.raises(ValueError, match="world"):

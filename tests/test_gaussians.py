@@ -305,6 +305,16 @@ class TestGaussianTypes:
         with pytest.raises(ValueError):
             so.GaussianSet.empty(3, frame="object")
 
+    def test_class_count_bounded_by_u8_labels(self):
+        for nc in (1, 257):
+            logits = np.zeros((1, nc))
+            with pytest.raises(ValueError, match=r"num_classes in 2\.\.256"):
+                so.GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, logits)
+            with pytest.raises(ValueError, match=r"num_classes in 2\.\.256"):
+                so.GaussianSet.from_covariances([0, 0, 0], np.eye(3)[None], 0.5, logits)
+        gset = so.GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(256))
+        assert gset.num_classes == 256
+
     def test_nan_logits_rejected(self):
         with pytest.raises(ValueError):
             so.GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, [np.nan, 0.0])

@@ -59,6 +59,22 @@ class TestClassMapFormat:
         assert file_bytes(first) == file_bytes(second)
         np.testing.assert_array_equal(loaded, classes)
 
+    @pytest.mark.parametrize("classes", [[[300, -1], [2.7, 3]], [[300, 1]], [[-1, 1]],
+                                         [[2.0, 3.0]], [[True, False]]],
+                             ids=["mixed", "300", "negative", "float", "bool"])
+    def test_ids_that_are_not_u8_integers_rejected(self, tmp_path, classes):
+        # Cast unchecked, [[300, -1], [2.7, 3]] would reload as [[44, 255], [2, 3]].
+        path = tmp_path / "bad.cmap"
+        with pytest.raises(ValueError, match=r"integer class ids in 0\.\.255"):
+            io.save_class_map(path, np.array(classes))
+        assert not path.exists()
+
+    def test_integer_ids_save_as_their_u8_map(self, tmp_path):
+        classes = np.random.default_rng(39).integers(0, 256, (5, 7))
+        io.save_class_map(tmp_path / "u8.cmap", classes.astype(np.uint8))
+        io.save_class_map(tmp_path / "i64.cmap", classes)
+        assert file_bytes(tmp_path / "u8.cmap") == file_bytes(tmp_path / "i64.cmap")
+
 
 class TestGaussianSetFormat:
     def test_roundtrip_bit_identical(self, tmp_path):
@@ -85,6 +101,14 @@ class TestGaussianSetFormat:
         path = tmp_path / "cam.gset"
         io.save_gaussians(path, random_gaussian_set(rng, 3, 4, frame="camera"))
         assert io.load_gaussians(path, frame="camera").frame == "camera"
+
+    def test_class_count_bounded_by_u8_labels(self, tmp_path):
+        path = tmp_path / "wide.gset"
+        path.write_bytes(b"GSET2" + struct.pack("<II", 0, 257))
+        with pytest.raises(ValueError, match="class count 257 out of range"):
+            io.load_gaussians(path)
+        io.save_gaussians(path, so.GaussianSet.empty(256, frame="world"))
+        assert io.load_gaussians(path).num_classes == 256
 
 
 class TestGridFormat:
@@ -817,6 +841,8 @@ def _valid_inputs(tmp_path):
                      id="cfg-257-classes"),
         pytest.param("gset", b"GSET2" + struct.pack("<II", 0, 1), ["class count 1"],
                      id="gset-one-class"),
+        pytest.param("gset", b"GSET2" + struct.pack("<II", 0, 257), ["class count 257"],
+                     id="gset-257-classes"),
         pytest.param("poses", "# x y z yaw\n\n# none\n", ["holds no poses"],
                      id="poses-only-comments"),
         pytest.param("ogrid", _ogrid((4, 3, 3)), ["ok.ogrid", "dims (4, 3, 3) against (4, 3, 2)"],

@@ -161,6 +161,16 @@ class TestRunStreaming:
         for name, before in zip(names, frozen):
             np.testing.assert_array_equal(getattr(snapshot, name), before)
 
+    def test_bank_arrays_own_exactly_their_rows(self):
+        # The splat's read-only views come after the buffers' spare rows are
+        # given back: each bank array owns its memory, one row per member.
+        scene = so.SyntheticScene(extent=np.array([4.0, 4.8, 2.88]), shell_thickness=0.48)
+        frames = self._frames(scene, [([0.3, 2.4, 1.44], 0.0), ([0.3, 2.4, 1.44], 20.0)])
+        bank, _ = so.run_streaming(frames, so.scene_grid(scene), ROOM_CFG)
+        for name in ("means", "cov", "opacities", "logits"):
+            array = getattr(bank, name)
+            assert array.base is None and len(array) == len(bank), name
+
     def test_frames_accumulate_in_bank_counter(self):
         scene, cam = so.generate_frontal_room(5)
         depth, classes = so.render_depth(scene, cam)
