@@ -72,6 +72,13 @@ class CameraModel:
             raise ValueError("image size must be >= 1 pixel per side")
         if not all(np.isfinite([self.fx, self.fy, self.cx, self.cy])):
             raise ValueError("intrinsics must be finite")
+        # ray_direction squares the slopes (pixel - c) / f, which the image's edges bound.
+        with np.errstate(over="ignore"):
+            sx = np.array([-self.cx, self.width - self.cx]) / self.fx
+            sy = np.array([-self.cy, self.height - self.cy]) / self.fy
+            corner = np.max(sx * sx) + np.max(sy * sy)
+        if not np.isfinite(corner):
+            raise ValueError("intrinsics overflow the ray slopes (pixel - c) / f of the image")
 
     @property
     def position(self) -> np.ndarray:

@@ -50,7 +50,8 @@ def _owned(owner, field: str, parse, name: str):
     return check
 
 
-_GRID, _CAM = GridSpec((1, 1, 1), 1.0, (0, 0, 0)), CameraModel(1.0, 1.0, 0.0, 0.0, 1, 1)
+# The long focal lengths keep the camera's ray-slope check off a lone cx, cy or size.
+_GRID, _CAM = GridSpec((1, 1, 1), 1.0, (0, 0, 0)), CameraModel(1e300, 1e300, 0.5, 0.5, 1, 1)
 # Every key some command reads, with its parser; a config file may hold no
 # other. The pipeline's keys and types come from its config dataclasses.
 _CONFIG_KEYS = {**{key: _owned(_CAM, key, float, "finite float > 0") for key in ("fx", "fy")},
@@ -69,7 +70,7 @@ _FLAG_HELP = {"grid-dims": "X,Y,Z voxel counts", "grid-origin": "x,y,z of the gr
 # Size budgets, checked before any work starts so an oversized input fails
 # as one line instead of an allocation error or a run that does not end.
 _MAX_VOXELS = 2**24   # per grid: ~3 GB of splat scratch at 12 classes
-_MAX_PIXELS = 2**24   # per camera: render_depth's (height, width, 3) arrays, 0.4 GB each
+_MAX_PIXELS = 2**24   # per camera: render_depth peaks near 22 (height, width) float planes, ~3 GB
 _MAX_SAMPLES = 2**22  # per frame: its Gaussians, ~0.2 kB each at 12 classes, a few copies
 
 

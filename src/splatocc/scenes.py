@@ -11,6 +11,7 @@ truth are exact, independent references for the splatting pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -116,42 +117,72 @@ class SyntheticScene:
 
 
 def _slab_intervals(origin, dirs, lo, hi):
-    """Per-ray (t_enter, t_exit) for an axis-aligned box, robust to zero
-    direction components (parallel rays hit iff the origin is in the slab)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origin) / dirs
-        t2 = (hi - origin) / dirs
-        tmin = np.minimum(t1, t2)
-        tmax = np.maximum(t1, t2)
-    parallel = dirs == 0.0
-    if np.any(parallel):
-        inside = (origin >= lo) & (origin <= hi)
-        tmin = np.where(parallel, np.where(inside, -np.inf, np.inf), tmin)
-        tmax = np.where(parallel, np.where(inside, np.inf, -np.inf), tmax)
-    return tmin.max(axis=-1), tmax.min(axis=-1), tmin, tmax
+    """Per-ray (t_enter, t_exit) for an axis-aligned box, with the three
+    per-axis entry and exit planes, from the direction planes ``dirs``;
+    robust to zero direction components (parallel rays hit iff the origin
+    is in the slab)."""
+    tmin, tmax = [], []
+    for o, d, l, u in zip(origin, dirs, lo, hi):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1, t2 = (l - o) / d, (u - o) / d
+            tmin.append(np.minimum(t1, t2))
+            tmax.append(np.maximum(t1, t2, out=t1))
+        parallel = d == 0.0
+        if parallel.any():
+            inf = np.inf if l <= o <= u else -np.inf
+            tmin[-1][parallel], tmax[-1][parallel] = -inf, inf
+    return reduce(np.maximum, tmin), reduce(np.minimum, tmax), tmin, tmax
 
 
-def _shell_labels(scene: SyntheticScene, points: np.ndarray) -> np.ndarray:
-    """Labels of shell points (..., 3), the one rule that the renderer and the
-    oracle share. The base label is floor at z <= 0, ceiling at z >= the
-    room's height and wall between. A patch relabels the points in its face's
-    slab (coordinate >= extent for side "max", <= 0 for "min") and closed
-    rectangle whose base label is its face's; later patches override earlier
-    ones."""
-    z = points[..., 2]
+def _shell_labels(scene: SyntheticScene, coords) -> np.ndarray:
+    """Labels of shell points whose coordinates ``coords = (x, y, z)``
+    broadcast together, the one rule that the renderer and the oracle share.
+    The base label is floor at z <= 0, ceiling at z >= the room's height and
+    wall between. A patch relabels the points in its face's slab (coordinate
+    >= extent for side "max", <= 0 for "min") and closed rectangle whose base
+    label is its face's; later patches override earlier ones."""
+    z = coords[2]
     base = np.where(z <= 0, FLOOR_LABEL, np.where(z >= scene.extent[2], CEILING_LABEL, WALL_LABEL))
     labels = base.astype(np.uint8)
     for patch in scene.patches:
         a, (b, c) = patch.axis, [ax for ax in (0, 1, 2) if ax != patch.axis]
         top = patch.side == "max"
+        # Grouped by the axes they read, so open-mesh terms stay small until the last &.
         region = (
-            (points[..., a] >= scene.extent[a] if top else points[..., a] <= 0)
-            & (base == (WALL_LABEL if a < 2 else CEILING_LABEL if top else FLOOR_LABEL))
-            & (points[..., b] >= patch.lo[0]) & (points[..., b] <= patch.hi[0])
-            & (points[..., c] >= patch.lo[1]) & (points[..., c] <= patch.hi[1])
+            ((coords[a] >= scene.extent[a] if top else coords[a] <= 0)
+             & (coords[b] >= patch.lo[0]) & (coords[b] <= patch.hi[0]))
+            & ((base == (WALL_LABEL if a < 2 else CEILING_LABEL if top else FLOOR_LABEL))
+               & (coords[c] >= patch.lo[1]) & (coords[c] <= patch.hi[1]))
         )
-        labels[region] = patch.label
+        labels = np.where(region, np.uint8(patch.label), labels)
     return labels
+
+
+def _in_box(coords, lo, hi) -> np.ndarray:
+    """Where broadcast coordinates (x, y, z) lie in the closed box [lo, hi]."""
+    return reduce(np.logical_and, ((c >= l) & (c <= u) for c, l, u in zip(coords, lo, hi)))
+
+
+def _shell_hits(scene: SyntheticScene, origin, dirs, inside_interior: bool):
+    """Per-ray shell distance (inf on a miss) and the hit's label (0 on a miss)."""
+    if inside_interior:
+        # The shell is hit where the ray exits the open interior.
+        _, shell_t, _, planes = _slab_intervals(origin, dirs, np.zeros(3), scene.extent)
+        shell_ok = shell_t > 0
+        lo, hi = np.zeros(3), scene.extent
+    else:
+        shell_t, t_exit, planes, _ = _slab_intervals(origin, dirs, scene.outer_min, scene.outer_max)
+        shell_ok = (shell_t <= t_exit) & (shell_t > 0)
+        lo, hi = scene.outer_min, scene.outer_max
+    # The struck axis is the first whose plane gives shell_t, as argmin/argmax break ties.
+    axis = np.where(planes[0] == shell_t, 0, np.where(planes[1] == shell_t, 1, 2))
+    step = np.where(shell_ok, shell_t, 0.0)
+    # Snap the hit onto the struck plane (the max one for a ray that exits up
+    # its axis or enters down it): computed, a floor hit can land at z = +1 ulp,
+    # and a wall hit at x = extent - 1 ulp, outside its patch's slab.
+    plane = np.where((np.choose(axis, dirs) > 0) == inside_interior, hi[axis], lo[axis])
+    point = [np.where(axis == a, plane, o + step * d) for a, (o, d) in enumerate(zip(origin, dirs))]
+    return np.where(shell_ok, shell_t, np.inf), np.where(shell_ok, _shell_labels(scene, point), 0)
 
 
 def render_depth(scene: SyntheticScene, cam: CameraModel):
@@ -162,38 +193,16 @@ def render_depth(scene: SyntheticScene, cam: CameraModel):
     hit surface's label (0 on miss). The camera must sit inside the room
     interior or entirely outside the shell.
     """
-    h, w = cam.height, cam.width
-    vv, uu = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    pix = np.stack([uu, vv], axis=-1).astype(np.float64)
-    dirs = cam.pose.rotate(ray_direction(cam, pix))
+    # Every pixel's ray in one BLAS rotation, split into contiguous x, y and z planes.
+    pix = np.stack(np.meshgrid(np.arange(cam.width), np.arange(cam.height)), axis=-1)
+    dirs = tuple(np.moveaxis(cam.pose.rotate(ray_direction(cam, pix)), -1, 0).copy())
     origin = cam.position
 
     inside_interior = bool(np.all(origin > 0) and np.all(origin < scene.extent))
     if not inside_interior and np.all((origin >= scene.outer_min) & (origin <= scene.outer_max)):
         raise ValueError("camera may not start inside the solid shell")
 
-    if inside_interior:
-        # The shell is hit where the ray exits the open interior.
-        _, shell_t, _, tmax = _slab_intervals(origin, dirs, np.zeros(3), scene.extent)
-        axis = np.argmin(tmax, axis=-1)
-        shell_ok = shell_t > 0
-        lo, hi = np.zeros(3), scene.extent
-    else:
-        shell_t, t_exit, tmin, _ = _slab_intervals(origin, dirs, scene.outer_min, scene.outer_max)
-        axis = np.argmax(tmin, axis=-1)
-        shell_ok = (shell_t <= t_exit) & (shell_t > 0)
-        lo, hi = scene.outer_min, scene.outer_max
-
-    best_t = np.where(shell_ok, shell_t, np.inf)
-    point = origin + np.where(shell_ok, shell_t, 0.0)[..., None] * dirs
-    # Snap the hit onto the struck plane (the max one for a ray that exits up
-    # its axis or enters down it): computed, a floor hit can land at z = +1 ulp,
-    # and a wall hit at x = extent - 1 ulp, outside its patch's slab.
-    up = np.take_along_axis(dirs, axis[..., None], axis=-1)[..., 0] > 0
-    plane = np.where(up == inside_interior, hi[axis], lo[axis])
-    np.put_along_axis(point, axis[..., None], plane[..., None], axis=-1)
-    best_label = np.where(shell_ok, _shell_labels(scene, point), 0)
-
+    best_t, best_label = _shell_hits(scene, origin, dirs, inside_interior)
     for box in scene.boxes:
         t_enter, t_exit, _, _ = _slab_intervals(origin, dirs, box.min_corner, box.max_corner)
         hit = (t_enter <= t_exit) & (t_enter > 1e-12) & (t_enter < best_t)
@@ -208,19 +217,12 @@ def oracle_occupancy(scene: SyntheticScene, spec: GridSpec) -> OccupancyGrid:
     """Exact voxelization: each voxel takes the label of the solid containing
     its center. Boxes override the shell, later boxes override earlier ones,
     and floor/ceiling take precedence over walls at shell corners."""
-    centers = spec.voxel_centers()
-    labels = np.zeros(centers.shape[0], dtype=np.uint8)
-
-    in_outer = np.all((centers >= scene.outer_min) & (centers <= scene.outer_max), axis=1)
-    in_interior = np.all(centers > 0, axis=1) & np.all(centers < scene.extent, axis=1)
-    shell = in_outer & ~in_interior
-    labels[shell] = _shell_labels(scene, centers[shell])
-
+    coords = np.ix_(*spec.center_axes())
+    interior = reduce(np.logical_and, ((c > 0) & (c < e) for c, e in zip(coords, scene.extent)))
+    shell = _in_box(coords, scene.outer_min, scene.outer_max) & ~interior
+    labels = np.where(shell, _shell_labels(scene, coords), 0)
     for box in scene.boxes:
-        inside = np.all((centers >= box.min_corner) & (centers <= box.max_corner), axis=1)
-        labels[inside] = box.label
-
-    labels = labels.reshape(spec.dims)
+        labels[_in_box(coords, box.min_corner, box.max_corner)] = box.label
     return OccupancyGrid(spec=spec, labels=labels, scores=(labels > 0).astype(np.float64))
 
 

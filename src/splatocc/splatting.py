@@ -100,11 +100,14 @@ class GridSpec:
     def extent(self) -> np.ndarray:
         return np.asarray(self.dims) * self.voxel_size
 
+    def center_axes(self) -> list:
+        """Voxel-center coordinates along x, y and z: three 1-D arrays."""
+        return [o + (np.arange(n) + 0.5) * self.voxel_size for o, n in zip(self.origin, self.dims)]
+
     def voxel_centers(self) -> np.ndarray:
         """All voxel centers, flat (num_voxels, 3), C order (z fastest)."""
-        axes = [self.origin[a] + (np.arange(self.dims[a]) + 0.5) * self.voxel_size
-                for a in range(3)]
-        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, 3)
+        return np.stack(np.meshgrid(*self.center_axes(), indexing="ij", copy=False),
+                        axis=-1).reshape(-1, 3)
 
 
 @dataclass
@@ -136,8 +139,9 @@ def _cull_bounds(means, radii, spec: GridSpec):
     t = (means - spec.origin) / spec.voxel_size - 0.5
     r = radii / spec.voxel_size
     dims = np.asarray(spec.dims)
-    lo = np.clip(np.ceil(t - r - _INDEX_GUARD).astype(np.int64), 0, dims)
-    return lo, np.clip(np.floor(t + r + _INDEX_GUARD).astype(np.int64) + 1, 0, dims) - lo
+    # Clipped in floats, so a far mean never overflows the cast.
+    lo = np.clip(np.ceil(t - r - _INDEX_GUARD), 0, dims).astype(np.int64)
+    return lo, np.clip(np.floor(t + r + _INDEX_GUARD) + 1, 0, dims).astype(np.int64) - lo
 
 
 def _monomials(offs: np.ndarray) -> np.ndarray:

@@ -199,6 +199,42 @@ def projection_frustum_mask(spec, cam, near, far):
     return mask.reshape(spec.dims)
 
 
+def voxelize_by_loop(scene, spec):
+    """Per-voxel label of the solid holding its center, one center at a time.
+
+    A shell center is floor at z <= 0, ceiling at z >= the room's height and
+    wall between, so floor and ceiling win at the shell's corners. A patch
+    relabels the centers in its face's slab and closed rectangle that carry
+    its face's label. Boxes are closed and win over the shell, later ones
+    over earlier ones.
+    """
+    from splatocc.scenes import CEILING_LABEL, FLOOR_LABEL, WALL_LABEL
+
+    ext, t = [float(e) for e in scene.extent], scene.shell_thickness
+    labels = np.zeros(spec.dims, dtype=np.uint8)
+    for index in np.ndindex(*spec.dims):
+        p = [spec.origin[a] + (index[a] + 0.5) * spec.voxel_size for a in range(3)]
+        in_outer = all(-t <= p[a] <= ext[a] + t for a in range(3))
+        in_interior = all(0 < p[a] < ext[a] for a in range(3))
+        if in_outer and not in_interior:
+            base = FLOOR_LABEL if p[2] <= 0 else CEILING_LABEL if p[2] >= ext[2] else WALL_LABEL
+            labels[index] = base
+            for patch in scene.patches:
+                a = patch.axis
+                b, c = [axis for axis in range(3) if axis != a]
+                if patch.side == "max":
+                    on_face, face = p[a] >= ext[a], CEILING_LABEL if a == 2 else WALL_LABEL
+                else:
+                    on_face, face = p[a] <= 0, FLOOR_LABEL if a == 2 else WALL_LABEL
+                if (on_face and base == face and patch.lo[0] <= p[b] <= patch.hi[0]
+                        and patch.lo[1] <= p[c] <= patch.hi[1]):
+                    labels[index] = patch.label
+        for box in scene.boxes:
+            if all(box.min_corner[a] <= p[a] <= box.max_corner[a] for a in range(3)):
+                labels[index] = box.label
+    return labels
+
+
 def tally_confusion(pred_labels, gt_labels, mask, num_classes):
     """Scalar per-voxel tallying of TP/FP/FN plus binary occupied counts."""
     tp = np.zeros(num_classes, dtype=np.int64)

@@ -492,6 +492,19 @@ class TestCli:
             assert "sigma_factor" in err[0] and "scale" in err[0], err
             assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")   # the slopes used to overflow with RuntimeWarnings
+    @pytest.mark.parametrize("flag", ["--fx=1e-153", "--fy=1e-153", "--cx=1e300"])
+    def test_ray_slope_overflow_is_one_line_error(self, tmp_path, capsys, flag):
+        # Each slope overflows for this 240 x 180 image, not for every image.
+        scene_path, _, _ = _render_room(tmp_path, capsys)
+        out = tmp_path / "w.dmap"
+        capsys.readouterr()
+        argv = ["render", "--scene", scene_path, "--pose", "0.3,2.4,1.44", "--out", out, flag]
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "ray slopes" in err[0], err
+        assert not out.exists()
+
     def test_negative_flag_value_needs_equals_form(self, tmp_path, capsys):
         # argparse takes "-0.48,..." after a space for an option; "--flag=-0.48,..." works.
         gset_path = tmp_path / "g.gset"
@@ -642,8 +655,10 @@ def test_command_rejects_flag_it_does_not_read(tmp_path, capsys, command, flag):
 
 def test_camera_flag_value_is_checked_by_its_flag(tmp_path, capsys):
     argv = _command_argv("render", _valid_inputs(tmp_path), tmp_path / "out")
+    # fx = 1e-308 overflows the ray slopes of every image; it used to write a
+    # depth map with one valid column.
     for flag, value, name in (("fx", "-5", "finite float > 0"), ("cy", "inf", "finite float"),
-                              ("width", "0", "int >= 1")):
+                              ("width", "0", "int >= 1"), ("fx", "1e-308", "finite float > 0")):
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in argv + [f"--{flag}={value}"]])
         assert exc.value.code == 2

@@ -10,7 +10,7 @@ import splatocc as so
 from splatocc.scenes import (CEILING_LABEL, FLOOR_LABEL, WALL_LABEL, Box, SyntheticScene,
                              WallPatch)
 
-from oracles import slab_ray_box
+from oracles import slab_ray_box, voxelize_by_loop
 
 
 def simple_room(**kwargs):
@@ -69,7 +69,15 @@ class TestRenderDepth:
         assert WALL_LABEL in np.unique(classes)
 
     def test_matches_independent_slab_oracle(self):
+        # Exact: the oracle divides the same floats, as its rays come from the
+        # renderer's full-grid rotation. Per room: a turned and a yaw-0 camera
+        # inside, and a yaw-0 camera outside the shell. A yaw-0 camera's centre
+        # row and column have exact zero components, and the yaw-0 cameras sit
+        # on a box's or the shell's z plane, so the centre row divides 0 by 0
+        # there and only the parallel-ray branch keeps its hits.
         rng = np.random.default_rng(34)
+        w, h = 48, 36
+        pix = np.stack(np.meshgrid(np.arange(w), np.arange(h)), axis=-1)
         for trial in range(5):
             boxes = tuple(
                 Box(lo, np.minimum(lo + rng.uniform(0.2, 0.8, 3), [3.9, 4.7, 2.8]),
@@ -77,26 +85,35 @@ class TestRenderDepth:
                 for lo in [rng.uniform([0.8, 0.5, 0.3], [2.6, 3.5, 1.9]) for _ in range(3)]
             )
             scene = simple_room(boxes=boxes)
-            cam = so.standard_camera(
-                [0.4, float(rng.uniform(1.5, 3.3)), float(rng.uniform(0.9, 1.9))],
-                yaw_deg=float(rng.uniform(-25, 25)), width=48, height=36, focal=52.0,
-            )
-            depth, _ = so.render_depth(scene, cam)
-            pix = np.stack(
-                [rng.integers(0, 48, 40), rng.integers(0, 36, 40)], axis=-1
-            ).astype(float)
-            rays = cam.pose.rotate(so.ray_direction(cam, pix))
-            origin = cam.position
-            for (u, v), ray in zip(pix.astype(int), rays):
-                hits = []
-                interior = slab_ray_box(origin, ray, np.zeros(3), scene.extent)
-                assert interior is not None
-                hits.append(interior[1])  # shell begins where the interior ends
-                for box in scene.boxes:
-                    r = slab_ray_box(origin, ray, box.min_corner, box.max_corner)
-                    if r is not None and r[0] > 1e-12 and r[0] <= r[1]:
-                        hits.append(r[0])
-                assert depth.values[v, u] == pytest.approx(min(hits), abs=1e-9)
+            y, z = float(rng.uniform(1.5, 3.3)), float(rng.uniform(0.9, 1.9))
+            yaw = float(rng.uniform(-25, 25))
+            cams = [so.standard_camera(pos, yaw_deg=a, width=w, height=h, focal=f)
+                    for pos, a, f in (([0.4, y, z], yaw, 52.0),
+                                      ([0.4, y, boxes[0].min_corner[2]], 0.0, 52.0),
+                                      ([-3.0, y, scene.outer_max[2]], 0.0, 20.0))]
+            for cam in cams:
+                depth, _ = so.render_depth(scene, cam)
+                rays = cam.pose.rotate(so.ray_direction(cam, pix))
+                origin = cam.position
+                vs = np.concatenate([rng.integers(0, h, 40), np.full(w, h // 2), np.arange(h)])
+                us = np.concatenate([rng.integers(0, w, 40), np.arange(w), np.full(h, w // 2)])
+                expected = []
+                for v, u in zip(vs, us):
+                    ray = rays[v, u]
+                    if origin[0] > 0:  # inside: the shell begins where the interior ends
+                        hits = [slab_ray_box(origin, ray, np.zeros(3), scene.extent)[1]]
+                    else:
+                        outer = slab_ray_box(origin, ray, scene.outer_min, scene.outer_max)
+                        hits = [outer[0]] if outer is not None and outer[0] > 0 else []
+                    for box in scene.boxes:
+                        r = slab_ray_box(origin, ray, box.min_corner, box.max_corner)
+                        if r is not None and r[0] > 1e-12 and r[0] <= r[1]:
+                            hits.append(r[0])
+                    expected.append(min(hits, default=np.nan))
+                np.testing.assert_array_equal(depth.values[vs, us], expected)
+                assert np.isnan(expected).any() == (origin[0] < 0)  # misses outside only
+                if cam is not cams[0]:
+                    assert np.all(rays[h // 2, :, 2] == 0) and np.all(rays[:, w // 2, 1] == 0)
 
 
 def random_patched_scene(rng):
@@ -238,6 +255,33 @@ class TestOracleOccupancy:
         depth, classes = so.render_depth(scene, cam)
         cy, cx = cam.height // 2, cam.width // 2
         assert classes[cy, cx] == 10
+
+    def test_matches_per_voxel_loop(self):
+        # Quarter-metre geometry on a quarter-metre lattice puts centers
+        # exactly on the interior faces, the outer faces and the patch and
+        # box edges. The x-min patch reaches past the floor and ceiling and
+        # the ceiling patch past the walls: at those corners the floor and
+        # ceiling win over the wall, and the ceiling patch takes them. The
+        # second floor patch overlaps the first and wins.
+        patches = (WallPatch(axis=0, side="min", lo=(1.0, -0.5), hi=(3.0, 3.0), label=9),
+                   WallPatch(axis=2, side="min", lo=(0.5, 0.75), hi=(2.0, 3.0), label=4),
+                   WallPatch(axis=2, side="min", lo=(1.5, 2.5), hi=(2.5, 3.5), label=11),
+                   WallPatch(axis=2, side="max", lo=(-0.5, 2.5), hi=(1.5, 4.5), label=5),
+                   WallPatch(axis=1, side="max", lo=(2.0, 0.5), hi=(2.75, 1.5), label=10))
+        boxes = (Box(np.array([0.75, 0.75, 0.0]), np.array([1.5, 2.0, 1.0]), label=6),
+                 Box(np.array([1.25, 1.5, 0.5]), np.array([2.5, 2.5, 1.25]), label=7))
+        scene = SyntheticScene(extent=np.array([3.0, 4.0, 2.5]), shell_thickness=0.5,
+                               boxes=boxes, patches=patches)
+        lattice = so.GridSpec((17, 21, 15), 0.25, (-0.625, -0.625, -0.625), 12)
+        for spec in (lattice, so.GridSpec((31, 37, 29), 0.137, (-0.61, -0.55, -0.58), 12)):
+            labels = so.oracle_occupancy(scene, spec).labels
+            np.testing.assert_array_equal(labels, voxelize_by_loop(scene, spec))
+            assert set(np.unique(labels)) == {0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11}
+        labels = so.oracle_occupancy(scene, lattice).labels  # every center in the outer box
+        x, y, z = np.ix_(*lattice.center_axes())
+        corner = (y > 0) & (y < 4.0) & ((x <= 0) | (x >= 3.0))
+        assert np.all(labels[corner & (z <= 0)] == FLOOR_LABEL)
+        assert set(np.unique(labels[corner & (z >= 2.5)])) == {CEILING_LABEL, 5}
 
     def test_boxes_outside_room_rejected(self):
         with pytest.raises(ValueError, match="inside"):

@@ -154,6 +154,23 @@ class TestSplat:
         _, labels, masses = naive_splat(gset, spec)
         assert not labels.any() and masses.max() < 1e-9
 
+    @pytest.mark.filterwarnings("error")   # a far box's float-to-int64 cast used to overflow
+    def test_far_means_add_nothing(self):
+        rng = np.random.default_rng(12)
+        spec = small_spec(nc=5)
+        gset = random_gaussian_set(rng, 9, 5)
+        far = gset.means.copy()
+        far[[0, 1, 2, 3], [0, 1, 2, 0]] = [1e20, 1e300, -1e300, -1e20]
+        far_set = so.GaussianSet._of(far, gset.cov, gset.opacities, gset.logits, "world")
+        lo, spans = splatting._cull_bounds(
+            far, SPLAT_CUTOFF * np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2)), spec)
+        assert np.all((lo >= 0) & (lo <= spec.dims)) and np.all(spans[:4].min(axis=1) <= 0)
+        grid = so.splat(far_set, spec, keep_masses=True)
+        near = so.splat(gset.subset(np.arange(4, 9)), spec, keep_masses=True)
+        np.testing.assert_array_equal(grid.labels, near.labels)
+        np.testing.assert_array_equal(grid.scores, near.scores)
+        np.testing.assert_array_equal(grid.masses, near.masses)
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(9)
         spec = small_spec(nc=5)
