@@ -124,16 +124,16 @@ def project(cam: CameraModel, point):
         raise ValueError("point must have a trailing dimension of 3")
     if np.any(point[..., 2] <= 0.0) or not np.all(np.isfinite(point)):
         raise ValueError("point is behind the camera (z <= 0)")
-    return _project(cam, point)
+    return _project(cam, *np.moveaxis(point, -1, 0))
 
 
-def _project(cam: CameraModel, point):
-    """project without its checks: u and v are inf or NaN where z = 0."""
-    z = point[..., 2]
+def _project(cam: CameraModel, x, y, z):
+    """project without its checks, on coordinates that broadcast: u and v are
+    inf or NaN where z = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = cam.fx * point[..., 0] / z + cam.cx
-        v = cam.fy * point[..., 1] / z + cam.cy
-    return u, v, np.linalg.norm(point, axis=-1)
+        u = cam.fx * x / z + cam.cx
+        v = cam.fy * y / z + cam.cy
+    return u, v, np.sqrt(x * x + y * y + z * z)
 
 
 def z_depth_to_ray_distance(cam: CameraModel, pixel, z):

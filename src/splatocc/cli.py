@@ -54,7 +54,8 @@ def _owned(owner, field: str, parse, name: str):
 _GRID, _CAM = GridSpec((1, 1, 1), 1.0, (0, 0, 0)), CameraModel(1e300, 1e300, 0.5, 0.5, 1, 1)
 # Every key some command reads, with its parser; a config file may hold no
 # other. The pipeline's keys and types come from its config dataclasses.
-_CONFIG_KEYS = {**{key: _owned(_CAM, key, float, "finite float > 0") for key in ("fx", "fy")},
+_CONFIG_KEYS = {**{key: _owned(_CAM, key, float, "finite float > 0 with finite ray slopes")
+                   for key in ("fx", "fy")},
                 **{key: _owned(_CAM, key, float, "finite float") for key in ("cx", "cy")},
                 **{key: _owned(_CAM, key, int, "int >= 1") for key in ("width", "height")},
                 "grid-dims": _owned(_GRID, "dims", _triple(int), "three ints >= 1"),

@@ -268,7 +268,8 @@ def heuristic_attributes_batch(
     if not np.all(np.isfinite(variance)):
         raise ValueError("kernel variance (sigma_factor * sample spacing)^2 overflows float64: "
                          "lower sigma_factor or scale")
-    opacities = cfg.base_opacity * np.exp(-cfg.opacity_decay * (samples.ks - 1))
+    with np.errstate(over="ignore"):   # the exponent overflows only to -inf, where exp is 0
+        opacities = cfg.base_opacity * np.exp(-cfg.opacity_decay * (samples.ks - 1))
     logits = np.zeros((len(samples), cfg.num_classes))
     logits[np.arange(len(samples)), labels] = cfg.logit_gain
     cov = variance[:, None, None] * np.eye(3)

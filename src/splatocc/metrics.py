@@ -12,10 +12,6 @@ from .splatting import GridSpec, OccupancyGrid
 DEFAULT_NEAR = 0.01
 DEFAULT_FAR = 10.0
 
-# Voxel centers projected per block, so frustum_mask's temporaries stay a few
-# MB on scene grids; rows of a matrix product do not depend on the block.
-_MASK_BLOCK = 65536
-
 # Semantic class ids 1..11 plus 0 = empty.
 CLASS_NAMES = (
     "empty", "ceiling", "floor", "wall", "window", "chair", "bed",
@@ -81,18 +77,14 @@ def frustum_mask(spec: GridSpec, cam: CameraModel, near: float = DEFAULT_NEAR,
     ray distance in [near, far]; shape spec.dims."""
     if not 0 < near < far:
         raise ValueError("need 0 < near < far")
-    centers = spec.voxel_centers()
-    ok = np.empty(len(centers), dtype=bool)
-    for start in range(0, len(centers), _MASK_BLOCK):
-        local = (centers[start:start + _MASK_BLOCK] - cam.pose.translation) @ cam.pose.rotation
-        u, v, dist = _project(cam, local)
-        ok[start:start + _MASK_BLOCK] = (
-            (local[:, 2] > 0)
-            & (u >= 0) & (u < cam.width)
-            & (v >= 0) & (v < cam.height)
-            & (dist >= near) & (dist <= far)
-        )
-    return ok.reshape(spec.dims)
+    # Coordinate j, sum_i (c_i - t_i) R[i, j], added in axis order with no BLAS call, so
+    # the mask does not depend on the BLAS kernel; only the last add is grid-sized.
+    dx, dy, dz = (c - t for c, t in zip(np.ix_(*spec.center_axes()), cam.pose.translation))
+    rot = cam.pose.rotation
+    x, y, z = ((dx * rot[0, j] + dy * rot[1, j]) + dz * rot[2, j] for j in range(3))
+    u, v, dist = _project(cam, x, y, z)
+    return ((z > 0) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+            & (dist >= near) & (dist <= far))
 
 
 def confusion(pred: OccupancyGrid, gt: OccupancyGrid, mask=None) -> ConfusionCounts:

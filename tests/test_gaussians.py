@@ -203,6 +203,14 @@ class TestHeuristicAttributes:
             g = so.heuristic_attributes_batch(sample_row(k, np.ones(3), 0.05), [2], cfg)
             assert g.opacities[0] == pytest.approx(0.9)
 
+    @pytest.mark.filterwarnings("error")   # the exponent used to overflow with a RuntimeWarning
+    def test_huge_decay_gives_its_limit(self):
+        cfg = so.AttributeConfig(opacity_decay=1e308)
+        batch = so.SampleBatch(pixels=np.zeros((4, 2)), ks=np.arange(1, 5),
+                               positions=np.ones((4, 3)), spacings=np.full(4, 0.05))
+        g = so.heuristic_attributes_batch(batch, np.full(4, 2), cfg)
+        np.testing.assert_array_equal(g.opacities, [0.9, 0.0, 0.0, 0.0])
+
     @pytest.mark.parametrize("key", ["sigma_factor", "logit_gain", "opacity_decay"])
     def test_nonfinite_config_rejected(self, key):
         # Each of these would make a set that fails to load or splats to nothing.

@@ -491,6 +491,10 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith("error:"), err
             assert "sigma_factor" in err[0] and "scale" in err[0], err
             assert not out.exists()
+        # opacity_decay = 1e308 overflows its exponent only where exp gives 0 anyway.
+        cfg_path.write_text("opacity_decay = 1e308\n")
+        assert main([str(a) for a in argv + ["--config", cfg_path]]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error")   # the slopes used to overflow with RuntimeWarnings
     @pytest.mark.parametrize("flag", ["--fx=1e-153", "--fy=1e-153", "--cx=1e300"])
@@ -657,8 +661,9 @@ def test_camera_flag_value_is_checked_by_its_flag(tmp_path, capsys):
     argv = _command_argv("render", _valid_inputs(tmp_path), tmp_path / "out")
     # fx = 1e-308 overflows the ray slopes of every image; it used to write a
     # depth map with one valid column.
-    for flag, value, name in (("fx", "-5", "finite float > 0"), ("cy", "inf", "finite float"),
-                              ("width", "0", "int >= 1"), ("fx", "1e-308", "finite float > 0")):
+    focal = "finite float > 0 with finite ray slopes"
+    for flag, value, name in (("fx", "-5", focal), ("cy", "inf", "finite float"),
+                              ("width", "0", "int >= 1"), ("fx", "1e-308", focal)):
         with pytest.raises(SystemExit) as exc:
             main([str(a) for a in argv + [f"--{flag}={value}"]])
         assert exc.value.code == 2
@@ -816,7 +821,8 @@ def _valid_inputs(tmp_path):
     + [
         pytest.param("cfg", "k = 8\nnot a pair\n", ["line 2", "key = value"], id="cfg-no-equals"),
         pytest.param("cfg", "k = 8.5\n", ["k = '8.5' is not int"], id="cfg-float-for-int"),
-        pytest.param("cfg", "fx = -5\n", ["fx = '-5' is not finite float > 0"],
+        pytest.param("cfg", "fx = -5\n",
+                     ["fx = '-5' is not finite float > 0 with finite ray slopes"],
                      id="cfg-fx-negative"),
         pytest.param("json", '{"extent": [4, 4.8, 2.88], "shell_thickness": 0.48, '
                      '"wall_label": 5}', ["'wall_label' must be 3"], id="json-wall-label"),

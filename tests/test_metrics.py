@@ -52,6 +52,30 @@ class TestFrustumMask:
                 so.frustum_mask(spec, cam, near, far),
                 projection_frustum_mask(spec, cam, near, far),
             )
+        # Centers on a 0.5 m lattice around a camera at the origin, f = c = 4 on
+        # an 8 x 8 image, near 1 and far 2.5.
+        spec = GridSpec((10, 9, 9), 0.5, np.full(3, -2.25), 4)
+        for yaw in (0, 90, 180, 270):
+            cam = so.CameraModel(4.0, 4.0, 4.0, 4.0, 8, 8, so.standard_pose(np.zeros(3), yaw))
+            mask = so.frustum_mask(spec, cam, 1.0, 2.5)
+            np.testing.assert_array_equal(mask, projection_frustum_mask(spec, cam, 1.0, 2.5))
+        # At yaw 0 the rotation's entries are 0 or +-1: camera (x, y, z) is
+        # world (-y, -z, x), so centers land exactly on every bound.
+        cam = so.CameraModel(4.0, 4.0, 4.0, 4.0, 8, 8, so.standard_pose(np.zeros(3), 0.0))
+        mask = so.frustum_mask(spec, cam, 1.0, 2.5)
+        wx, wy, wz = np.moveaxis(spec.voxel_centers().reshape(spec.dims + (3,)), -1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, v = 4 - 4 * wy / wx, 4 - 4 * wz / wx
+        dist2 = wx * wx + wy * wy + wz * wz
+        bounds = {"u": (u >= 0) & (u < 8), "v": (v >= 0) & (v < 8),
+                  "dist": (dist2 >= 1.0) & (dist2 <= 2.5 ** 2), "z": wx > 0}
+        np.testing.assert_array_equal(mask, np.logical_and.reduce(list(bounds.values())))
+        for key, edge, kept in (("u", u == 0, True), ("u", u == 8, False), ("v", v == 0, True),
+                                ("v", v == 8, False), ("dist", dist2 == 1.0, True),
+                                ("dist", dist2 == 2.5 ** 2, True), ("z", wx < 0, False)):
+            on = edge & np.logical_and.reduce([b for k, b in bounds.items() if k != key])
+            assert on.any() and np.all(mask[on] == kept), (key, kept)
+        assert np.any(wx == 0) and not np.any(mask[wx == 0])
 
     def test_invalid_range_rejected(self):
         cam = so.standard_camera([0, 0, 0])
