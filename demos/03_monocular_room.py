@@ -41,7 +41,7 @@ print(f"\nreconstructed {int((pred.labels > 0).sum())} occupied voxels "
 # The oracle voxelization is exact: each voxel takes the label of the solid
 # containing its center. Metrics run inside the camera frustum only.
 gt = so.oracle_occupancy(scene, grid_spec)
-mask = so.frustum_mask(grid_spec, cam, near=cfg.near, far=cfg.far)
+mask = so.frustum_mask(grid_spec, cam)
 report = so.iou_miou(so.confusion(pred, gt, mask))
 print(f"evaluated voxels: {int(mask.sum())}\n")
 for line in report.lines():

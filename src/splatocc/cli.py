@@ -270,7 +270,7 @@ def _cmd_eval(args, settings, cfg) -> int:
     mask = None
     if args.pose:
         cam = _camera(settings, _pose_flag(args.pose))
-        mask = frustum_mask(pred.spec, cam, near=cfg.near, far=cfg.far)
+        mask = frustum_mask(pred.spec, cam)
     for line in iou_miou(confusion(pred, gt, mask)).lines():
         print(line)
     return 0

@@ -174,8 +174,11 @@ class GaussianMemoryBank:
         eps = self.config.epsilon if eps is None else float(eps)
         if not eps > 0:
             raise ValueError("eps must be > 0")
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != (3,) or not np.all(np.isfinite(query)):
+            raise ValueError("query must be a finite 3-vector")
         cand = self._index.candidates(query, eps)
-        diff = self.means[cand] - np.asarray(query, dtype=np.float64)
+        diff = self.means[cand] - query
         keep = np.einsum("ij,ij->i", diff, diff) <= eps * eps
         return cand[keep]
 

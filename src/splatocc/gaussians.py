@@ -23,6 +23,9 @@ from . import quaternions
 
 SCALE_FLOOR = 1e-4
 DEFAULT_PRUNE_TAU = 0.01
+# Heuristic attributes: the first sample's (k = 1) opacity, the logit of its class.
+BASE_OPACITY = 0.9
+LOGIT_GAIN = 6.0
 CAMERA_FRAME = "camera"
 WORLD_FRAME = "world"
 # Labels are stored as u8 (class maps, grids), so a run has at most 256
@@ -227,23 +230,19 @@ class AttributeConfig:
 
     This stands in for a learned attribute head: isotropic kernels sized
     by the along-ray sample spacing, opacity decaying with sample depth
-    index, and one-hot class logits. All knobs are explicit because none
-    of them are canonical.
+    index from ``BASE_OPACITY``, and one-hot class logits of ``LOGIT_GAIN``.
+    The settings are the ones a caller varies; the rest are module constants.
     """
 
     num_classes: int = 12
     sigma_factor: float = 0.75
-    base_opacity: float = 0.9
     opacity_decay: float = 0.15
-    logit_gain: float = 6.0
 
     def __post_init__(self):
         if not 2 <= self.num_classes <= MAX_CLASSES:
             raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES}")
-        if not (0 < self.sigma_factor < np.inf and 0 < self.base_opacity <= 1):
-            raise ValueError("sigma_factor must be finite and > 0 and base_opacity in (0, 1]")
-        if not (0 < self.logit_gain < np.inf and 0 <= self.opacity_decay < np.inf):
-            raise ValueError("logit_gain must be finite and > 0, opacity_decay finite and >= 0")
+        if not (0 < self.sigma_factor < np.inf and 0 <= self.opacity_decay < np.inf):
+            raise ValueError("sigma_factor must be finite and > 0, opacity_decay finite and >= 0")
 
 
 def heuristic_attributes_batch(
@@ -251,7 +250,7 @@ def heuristic_attributes_batch(
 ) -> GaussianSet:
     """Camera-frame Gaussians for a sample batch: see :class:`AttributeConfig`.
 
-    ``labels`` gives one class id per sample. opacity = base_opacity *
+    ``labels`` gives one class id per sample. opacity = BASE_OPACITY *
     exp(-opacity_decay * (k - 1)), so deeper interior samples fade;
     sigma = sigma_factor * spacing, isotropic: the covariance is sigma^2 I.
     A sigma^2 that overflows float64 raises ValueError naming the settings.
@@ -269,8 +268,8 @@ def heuristic_attributes_batch(
         raise ValueError("kernel variance (sigma_factor * sample spacing)^2 overflows float64: "
                          "lower sigma_factor or scale")
     with np.errstate(over="ignore"):   # the exponent overflows only to -inf, where exp is 0
-        opacities = cfg.base_opacity * np.exp(-cfg.opacity_decay * (samples.ks - 1))
+        opacities = BASE_OPACITY * np.exp(-cfg.opacity_decay * (samples.ks - 1))
     logits = np.zeros((len(samples), cfg.num_classes))
-    logits[np.arange(len(samples)), labels] = cfg.logit_gain
+    logits[np.arange(len(samples)), labels] = LOGIT_GAIN
     cov = variance[:, None, None] * np.eye(3)
     return GaussianSet._of(samples.positions, cov, opacities, logits, CAMERA_FRAME)

@@ -9,9 +9,9 @@ GSET2   magic "GSET2", u32 count, u32 num_classes, then per Gaussian
         3*f64 mean, 6*f64 covariance upper triangle (xx, xy, xz, yy, yz,
         zz), f64 opacity, num_classes*f64 logits. The covariance is stored
         as kept in memory, in full precision, so round trips are exact; the
-        loader rejects one that is not finite and positive definite. The
-        frame tag is not stored; the loader takes it as a parameter
-        (defaults to world).
+        loader rejects one that is not finite and positive definite. No
+        frame tag is stored: every set the package writes is world frame,
+        and the loader tags what it reads as world frame.
 OGRID1  magic "OGRID1", u32 X, u32 Y, u32 Z, u32 num_classes,
         f32 voxel_size, 3*f32 origin, X*Y*Z u8 labels (0 = empty),
         X*Y*Z f32 scores. Arrays are C order with z fastest.
@@ -116,6 +116,8 @@ def load_class_map(path) -> np.ndarray:
 
 
 def save_gaussians(path, gset: GaussianSet) -> None:
+    if gset.frame != WORLD_FRAME:
+        raise ValueError("GSET2 stores world-frame sets only")
     record = np.empty((len(gset), 10 + gset.num_classes), dtype="<f8")
     record[:, 0:3] = gset.means
     record[:, 3:9] = gset.cov[:, _UPPER[0], _UPPER[1]]
@@ -124,7 +126,7 @@ def save_gaussians(path, gset: GaussianSet) -> None:
     _save(path, _GSET_MAGIC, "<II", (len(gset), gset.num_classes), (record, "<f8"))
 
 
-def load_gaussians(path, frame: str = WORLD_FRAME) -> GaussianSet:
+def load_gaussians(path) -> GaussianSet:
     with _reading(path, _GSET_MAGIC, "<II") as (f, (n, nc)):
         if not 2 <= nc <= MAX_CLASSES:
             raise ValueError(f"class count {nc} out of range")
@@ -133,7 +135,7 @@ def load_gaussians(path, frame: str = WORLD_FRAME) -> GaussianSet:
         cov[:, _UPPER[0], _UPPER[1]] = record[:, 3:9]
         cov[:, _UPPER[1], _UPPER[0]] = record[:, 3:9]
         return GaussianSet.from_covariances(record[:, 0:3], cov, record[:, 9], record[:, 10:],
-                                            frame)
+                                            WORLD_FRAME)
 
 
 def save_grid(path, grid: OccupancyGrid) -> None:
@@ -156,16 +158,16 @@ def save_scene(path, scene: SyntheticScene) -> None:
         "extent": list(scene.extent),
         "shell_thickness": scene.shell_thickness,
         "boxes": [
-            {"min": list(b.min_corner), "max": list(b.max_corner), "label": b.label}
+            {"min": list(b.min_corner), "max": list(b.max_corner), "label": int(b.label)}
             for b in scene.boxes
         ],
         "patches": [
             {
-                "axis": p.axis,
+                "axis": int(p.axis),
                 "side": p.side,
                 "lo": list(p.lo),
                 "hi": list(p.hi),
-                "label": p.label,
+                "label": int(p.label),
             }
             for p in scene.patches
         ],
@@ -191,13 +193,13 @@ def load_scene(path) -> SyntheticScene:
                 extent=np.asarray(payload["extent"], dtype=np.float64),
                 shell_thickness=float(payload["shell_thickness"]),
                 boxes=tuple(
-                    Box(np.asarray(b["min"]), np.asarray(b["max"]), int(b["label"]))
+                    Box(np.asarray(b["min"]), np.asarray(b["max"]), b["label"])
                     for b in payload.get("boxes", ())
                 ),
                 patches=tuple(
                     WallPatch(
-                        axis=int(p["axis"]), side=p["side"],
-                        lo=tuple(p["lo"]), hi=tuple(p["hi"]), label=int(p["label"]),
+                        axis=p["axis"], side=p["side"],
+                        lo=tuple(p["lo"]), hi=tuple(p["hi"]), label=p["label"],
                     )
                     for p in payload.get("patches", ())
                 ),
@@ -208,24 +210,19 @@ def load_scene(path) -> SyntheticScene:
             raise ValueError(f"malformed scene JSON: {exc}") from None
 
 
-def _parse_lines(text: str, parse) -> list:
-    """parse(line) for each line of text, # comment stripped, blank lines
-    skipped; a ValueError from parse names the line."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            try:
-                out.append(parse(stripped))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return out
-
-
 def load_lines(path, parse) -> list:
-    """_parse_lines over the text file at path; any error names path."""
+    """parse(line) for each line of the text file at path, # comment stripped,
+    blank lines skipped; any error names path, and one from parse its line."""
+    out = []
     with _named(path):
-        return _parse_lines(Path(path).read_text(), parse)
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if stripped:
+                try:
+                    out.append(parse(stripped))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+    return out
 
 
 def _config_pair(line: str) -> tuple:
@@ -235,10 +232,6 @@ def _config_pair(line: str) -> tuple:
     return key.strip(), value.strip()
 
 
-def parse_config(text: str) -> dict:
-    """Flat "key = value" lines; # starts a comment, blank lines ignored."""
-    return dict(_parse_lines(text, _config_pair))
-
-
 def load_config(path) -> dict:
+    """Flat "key = value" lines; # starts a comment, blank lines ignored."""
     return dict(load_lines(path, _config_pair))

@@ -43,8 +43,8 @@ def focal_loss(logits, targets, gamma: float = 2.0, ignore_index=None):
     gamma = 0 reduces exactly to mean cross-entropy. Ignored items contribute
     nothing to the value and have zero gradient rows.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not 0 <= gamma < np.inf:   # NaN fails both comparisons
+        raise ValueError("gamma must be finite and >= 0")
     logits, rows, kept, p = _kept(logits, targets, ignore_index)
     pt = p[np.arange(rows.size), kept]
     one_minus = 1.0 - pt

@@ -9,9 +9,6 @@ import numpy as np
 from .camera import CameraModel, _project
 from .splatting import GridSpec, OccupancyGrid
 
-DEFAULT_NEAR = 0.01
-DEFAULT_FAR = 10.0
-
 # Semantic class ids 1..11 plus 0 = empty.
 CLASS_NAMES = (
     "empty", "ceiling", "floor", "wall", "window", "chair", "bed",
@@ -71,8 +68,8 @@ class ConfusionCounts:
         return ConfusionCounts(self.matrix + other.matrix)
 
 
-def frustum_mask(spec: GridSpec, cam: CameraModel, near: float = DEFAULT_NEAR,
-                 far: float = DEFAULT_FAR) -> np.ndarray:
+def frustum_mask(spec: GridSpec, cam: CameraModel, near: float = 0.01,
+                 far: float = 10.0) -> np.ndarray:
     """Boolean mask of voxels whose center projects inside the image with a
     ray distance in [near, far]; shape spec.dims."""
     if not 0 < near < far:

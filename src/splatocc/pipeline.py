@@ -15,7 +15,6 @@ from .gaussians import (
     heuristic_attributes_batch,
     prune,
 )
-from .metrics import DEFAULT_FAR, DEFAULT_NEAR
 from .sampling import DepthMap, SamplingConfig, volumetric_sample
 from .splatting import DEFAULT_THETA_OCC, GridSpec, OccupancyGrid, splat
 
@@ -27,16 +26,12 @@ class PipelineConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     tau: float = DEFAULT_PRUNE_TAU
     theta_occ: float = DEFAULT_THETA_OCC
-    near: float = DEFAULT_NEAR
-    far: float = DEFAULT_FAR
 
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
         if not 0.0 <= self.theta_occ <= 1.0:
             raise ValueError("theta_occ must lie in [0, 1]")
-        if not 0 < self.near < self.far:
-            raise ValueError("need 0 < near < far")
 
 
 def _config_fields():

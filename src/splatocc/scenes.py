@@ -28,6 +28,12 @@ WALL_LABEL = 3
 _PATCHABLE_LABELS = (4, 5, 9, 10, 11)  # window, chair, tvs, furniture, objects
 _MAX_LABEL = MAX_CLASSES - 1
 
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a float or bool id is rejected, not truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # Voxel pitch of the stock grids; generated geometry snaps to it.
 _VOXEL = 0.08
 _FRONTAL_DIMS = (60, 60, 36)
@@ -46,8 +52,8 @@ class Box:
         hi = np.asarray(self.max_corner, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,) or not np.all(np.isfinite([lo, hi]) & (hi > lo)):
             raise ValueError("box corners must be finite 3-vectors with max > min")
-        if not 1 <= self.label <= _MAX_LABEL:
-            raise ValueError(f"box label must be a semantic class in 1..{_MAX_LABEL}")
+        if not (_is_int(self.label) and 1 <= self.label <= _MAX_LABEL):
+            raise ValueError(f"box label must be an integer semantic class in 1..{_MAX_LABEL}")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "min_corner", lo)
@@ -70,14 +76,15 @@ class WallPatch:
     label: int
 
     def __post_init__(self):
-        if self.axis not in (0, 1, 2) or self.side not in ("min", "max"):
-            raise ValueError("axis must be 0..2 and side 'min' or 'max'")
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
-            raise ValueError("patch bounds must be finite")
+        if not (_is_int(self.axis) and 0 <= self.axis <= 2 and self.side in ("min", "max")):
+            raise ValueError("axis must be an integer 0..2 and side 'min' or 'max'")
+        if not (np.shape(self.lo) == np.shape(self.hi) == (2,)
+                and np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("patch bounds must be finite 2-vectors")
         if not (self.lo[0] < self.hi[0] and self.lo[1] < self.hi[1]):
             raise ValueError("patch rectangle must have positive area")
-        if not 1 <= self.label <= _MAX_LABEL:
-            raise ValueError(f"patch label must be a semantic class in 1..{_MAX_LABEL}")
+        if not (_is_int(self.label) and 1 <= self.label <= _MAX_LABEL):
+            raise ValueError(f"patch label must be an integer semantic class in 1..{_MAX_LABEL}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ batch of balls at once: one (query, run start, run length) row per (x, y)
 column, found from the table in constant time. A ball of radius at most half
 the cell size reads 4 columns about one cell size tall. ``members`` expands
 any slice of those rows into (query, member id) pairs, so a caller can bound
-the pairs it holds at a time; ``pairs`` is the two in one call.
+the pairs it holds at a time.
 ``candidates`` reads, for one ball, the cells of the whole cubic cells (each
 _Z_SPLIT fine ones) its box overlaps, and ``key`` gives a point's cubic cell.
 Distance filtering is left to the caller, which owns the coordinates; a
@@ -216,8 +216,3 @@ class SpatialHashGrid:
         rows = np.repeat(rows, count)
         pos = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
         return rows, self._ids[pos]
-
-    def pairs(self, centers, radius: float):
-        """(query row, member id) for every member in a cell that overlaps
-        each ball's bounding box. Rows come out in ascending order."""
-        return self.members(*self.columns(centers, radius))

@@ -25,8 +25,9 @@ M = voxel_size^2 Sigma^-1 from ``gaussians.inverse_covariances``. The ten
 coefficients per Gaussian are computed once, so boxes of one shape need one
 matrix product of them with the shape's table of offset monomials.
 
-The working set is bounded: pairs are evaluated in chunks of at most
-``_CHUNK_PAIRS``, whose scratch arrays are allocated once per call and
+The working set is bounded: pairs are evaluated in chunks of at most the
+larger of ``_CHUNK_PAIRS`` and the biggest clipped box (a box of more voxels
+is a chunk of its own), whose scratch arrays are allocated once per call and
 refilled in place, and nothing is kept between calls. Each chunk scatters
 into its own span of flat voxel indices, from its lowest box corner to its
 highest box end, so its cost follows its pairs, not the grid size.
@@ -180,15 +181,15 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
 
     Every Gaussian is evaluated at the voxel centers of its culled box.
     Gaussians whose boxes have the same shape share one table of offset
-    monomials and are evaluated together in chunks of at most
-    ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs: a chunk's squared Mahalanobis
-    distances are its (rows, 10) quadratic-form coefficients times that
-    (10, voxels) table, written with its cutoff mask, flat voxel indices and
-    kept pairs into buffers allocated once per call. Kept pairs scatter into
-    the voxel span that the chunk's boxes reach, with one bincount over that
-    span for the score and one per distinct softmax column, into that
-    column's one mass row; a label maps its argmax row back to the column's
-    lowest semantic class. Results agree with an unculled brute-force
+    monomials and are evaluated together in chunks of at most the larger of
+    ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs and one clipped box: a chunk's
+    squared Mahalanobis distances are its (rows, 10) quadratic-form
+    coefficients times that (10, voxels) table, written with its cutoff mask,
+    flat voxel indices and kept pairs into buffers allocated once per call.
+    Kept pairs scatter into the voxel span that the chunk's boxes reach, with
+    one bincount over that span for the score and one per distinct softmax
+    column, into that column's one mass row; a label maps its argmax row back
+    to the column's lowest semantic class. Results agree with an unculled brute-force
     evaluation to well below 1e-6 even for thousands of kernels.
     ``keep_masses`` also returns the per-class masses, shaped
     ``spec.dims + (num_classes,)``; without it the class-0 (empty) mass,

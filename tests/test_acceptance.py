@@ -263,7 +263,7 @@ class TestAcceptance:
             elapsed = time.perf_counter() - start
             slowest = max(slowest, elapsed)
             gt = so.oracle_occupancy(scene, grid_spec)
-            mask = so.frustum_mask(grid_spec, cam, cfg.near, cfg.far)
+            mask = so.frustum_mask(grid_spec, cam)
             report = so.iou_miou(so.confusion(pred, gt, mask))
             if report.iou >= 0.90 and report.miou >= 0.85:
                 passing += 1

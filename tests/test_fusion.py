@@ -39,9 +39,9 @@ class TestSpatialHash:
         assert 1 not in grid.candidates([0.04, 0.04, 0.04], 0.05)
 
     def test_pairs_agree_with_candidates(self):
-        # pairs reads fine z cells, candidates whole cells: pairs is a subset of
-        # candidates, and candidates is every member of the cells, by key(),
-        # that overlap the ball's bounding box.
+        # columns and members read fine z cells, candidates whole cells: their
+        # pairs are a subset of candidates, and candidates is every member of
+        # the cells, by key(), that overlap the ball's bounding box.
         rng = np.random.default_rng(21)
         points = rng.uniform(0, 1, (2000, 3))
         grid = SpatialHashGrid(0.08)
@@ -49,7 +49,7 @@ class TestSpatialHash:
         keys = np.array([grid.key(p) for p in points])
         centers = rng.uniform(-0.3, 1.3, (200, 3))
         for radius in (0.0, 0.03, 0.08, 0.17, 0.25):
-            rows, ids = grid.pairs(centers, radius)
+            rows, ids = grid.members(*grid.columns(centers, radius))
             assert np.all(np.diff(rows) >= 0)
             for r, c in enumerate(centers):
                 got = np.sort(ids[rows == r])
@@ -70,7 +70,10 @@ class TestSpatialHash:
             with pytest.raises(ValueError, match="finite"):
                 bank.radius_neighbors(query, eps)
             with pytest.raises(ValueError, match="finite"):
-                grid.pairs([query], eps)
+                grid.columns([query], eps)
+        for query in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [[0.5, 0.5, 0.5]]):   # not a 3-vector
+            with pytest.raises(ValueError, match="finite 3-vector"):
+                bank.radius_neighbors(query, 0.08)
         with pytest.raises(ValueError):
             bank.radius_neighbors([0, 0, 0], np.nan)
         with pytest.raises(ValueError, match="finite"):
@@ -94,7 +97,7 @@ class TestSpatialHash:
         centers = rng.uniform(-0.2, 1.2, (300, 3))
 
         def sorted_pairs(grid, radius):
-            rows, ids = grid.pairs(centers, radius)
+            rows, ids = grid.members(*grid.columns(centers, radius))
             by_pair = np.lexsort((ids, rows))
             return rows[by_pair], ids[by_pair]
 
@@ -112,7 +115,7 @@ def sorted_pairs(rows, ids):
 
 
 def assert_pairs_match_oracle(grid, points, centers, radius):
-    got = sorted_pairs(*grid.pairs(centers, radius))
+    got = sorted_pairs(*grid.members(*grid.columns(centers, radius)))
     want = cell_pairs(points, centers, radius, grid.cell_size, _Z_SPLIT, _REACH,
                       grid._shift.tolist())
     for g, w in zip(got, want):
@@ -211,14 +214,14 @@ class TestMatchBatches:
 
     @staticmethod
     def match(monkeypatch, name):
-        """Check one case against the linear scan and the index's pairs; its
+        """Check one case against the linear scan and the index's columns; its
         batches as (rows, run lengths)."""
         means, queries, budget = _batch_case(name)
         eps = 0.08
         bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
         d2 = ((queries[:, None, :] - means[None, :, :]) ** 2).sum(axis=-1)
         open_rows = np.flatnonzero(np.all(d2 >= (eps / 2) ** 2, axis=1))
-        want = sum(bank._index.pairs(q, r)[0].size
+        want = sum(int(bank._index.columns(q, r)[2].sum())
                    for q, r in ((queries, eps / 2), (queries[open_rows], eps)))
         batches, members = [], SpatialHashGrid.members
 
@@ -633,7 +636,7 @@ class TestFuseFrame:
         open_rows = np.flatnonzero(d2.min(axis=1) >= (eps / 2) ** 2)
         # Candidates: the pairs of the eps/2 pass over every incoming, and of
         # the eps pass over the open ones.
-        want = sum(bank._index.pairs(q, r)[0].size
+        want = sum(int(bank._index.columns(q, r)[2].sum())
                    for q, r in ((incoming, eps / 2), (incoming[open_rows], eps)))
         stats = bank.fuse_frame(make_set(incoming))
         assert stats.candidates == want > 0

@@ -211,7 +211,7 @@ class TestHeuristicAttributes:
         g = so.heuristic_attributes_batch(batch, np.full(4, 2), cfg)
         np.testing.assert_array_equal(g.opacities, [0.9, 0.0, 0.0, 0.0])
 
-    @pytest.mark.parametrize("key", ["sigma_factor", "logit_gain", "opacity_decay"])
+    @pytest.mark.parametrize("key", ["sigma_factor", "opacity_decay"])
     def test_nonfinite_config_rejected(self, key):
         # Each of these would make a set that fails to load or splats to nothing.
         for value in (np.inf, -np.inf, np.nan):
@@ -322,6 +322,24 @@ class TestGaussianTypes:
                 so.GaussianSet.from_covariances([0, 0, 0], np.eye(3)[None], 0.5, logits)
         gset = so.GaussianSet([0, 0, 0], [1, 1, 1], [1, 0, 0, 0], 0.5, np.zeros(256))
         assert gset.num_classes == 256
+
+    @pytest.mark.parametrize("field, value, words", [
+        ("means", np.zeros((2, 2)), r"means must have shape \(n, 3\)"),
+        ("opacities", [0.5], r"opacities must be \(n,\)"),
+        ("logits", np.zeros((3, 3)), r"logits \(n, num_classes"),
+        ("scales", np.ones((2, 2)), r"scales must be \(n, 3\)"),
+        ("rotations", np.eye(4)[:1], r"rotations \(n, 4\)"),
+    ], ids=["means", "opacities", "logits", "scales", "rotations"])
+    def test_shapes_checked(self, field, value, words):
+        two = {"means": np.zeros((2, 3)), "scales": np.ones((2, 3)),
+               "rotations": np.eye(4)[:2], "opacities": [0.5, 0.5], "logits": np.zeros((2, 3))}
+        with pytest.raises(ValueError, match=words):
+            so.GaussianSet(**two | {field: value})
+
+    def test_covariance_shape_checked(self):
+        with pytest.raises(ValueError, match=r"covariances must have shape \(n, 3, 3\)"):
+            so.GaussianSet.from_covariances(np.zeros((2, 3)), np.ones((3, 3, 3)), [0.5, 0.5],
+                                            np.zeros((2, 3)))
 
     def test_nan_logits_rejected(self):
         with pytest.raises(ValueError):

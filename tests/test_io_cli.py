@@ -69,6 +69,13 @@ class TestClassMapFormat:
             io.save_class_map(path, np.array(classes))
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)], ids=["1-d", "3-d"])
+    def test_map_that_is_not_2d_rejected(self, tmp_path, shape):
+        path = tmp_path / "bad.cmap"
+        with pytest.raises(ValueError, match="2-d"):
+            io.save_class_map(path, np.ones(shape, dtype=np.uint8))
+        assert not path.exists()
+
     def test_integer_ids_save_as_their_u8_map(self, tmp_path):
         classes = np.random.default_rng(39).integers(0, 256, (5, 7))
         io.save_class_map(tmp_path / "u8.cmap", classes.astype(np.uint8))
@@ -96,11 +103,14 @@ class TestGaussianSetFormat:
         loaded = io.load_gaussians(path)
         assert len(loaded) == 0 and loaded.num_classes == 12
 
-    def test_frame_parameter(self, tmp_path):
-        rng = np.random.default_rng(38)
+    def test_camera_frame_set_is_not_saved(self, tmp_path):
+        # GSET2 stores no frame and loads as world frame, so a camera-frame
+        # set would come back mislabelled.
         path = tmp_path / "cam.gset"
-        io.save_gaussians(path, random_gaussian_set(rng, 3, 4, frame="camera"))
-        assert io.load_gaussians(path, frame="camera").frame == "camera"
+        with pytest.raises(ValueError, match="world-frame"):
+            io.save_gaussians(path, random_gaussian_set(np.random.default_rng(38), 3, 4,
+                                                        frame="camera"))
+        assert not path.exists()
 
     def test_class_count_bounded_by_u8_labels(self, tmp_path):
         path = tmp_path / "wide.gset"
@@ -145,6 +155,12 @@ class TestSceneFormat:
         assert loaded.shell_thickness == scene.shell_thickness
         assert loaded.boxes[0].label == 7
         assert loaded.patches[0].hi == (2.0, 2.0)
+        # numpy integer ids save as the same JSON numbers.
+        numpy_ids = tmp_path / "numpy_ids.json"
+        io.save_scene(numpy_ids, dataclasses.replace(
+            scene, boxes=(dataclasses.replace(scene.boxes[0], label=np.int64(7)),),
+            patches=(dataclasses.replace(scene.patches[0], axis=np.int64(0), label=np.uint8(4)),)))
+        assert numpy_ids.read_text() == path.read_text()
 
     def test_label_keys_load_only_at_their_class_ids(self, tmp_path):
         # Earlier files name the shell's class ids; current ones leave them out.
@@ -162,42 +178,40 @@ class TestSceneFormat:
 
 
 class TestConfigFormat:
-    def test_parse_and_comments(self):
-        text = "# settings\nk = 8\nscale = 0.4  # meters\n\ntau=0.02\n"
-        mapping = io.parse_config(text)
-        assert mapping == {"k": "8", "scale": "0.4", "tau": "0.02"}
+    def test_parse_and_comments(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# settings\nk = 8\nscale = 0.4  # meters\n\ntau=0.02\n")
+        assert io.load_config(path) == {"k": "8", "scale": "0.4", "tau": "0.02"}
 
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError, match="line 2"):
-            io.parse_config("k = 8\nnot a pair\n")
+    def test_malformed_line_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("k = 8\nnot a pair\n")
+        with pytest.raises(ValueError, match=f"{path}: line 2"):
+            io.load_config(path)
 
-    def test_config_text_reaches_every_field(self):
+    def test_config_text_reaches_every_field(self, tmp_path):
         from splatocc.pipeline import config_from_mapping, config_types
 
-        text = """# every pipeline key, none at its default
+        path = tmp_path / "run.cfg"
+        path.write_text("""# every pipeline key, none at its default
 k = 8
 scale = 0.3
 stride = 2
 num_classes = 10
 sigma_factor = 0.5
-base_opacity = 0.8
 opacity_decay = 0.0   # no fading
-logit_gain = 4.5
 epsilon = 0.1
 gamma = 0.25
 tau = 0.02
 theta_occ = 0.6
-near = 0.05
-far = 8.0
 width = 320
-"""
+""")
         expected = {
             "k": 8, "scale": 0.3, "stride": 2, "num_classes": 10, "sigma_factor": 0.5,
-            "base_opacity": 0.8, "opacity_decay": 0.0, "logit_gain": 4.5, "epsilon": 0.1,
-            "gamma": 0.25, "tau": 0.02, "theta_occ": 0.6, "near": 0.05, "far": 8.0,
+            "opacity_decay": 0.0, "epsilon": 0.1, "gamma": 0.25, "tau": 0.02, "theta_occ": 0.6,
         }
         assert set(expected) == set(config_types())
-        cfg = config_from_mapping(io.parse_config(text))
+        cfg = config_from_mapping(io.load_config(path))
         default = so.PipelineConfig()
 
         def lookup(config, key):
@@ -458,7 +472,7 @@ class TestCli:
         out = tmp_path / "g.gset"
         sample = ["sample", "--depth", depth_path, "--classes", cmap_path, "--out", out]
         cases = [(["--config", cfg_path], f"{key} = {value}\n", key)
-                 for key, value in (("scale", "inf"), ("logit_gain", "nan"), ("logit_gain", "inf"),
+                 for key, value in (("scale", "inf"), ("scale", "nan"), ("sigma_factor", "nan"),
                                     ("sigma_factor", "inf"), ("opacity_decay", "nan"),
                                     ("opacity_decay", "inf"))]
         for extra, text, key in cases + [(["--scale", "nan"], "", "scale")]:
@@ -760,13 +774,28 @@ def test_stream_grid_keys_need_grid_dims(tmp_path, capsys, setting):
     assert not out_grid.exists()
 
 
+def test_stream_writes_the_grid_that_grid_dims_sets(tmp_path, capsys):
+    ok = _valid_inputs(tmp_path)
+    poses, out_grid, cfg_path = tmp_path / "poses.txt", tmp_path / "g.ogrid", tmp_path / "g.cfg"
+    poses.write_text("0.3 2.4 1.44 0\n")
+    cfg_path.write_text("voxel-size = 0.25\n")
+    out = _run(capsys, ["stream", "--scene", ok["json"], "--poses", poses, "--out-grid", out_grid,
+                        "--k", "2", "--stride", "16", "--config", cfg_path,
+                        "--grid-dims", "18,20,13", "--grid-origin=-0.25,-0.5,-0.75"])
+    spec = io.load_grid(out_grid).spec
+    assert spec.dims == (18, 20, 13) and spec.voxel_size == 0.25
+    np.testing.assert_array_equal(spec.origin, [-0.25, -0.5, -0.75])
+    assert int(out["occupied_voxels"]) > 0
+
+
 # Each line is one the config dataclasses reject, paired with a command that
 # reads its key and one that does not.
 @pytest.mark.parametrize("line, command", [
     ("scale = inf", "sample"), ("scale = inf", "render"),
     ("fx = -5", "render"), ("fx = -5", "prune"),
     ("width = 0", "render"), ("width = 0", "splat"),
-    ("near = 0", "eval"), ("near = 0", "render"),
+    ("theta_occ = 2", "splat"), ("theta_occ = 2", "eval"),
+    ("tau = -1", "prune"), ("tau = -1", "render"),
 ])
 def test_rejected_config_value_names_its_file(tmp_path, capsys, line, command):
     cfg_path = tmp_path / "bad.cfg"
@@ -874,6 +903,22 @@ def _valid_inputs(tmp_path):
                      ["patch label", "1..255"], id="json-patch-label-0"),
         pytest.param("json", _scene_json(boxes=[_BOX | {"label": 300}]),
                      ["box label", "1..255"], id="json-box-label-300"),
+        # Ids that are not integers: int() would read 5.9 as 5, true as 1, "6"
+        # as 6 and an axis of 0.7 as 0.
+        pytest.param("json", _scene_json(boxes=[_BOX | {"label": 5.9}]),
+                     ["box label", "integer"], id="json-box-label-float"),
+        pytest.param("json", _scene_json(boxes=[_BOX | {"label": True}]),
+                     ["box label", "integer"], id="json-box-label-bool"),
+        pytest.param("json", _scene_json(boxes=[_BOX | {"label": "6"}]),
+                     ["box label", "integer"], id="json-box-label-string"),
+        pytest.param("json", _scene_json(patches=[_PATCH | {"axis": 0.7}]),
+                     ["axis", "integer 0..2"], id="json-patch-axis-float"),
+        pytest.param("json", _scene_json(patches=[_PATCH | {"side": "top"}]),
+                     ["side 'min' or 'max'"], id="json-patch-side"),
+        pytest.param("json", _scene_json(patches=[_PATCH | {"hi": [3.0, 1.0]}]),
+                     ["positive area"], id="json-patch-empty-rectangle"),
+        pytest.param("json", _scene_json(patches=[_PATCH | {"lo": [1.8, 1.0, 9.0]}]),
+                     ["patch bounds", "2-vectors"], id="json-patch-three-bounds"),
         pytest.param("json", _scene_json(shell_thickness=float("inf")),
                      ["shell_thickness", "finite"], id="json-infinite-shell"),
         pytest.param("cmap", b"CMAP1" + struct.pack("<II", 8, 6) + bytes([40] * 48),

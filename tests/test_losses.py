@@ -180,3 +180,21 @@ class TestHuberDepth:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             so.huber_depth(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("call, words", [
+    # A NaN gamma passes a plain gamma < 0 test and gives a NaN value and gradient.
+    (lambda: so.focal_loss(np.zeros((2, 3)), [0, 1], gamma=np.nan), "gamma must be finite"),
+    (lambda: so.focal_loss(np.zeros((2, 3)), [0, 1], gamma=np.inf), "gamma must be finite"),
+    (lambda: so.focal_loss(np.zeros((2, 3)), [0, 1], gamma=-1.0), "gamma must be finite"),
+    (lambda: so.focal_loss(np.zeros(3), [0]), r"logits must be \(n_items, num_classes\)"),
+    (lambda: so.focal_loss(np.zeros((2, 3)), [0, 3]), r"targets must lie in \[0, num_classes\)"),
+    (lambda: so.lovasz_softmax(np.zeros((2, 3)), [-1, 0]), r"targets must lie in \[0, num_c"),
+    (lambda: so.huber_depth(np.ones(2), np.ones(2), delta=0.0), "delta must be > 0"),
+    (lambda: so.huber_depth(np.ones(2), np.ones(2), delta=np.nan), "delta must be > 0"),
+    (lambda: so.huber_depth([np.nan, 1.0], [1.0, 1.0]), "pred must be finite"),
+], ids=["gamma-nan", "gamma-inf", "gamma-negative", "logits-1d", "focal-target-3",
+        "lovasz-target-negative", "delta-zero", "delta-nan", "pred-nan"])
+def test_bad_input_rejected(call, words):
+    with pytest.raises(ValueError, match=words):
+        call()
