@@ -2,8 +2,9 @@
 
 The bank holds world-frame Gaussians plus a grid index over their means:
 members sorted by cell (cells epsilon wide in x and y, epsilon/16 tall in z,
-coarser only for a bank spread too wide for the index's fixed-size table)
-and a dense int32 table of where each cell's run starts. Fusing a frame:
+coarser only for a bank spread too wide for the index's fixed-size table),
+their means in that order as three contiguous columns, and a dense int32
+table of where each cell's run starts. Fusing a frame:
 
 1. every incoming Gaussian is matched to its nearest bank member within
    epsilon as the bank was before the frame (at most one anchor per
@@ -15,8 +16,9 @@ and a dense int32 table of where each cell's run starts. Fusing a frame:
    member outside those cells can be that close; the second runs the full
    epsilon search, 9 columns about 2 epsilon tall, for the rest. A pass
    looks up all its columns in one index call, measures their candidates
-   in batches of whole columns cut by candidate count, and breaks ties
-   once;
+   in batches of whole columns cut by candidate count, one axis at a time
+   from the index's key-ordered coordinate columns, looks up member ids
+   only for the pairs within range, and breaks ties once;
 2. each anchor with matches is updated per attribute theta in
    {mean, covariance, opacity, logits} by the confidence-weighted average
 
@@ -213,23 +215,32 @@ class GaussianMemoryBank:
         lowest id); and the number of candidate pairs gathered.
 
         The index reads every query's columns in one call. Their runs are
-        expanded and measured in batches of consecutive columns that hold at
-        most _MATCH_PAIRS candidates (or one column), and the pairs within
-        limit2 are reduced to anchors once. Columns come in query order, so
-        the kept rows ascend.
+        expanded into key-order positions and measured in batches of
+        consecutive columns that hold at most _MATCH_PAIRS candidates (or one
+        column), from the index's key-ordered coordinate columns and the
+        queries' own columns, one axis at a time. Only the pairs within limit2
+        are mapped to member ids, and they are reduced to anchors once.
+        Columns come in query order, so the kept rows ascend.
         """
-        rows, start, count = self._index.columns(queries, radius)
+        index = self._index
+        rows, start, count = index.columns(queries, radius)
         ends = np.cumsum(count)   # candidates up to and including each column
+        query_columns = np.ascontiguousarray(queries.T)
         kept = [(rows[:0], rows[:0], np.zeros(0))]   # a pass may keep no pair
         a = 0
         while a < rows.size:
             b = max(int(np.searchsorted(ends, ends[a] - count[a] + _MATCH_PAIRS, "right")), a + 1)
-            pair_rows, ids = self._index.members(rows[a:b], start[a:b], count[a:b])
-            diff = np.take(self.means, ids, axis=0)
-            diff -= np.take(queries, pair_rows, axis=0)
-            d2 = np.einsum("ij,ij->i", diff, diff)
+            pair_rows, pos = index.members(rows[a:b], start[a:b], count[a:b])
+            sq = [np.take(m, pos) for m in index.coords]
+            for d, q in zip(sq, query_columns):
+                d -= np.take(q, pair_rows)
+                d *= d
+            # (x^2 + z^2) + y^2 is the order in which einsum("ij,ij->i") sums a
+            # row of three, so d2 is the oracle's, bit for bit.
+            d2 = np.add(sq[0], sq[2], out=sq[0])
+            d2 += sq[1]
             keep = np.flatnonzero(d2 <= limit2)
-            kept.append((pair_rows[keep], ids[keep], d2[keep]))
+            kept.append((pair_rows[keep], index.ids[pos[keep]], d2[keep]))
             a = b
         rows, ids, d2 = (np.concatenate(part) for part in zip(*kept))
         heads = np.flatnonzero(np.diff(rows, prepend=-1))

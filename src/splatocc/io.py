@@ -175,6 +175,15 @@ def save_scene(path, scene: SyntheticScene) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _numbers(value, field: str):
+    """``value`` as loaded, once it is a JSON number or a list of them: a bool
+    or a string is rejected, not read as a number."""
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"{field} must hold JSON numbers only, got {value!r}")
+    return value
+
+
 def load_scene(path) -> SyntheticScene:
     with _named(path):
         payload = json.loads(Path(path).read_text())
@@ -190,23 +199,26 @@ def load_scene(path) -> SyntheticScene:
                 raise ValueError(f"scene JSON field {field!r} must be {label}, its fixed class id")
         try:
             return SyntheticScene(
-                extent=np.asarray(payload["extent"], dtype=np.float64),
-                shell_thickness=float(payload["shell_thickness"]),
+                extent=np.asarray(_numbers(payload["extent"], "'extent'"), dtype=np.float64),
+                shell_thickness=float(_numbers(payload["shell_thickness"], "'shell_thickness'")),
                 boxes=tuple(
-                    Box(np.asarray(b["min"]), np.asarray(b["max"]), b["label"])
+                    Box(np.asarray(_numbers(b["min"], "box 'min'")),
+                        np.asarray(_numbers(b["max"], "box 'max'")), b["label"])
                     for b in payload.get("boxes", ())
                 ),
                 patches=tuple(
                     WallPatch(
                         axis=p["axis"], side=p["side"],
-                        lo=tuple(p["lo"]), hi=tuple(p["hi"]), label=p["label"],
+                        lo=tuple(_numbers(p["lo"], "patch 'lo'")),
+                        hi=tuple(_numbers(p["hi"], "patch 'hi'")), label=p["label"],
                     )
                     for p in payload.get("patches", ())
                 ),
             )
         except KeyError as exc:
             raise ValueError(f"scene JSON lacks field {exc.args[0]!r}") from None
-        except (TypeError, IndexError, ValueError) as exc:
+        # OverflowError: a JSON integer too large for a float.
+        except (TypeError, IndexError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed scene JSON: {exc}") from None
 
 

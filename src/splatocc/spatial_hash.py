@@ -1,11 +1,14 @@
-"""Grid spatial index over 3D points: members sorted by cell key, and a
-cell-start table.
+"""Grid spatial index over 3D points: members sorted by cell key, their
+coordinates in that order, and a cell-start table.
 
 Cells are one cell size wide in x and y and 1/_Z_SPLIT of it tall in z. Each
 member's cell is packed into one int64 key relative to the members' bounding
 box, and members are sorted by key with a stable argsort; callers whose
 points move rebuild the index. That sort is adaptive, so a caller that passes
 the members in the previous key order (``ids``) re-sorts nearly sorted keys.
+The same sort lays the members' coordinates out in key order as three
+contiguous float64 columns (``coords``, 24 B per member), so a caller can
+measure distances by position without gathering whole rows.
 The build also fills a dense table over the box, ``starts[k]`` being the
 position of the first member whose key is at least k. Cells that differ only
 in z have consecutive keys, so each (x, y) column of a query's box is the run
@@ -24,13 +27,14 @@ query's box still covers every member within its radius.
 batch of balls at once: one (query, run start, run length) row per (x, y)
 column, found from the table in constant time. A ball of radius at most half
 the cell size reads 4 columns about one cell size tall. ``members`` expands
-any slice of those rows into (query, member id) pairs, so a caller can bound
-the pairs it holds at a time.
+any slice of those rows into (query, position in key order) pairs, so a
+caller can bound the pairs it holds at a time; a position maps to a member id
+through ``ids`` and to its coordinates through ``coords``.
 ``candidates`` reads, for one ball, the cells of the whole cubic cells (each
 _Z_SPLIT fine ones) its box overlaps, and ``key`` gives a point's cubic cell.
-Distance filtering is left to the caller, which owns the coordinates; a
-caller that breaks ties by id, as fusion does, gets results that do not
-depend on the order of members in a cell.
+Distance filtering is left to the caller; a caller that breaks ties by id,
+as fusion does, gets results that do not depend on the order of members in a
+cell.
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ class SpatialHashGrid:
         """Member ids in key order."""
         return self._ids
 
+    @property
+    def coords(self) -> np.ndarray:
+        """Member coordinates in key order, (3, n): one contiguous row per axis."""
+        return self._coords
+
     def key(self, point) -> tuple:
         return tuple(floor(float(v) * self._inv) for v in point[:3])
 
@@ -99,14 +108,15 @@ class SpatialHashGrid:
             raise ValueError("members and points differ in length")
         if ids.size >= 2 ** 31:
             raise ValueError("an index holds fewer than 2**31 members (int32 cell starts)")
-        cells = points * self._inv   # one (n, 3) temporary, scaled and floored in place
-        cells[:, 2] *= _Z_SPLIT
+        # One (3, n) buffer, a row per axis: the fine cells, scaled and floored
+        # in place, then the coordinates in key order that the index keeps.
+        cells = np.multiply(points.T, self._inv, order="C")
+        cells[2] *= _Z_SPLIT
         np.floor(cells, out=cells)
         if not np.all(np.isfinite(cells)):
             raise ValueError("points must be finite")
         if ids.size:
-            # One column at a time: numpy reduces a length-3 axis row by row.
-            lo, hi = ([int(f(col)) for col in cells.T] for f in (np.min, np.max))
+            lo, hi = ([int(f(col)) for col in cells] for f in (np.min, np.max))
             if max(map(abs, lo + hi)) >= _MAX_CELLS:
                 raise ValueError("points span too many cells for int64 cell keys")
         else:
@@ -124,7 +134,7 @@ class SpatialHashGrid:
         # Packed keys, (x * ny + y) * nz + z, built in place one column at a time.
         keys = np.zeros(ids.size, dtype=np.int64)
         cell = np.empty_like(keys)
-        for col, s, b, n in zip(cells.T, shift, self._base, (1, self._ny, self._nz)):
+        for col, s, b, n in zip(cells, shift, self._base, (1, self._ny, self._nz)):
             np.copyto(cell, col, casting="unsafe")   # floored, so the cast is exact
             cell >>= s
             cell -= b
@@ -134,6 +144,9 @@ class SpatialHashGrid:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]          # packed cell keys, ascending
         self._ids = ids[order]      # member ids in key order
+        for col, out in zip(points.T, cells):
+            out[:] = col[order]
+        self._coords = cells
         # Each occupied cell's run of sorted members starts at a head.
         head = np.empty(keys.size, dtype=bool)
         head[:1] = True
@@ -211,8 +224,8 @@ class SpatialHashGrid:
         return rows, start, self._starts[first + np.repeat(span_z, columns)] - start
 
     def members(self, rows, start, count):
-        """(query row, member id) for every member of the runs [start,
-        start + count) that ``columns`` gave for ``rows``, in their order."""
+        """(query row, position in key order) for every member of the runs
+        [start, start + count) that ``columns`` gave for ``rows``, in their
+        order."""
         rows = np.repeat(rows, count)
-        pos = np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        return rows, self._ids[pos]
+        return rows, np.arange(rows.size) + np.repeat(start - (np.cumsum(count) - count), count)

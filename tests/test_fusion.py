@@ -49,7 +49,8 @@ class TestSpatialHash:
         keys = np.array([grid.key(p) for p in points])
         centers = rng.uniform(-0.3, 1.3, (200, 3))
         for radius in (0.0, 0.03, 0.08, 0.17, 0.25):
-            rows, ids = grid.members(*grid.columns(centers, radius))
+            rows, pos = grid.members(*grid.columns(centers, radius))
+            ids = grid.ids[pos]
             assert np.all(np.diff(rows) >= 0)
             for r, c in enumerate(centers):
                 got = np.sort(ids[rows == r])
@@ -97,7 +98,8 @@ class TestSpatialHash:
         centers = rng.uniform(-0.2, 1.2, (300, 3))
 
         def sorted_pairs(grid, radius):
-            rows, ids = grid.members(*grid.columns(centers, radius))
+            rows, pos = grid.members(*grid.columns(centers, radius))
+            ids = grid.ids[pos]
             by_pair = np.lexsort((ids, rows))
             return rows[by_pair], ids[by_pair]
 
@@ -115,7 +117,12 @@ def sorted_pairs(rows, ids):
 
 
 def assert_pairs_match_oracle(grid, points, centers, radius):
-    got = sorted_pairs(*grid.members(*grid.columns(centers, radius)))
+    """The index's pairs, positions mapped to ids, against the cell oracle;
+    its key-ordered coordinates against ``points`` in that order."""
+    for k, column in enumerate(grid.coords):
+        assert column.tobytes() == points[grid.ids, k].tobytes()
+    rows, pos = grid.members(*grid.columns(centers, radius))
+    got = sorted_pairs(rows, grid.ids[pos])
     want = cell_pairs(points, centers, radius, grid.cell_size, _Z_SPLIT, _REACH,
                       grid._shift.tolist())
     for g, w in zip(got, want):
@@ -429,17 +436,38 @@ class TestBankStorage:
         for name in ("means", "cov", "opacities", "logits"):
             assert np.array_equal(getattr(restored, name), getattr(bank, name))
 
+    @staticmethod
+    def assert_index_follows_bank(bank):
+        """The index holds every member once, and its key-ordered coordinate
+        columns are the bank's means in that order, byte for byte."""
+        index = bank._index
+        np.testing.assert_array_equal(np.sort(index.ids), np.arange(len(bank)))
+        assert index.coords.shape == (3, len(bank)) and index.coords.flags.c_contiguous
+        for k, column in enumerate(index.coords):
+            assert column.tobytes() == bank.means[index.ids, k].tobytes()
+
     def test_index_holds_every_member_once(self):
-        # Rows enter the bank one way, and that way rebuilds the index.
+        # Rows enter the bank one way, and that way rebuilds the index and its
+        # key-ordered coordinates: after from_set, after every fused frame,
+        # also when the buffers double, a frame matches nothing or is empty.
         frames = list(growing_frames(29, count=6))
         bank = so.GaussianMemoryBank.from_set(frames[0])
-        sizes = [len(bank)]
-        np.testing.assert_array_equal(np.sort(bank._index.ids), np.arange(len(bank)))
+        sizes, buffers = [len(bank)], [bank.means.base]
+        self.assert_index_follows_bank(bank)
         for frame in frames[1:]:
             bank.fuse_frame(frame)
             sizes.append(len(bank))
-            np.testing.assert_array_equal(np.sort(bank._index.ids), np.arange(len(bank)))
+            self.assert_index_follows_bank(bank)
+            if bank.means.base is not buffers[-1]:
+                buffers.append(bank.means.base)
         assert sizes == sorted(set(sizes))   # every frame inserted some
+        assert len(buffers) > 1              # the buffers doubled
+        far = make_set(frames[1].means + 100.0)
+        assert bank.fuse_frame(far).matched == 0
+        self.assert_index_follows_bank(bank)
+        stats = bank.fuse_frame(GaussianSet.empty(12, frame="world"))
+        assert (stats.matched, stats.inserted) == (0, 0)
+        self.assert_index_follows_bank(bank)
 
     def test_assigned_attributes_are_kept(self):
         frames = list(growing_frames(28, count=4))
@@ -755,6 +783,51 @@ class TestFuseFrame:
         assert stats.matched == np.count_nonzero(want >= 0)
         changed = np.flatnonzero(bank.opacities[:len(means)] != before)
         np.testing.assert_array_equal(changed, np.unique(want[want >= 0]))
+
+    def test_distances_sum_in_the_oracles_order(self):
+        # Each query has two members whose offsets from it swap y and z: one
+        # distance in exact arithmetic, but (x^2 + z^2) + y^2 and
+        # (x^2 + y^2) + z^2 round apart for about a quarter of the pairs.
+        # Coordinates in [1, 2) keep every offset exact, so the anchor follows
+        # only the order in which matching sums a distance: einsum's, as in
+        # the oracle.
+        rng = np.random.default_rng(37)
+        eps = 0.08
+        queries = rng.uniform(1.05, 1.95, (500, 3))
+        first = queries + rng.uniform(-0.02, 0.02, (500, 3))
+        second = queries + (first - queries)[:, [0, 2, 1]]
+        means = np.stack([first, second], axis=1).reshape(-1, 3)
+        d2 = [np.einsum("ij,ij->i", m - queries, m - queries) for m in (first, second)]
+        assert np.count_nonzero(d2[0] != d2[1]) > 50
+        bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
+        anchors, _, _ = bank._nearest_within(queries)
+        np.testing.assert_array_equal(anchors, linear_nearest_within(means, queries, eps))
+
+    def test_members_at_exactly_half_epsilon(self):
+        # The first pass settles only members strictly closer than eps/2. With
+        # eps a power of two and coordinates on a 1/64 lattice, members at
+        # eps/2 are exactly that far, so every query is left to the second
+        # pass. Each query has one or two members at eps/2 along random axes
+        # and one just farther off, all in random id order, so ties and the
+        # farther member's id fall either way.
+        rng = np.random.default_rng(38)
+        eps = 0.125
+        xy = np.indices((12, 12)).reshape(2, -1).T.astype(float)
+        queries = np.column_stack([xy, rng.integers(-64, 64, len(xy)) / 64])
+        axes = np.eye(3)[rng.integers(0, 3, (len(queries), 2))]
+        signs = rng.choice([-1.0, 1.0], (len(queries), 2, 1))
+        at_half = queries[:, None, :] + signs * axes * (eps / 2)
+        farther = queries + [eps / 2 + 1 / 64, 0, 0]
+        two = rng.random(len(queries)) < 0.5
+        means = np.vstack([farther, at_half[:, 0], at_half[two, 1]])
+        means = means[rng.permutation(len(means))]
+        bank = so.GaussianMemoryBank.from_set(make_set(means), so.FusionConfig(epsilon=eps))
+        anchors, _, n_open = bank._nearest_within(queries)
+        want = linear_nearest_within(means, queries, eps)
+        assert n_open == len(queries) and np.all(want >= 0)
+        np.testing.assert_array_equal(anchors, want)
+        d2 = np.einsum("ij,ij->i", means[want] - queries, means[want] - queries)
+        assert np.all(d2 == (eps / 2) ** 2)
 
     def test_result_does_not_depend_on_incoming_order(self):
         # Continuous random coordinates leave no member equidistant from a

@@ -921,6 +921,18 @@ def _valid_inputs(tmp_path):
                      ["patch bounds", "2-vectors"], id="json-patch-three-bounds"),
         pytest.param("json", _scene_json(shell_thickness=float("inf")),
                      ["shell_thickness", "finite"], id="json-infinite-shell"),
+        # Reals that are not JSON numbers: float() would read true as 1.0 and
+        # "1.8" as 1.8.
+        pytest.param("json", _scene_json(shell_thickness=True),
+                     ["'shell_thickness'", "JSON numbers only"], id="json-shell-bool"),
+        pytest.param("json", _scene_json(boxes=[_BOX | {"max": [2.8, 2.8, "1.8"]}]),
+                     ["box 'max'", "JSON numbers only"], id="json-box-corner-string"),
+        pytest.param("json", _scene_json(boxes=[_BOX | {"min": [2.0, 2.0, True]}]),
+                     ["box 'min'", "JSON numbers only"], id="json-box-corner-bool"),
+        pytest.param("json", _scene_json(patches=[_PATCH | {"lo": [1.8, True]}]),
+                     ["patch 'lo'", "JSON numbers only"], id="json-patch-bound-bool"),
+        pytest.param("json", _scene_json(shell_thickness=10 ** 400),
+                     ["malformed scene JSON", "too large"], id="json-shell-int-overflows-float"),
         pytest.param("cmap", b"CMAP1" + struct.pack("<II", 8, 6) + bytes([40] * 48),
                      ["class id 40", "class count 12"], id="cmap-class-40"),
         pytest.param("cmap", b"CMAP1" + struct.pack("<II", 8, 6) + bytes(48),
