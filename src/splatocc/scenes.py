@@ -19,7 +19,7 @@ import numpy as np
 from .camera import CameraModel, RigidTransform, ray_direction
 from .gaussians import MAX_CLASSES
 from .sampling import DepthMap
-from .splatting import GridSpec, OccupancyGrid
+from .splatting import GridSpec, OccupancyGrid, _is_int
 
 FLOOR_LABEL = 2
 CEILING_LABEL = 1
@@ -27,11 +27,6 @@ WALL_LABEL = 3
 
 _PATCHABLE_LABELS = (4, 5, 9, 10, 11)  # window, chair, tvs, furniture, objects
 _MAX_LABEL = MAX_CLASSES - 1
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool: a float or bool id is rejected, not truncated."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # Voxel pitch of the stock grids; generated geometry snaps to it.

@@ -12,6 +12,14 @@ make most classes share one); the voxel label is the argmax over semantic
 classes (ties go to the lowest class id) when the score clears ``theta_occ``,
 otherwise 0 (empty).
 
+Each Gaussian gives every semantic row a base share, ``low``, the least of
+its semantic softmax entries, and only its active rows (entry above ``low``)
+the rest, ``soft - low``: exact in real arithmetic, so masses move only by
+rounding. Heuristic attributes give a Gaussian one active row, so a kept
+(Gaussian, voxel) pair is binned twice, not once per mass row. The class-0
+(empty) mass, kept on request, is a full row of its own outside ``low``, so
+labels and semantic masses do not depend on whether it is kept.
+
 ``splat`` evaluates every Gaussian the same way. Its box is the exact
 axis-aligned extent of the ellipsoid of ``SPLAT_CUTOFF`` (7) standard
 deviations, half-width ``SPLAT_CUTOFF * sqrt(Sigma_ii)`` on axis i around
@@ -30,12 +38,15 @@ larger of ``_CHUNK_PAIRS`` and the biggest clipped box (a box of more voxels
 is a chunk of its own), whose scratch arrays are allocated once per call and
 refilled in place, and nothing is kept between calls. Each chunk scatters
 into its own span of flat voxel indices, from its lowest box corner to its
-highest box end, so its cost follows its pairs, not the grid size.
+highest box end, so its cost follows its pairs, not the grid size. A chunk
+holds one box shape and one tag (one active row, none or several), so which
+Gaussians it sums, and so the scores' rounding, depends on their classes too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -53,6 +64,12 @@ _INDEX_GUARD = 1e-9
 _CHUNK_PAIRS = 131_072
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a float or bool count or id is
+    rejected, not truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned voxel lattice: counts, cell size, world origin, classes.
@@ -68,17 +85,18 @@ class GridSpec:
     num_classes: int = 12
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValueError("dims must be three counts >= 1")
-        if not 0 < self.voxel_size < np.inf:
-            raise ValueError("voxel_size must be finite and > 0")
-        if not 2 <= self.num_classes <= MAX_CLASSES:
-            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES}")
+        dims = tuple(self.dims)
+        if len(dims) != 3 or not all(_is_int(d) and d >= 1 for d in dims):
+            raise ValueError("dims must be three integer counts >= 1")
+        if not (isinstance(self.voxel_size, Real) and not isinstance(self.voxel_size, bool)
+                and 0 < self.voxel_size < np.inf):
+            raise ValueError("voxel_size must be a finite real number > 0")
+        if not (_is_int(self.num_classes) and 2 <= self.num_classes <= MAX_CLASSES):
+            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES} and be an integer")
         origin = np.asarray(self.origin, dtype=np.float64)
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise ValueError("origin must be a finite 3-vector")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         object.__setattr__(self, "origin", tuple(origin.tolist()))
 
     @classmethod
@@ -125,6 +143,8 @@ class OccupancyGrid:
         scores = np.asarray(self.scores, dtype=np.float64)
         if labels.shape != self.spec.dims or scores.shape != self.spec.dims:
             raise ValueError("labels and scores must match spec.dims")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError("labels must have an integer dtype")
         if labels.max(initial=0) >= self.spec.num_classes or labels.min(initial=0) < 0:
             raise ValueError("labels must lie in [0, num_classes)")
         if not np.all((scores >= -1e-12) & (scores <= 1.0 + 1e-12)):
@@ -180,17 +200,21 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     """Rasterize a world-frame GaussianSet into an occupancy grid.
 
     Every Gaussian is evaluated at the voxel centers of its culled box.
-    Gaussians whose boxes have the same shape share one table of offset
-    monomials and are evaluated together in chunks of at most the larger of
-    ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs and one clipped box: a chunk's
-    squared Mahalanobis distances are its (rows, 10) quadratic-form
-    coefficients times that (10, voxels) table, written with its cutoff mask,
-    flat voxel indices and kept pairs into buffers allocated once per call.
-    Kept pairs scatter into the voxel span that the chunk's boxes reach, with
-    one bincount over that span for the score and one per distinct softmax
-    column, into that column's one mass row; a label maps its argmax row back
-    to the column's lowest semantic class. Results agree with an unculled brute-force
-    evaluation to well below 1e-6 even for thousands of kernels.
+    One stable sort groups the Gaussians by (box shape, tag): each shape's
+    table of offset monomials is built once for all its tag groups, and a
+    group is evaluated in chunks of at most the larger of ``_CHUNK_PAIRS``
+    (Gaussian, voxel) pairs and one clipped box: a chunk's squared
+    Mahalanobis distances are its (rows, 10) quadratic-form coefficients
+    times that (10, voxels) table, written with its cutoff mask, flat voxel
+    indices and kept pairs into buffers allocated once per call. Kept pairs
+    scatter into the voxel span that the chunk's boxes reach, with one
+    bincount over that span for the score, one for the base share, and one
+    into its tag's active row (several: one per row a member lifts). The
+    base share is added to every semantic mass row at the end; a label maps
+    its argmax row back to the column's lowest semantic class. Scores may
+    differ from a grouping by shape alone by rounding. Results agree with an
+    unculled brute-force evaluation to well below 1e-6 even for thousands
+    of kernels.
     ``keep_masses`` also returns the per-class masses, shaped
     ``spec.dims + (num_classes,)``; without it the class-0 (empty) mass,
     which labels never read, is not accumulated.
@@ -227,18 +251,39 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         if row[c] == len(scattered):
             scattered.append(c)
     soft = soft[scattered]
+    nr = len(scattered) - (scattered[-1] == 0)
+    # Each Gaussian gives every semantic row its base share low, the least of
+    # its semantic softmax entries, and only its active rows (those above
+    # low) their lift, soft - low. Its tag is its one active row, nr for none
+    # and nr + 1 for several. A one-row Gaussian keeps one lift and only the
+    # several-active keep a lift per row, so no (rows, n) array lives
+    # through the chunk loop; class 0 keeps its own softmax entry.
+    low = soft[:nr].min(axis=0)
+    active = soft[:nr] > low
+    count = np.count_nonzero(active, axis=0)
+    tag = np.argmax(active, axis=0)
+    lift = np.take_along_axis(soft, tag[None], axis=0)[0] - low
+    tag[count == 0] = nr
+    tag[count > 1] = nr + 1
+    several = np.flatnonzero(count > 1)
+    lifts = soft[:nr, several] - low[several]
+    empty_soft = soft[nr].copy() if nr < len(scattered) else None
+    del soft, active, count
     mass = np.zeros((len(scattered), nv))
+    share = np.zeros(nv)
     log_free = np.zeros(nv)
     cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
 
-    # Boxes of one shape share an offset table. One stable sort of a packed
-    # shape key, which sorts like the (sx, sy, sz) rows, groups them with
-    # members in set order; a group ends where the sorted key changes.
+    # Boxes of one shape share an offset table, and a chunk holds one shape
+    # and one tag. One stable sort of a packed (shape, tag) key, which sorts
+    # like the (sx, sy, sz, tag) rows, groups them with members in set
+    # order; a group ends where the sorted key changes.
     ry, rz = spec.dims[1] + 1, spec.dims[2] + 1
-    keys = (spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2]
+    keys = ((spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2]) * (nr + 2) + tag[alive]
     by_key = np.argsort(keys, kind="stable")
     order = alive[by_key]
-    bounds = np.append(np.flatnonzero(np.diff(keys[by_key], prepend=-1)), order.size)
+    keys = keys[by_key]
+    bounds = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), order.size)
     volumes = np.prod(spans[order[bounds[:-1]]], axis=1)
     chunks = np.minimum(np.diff(bounds), np.maximum(1, _CHUNK_PAIRS // volumes))
     cap = int(np.max(chunks * volumes, initial=0))
@@ -246,10 +291,14 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     # pairs are gathered out.
     m2_buf, ok_buf, flat_buf = np.empty(cap), np.empty(cap, dtype=bool), np.empty(cap, np.int64)
     kept_buf, kept_flat_buf = np.empty(cap), np.empty(cap, np.int64)
+    shape_key = -1
     for begin, end, chunk in zip(bounds[:-1], bounds[1:], chunks):
-        offs = np.indices(spans[order[begin]]).reshape(3, -1)
-        flat_offs = strides @ offs
-        mono = _monomials(offs.astype(np.float64))
+        group_tag = tag[order[begin]]
+        if keys[begin] // (nr + 2) != shape_key:
+            shape_key = keys[begin] // (nr + 2)
+            offs = np.indices(spans[order[begin]]).reshape(3, -1)
+            flat_offs = strides @ offs
+            mono = _monomials(offs.astype(np.float64))
         for start in range(begin, end, chunk):
             rows = order[start:min(start + chunk, end)]
             size = rows.size * mono.shape[1]
@@ -283,12 +332,29 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
             with np.errstate(divide="ignore"):
                 np.log1p(np.negative(kept, out=weights), out=weights)
             log_free[f0:f0 + span] += np.bincount(flat, weights=weights, minlength=span)
-            for i in range(len(scattered)):
-                np.multiply(kept, np.repeat(soft[i, rows], per_row), out=weights)
-                mass[i, f0:f0 + span] += np.bincount(flat, weights=weights, minlength=span)
 
+            def scatter(into, per_gaussian):
+                np.multiply(kept, np.repeat(per_gaussian, per_row), out=weights)
+                into[f0:f0 + span] += np.bincount(flat, weights=weights, minlength=span)
+
+            # The base share reaches every semantic row at the end. A chunk's
+            # tag names the rows its members lift; of several, a row that no
+            # member of the chunk lifts would only add zeros.
+            scatter(share, low[rows])
+            if group_tag < nr:
+                scatter(mass[group_tag], lift[rows])
+            elif group_tag > nr:
+                chunk_lifts = lifts[:, np.searchsorted(several, rows)]
+                for i in np.flatnonzero(chunk_lifts.any(axis=1)):
+                    scatter(mass[i], chunk_lifts[i])
+            if empty_soft is not None:
+                scatter(mass[nr], empty_soft[rows])
+
+    # The (n, 10) coefficients are spent: free them before the label temporaries.
+    del coef
     scores = 1.0 - np.exp(log_free)
-    semantic = mass[:len(scattered) - (scattered[-1] == 0)]
+    semantic = mass[:nr]
+    semantic += share
     labels = np.where(
         (scores >= theta_occ) & (semantic.max(axis=0) > 0),
         np.asarray(scattered)[np.argmax(semantic, axis=0)],

@@ -185,7 +185,7 @@ class TestSplat:
     def test_one_hot_logits_share_columns_and_match_brute_force_oracle(self):
         # One-hot logits as heuristic attributes give them: members favour
         # classes 2 and 4 only, so classes 0, 1, 3 and 5 have one softmax
-        # column, which splat scatters once and copies.
+        # column, and splat keeps one mass row that all four read.
         rng = np.random.default_rng(21)
         spec = small_spec(nc=6)
         n = 120
@@ -267,6 +267,73 @@ class TestSplat:
         assert np.abs(grid.scores.ravel() - scores).max() <= 1e-6
         assert np.abs(grid.masses.reshape(-1, 6) - masses).max() <= 1e-6
         np.testing.assert_array_equal(grid.labels.ravel(), labels)
+
+    def test_every_tag_group_matches_brute_force_oracle(self, monkeypatch):
+        # Each member's masses are a base share (its least semantic softmax
+        # entry) in every semantic row plus its lift in each row above that.
+        # The set holds each kind of member: uniform logits (no row above
+        # the base), one-hot rows (one), two equal top logits and dense
+        # random logits (several), and a softmax that underflows to a base
+        # of exactly 0.
+        rng = np.random.default_rng(35)
+        spec = small_spec(nc=6)
+        kinds = [np.zeros((30, 6)) for _ in range(5)]
+        kinds[1][np.arange(30), rng.choice([2, 4], 30)] = 6.0
+        kinds[2][:, [3, 5]] = 4.0
+        kinds[3] = rng.normal(size=(30, 6)) * 2.0
+        kinds[4][:, 1] = 1000.0
+        n = 150
+        scales = np.repeat(rng.choice([0.06, 0.1], n)[:, None], 3, axis=1)
+        gset = so.GaussianSet(
+            means=rng.uniform(0.2, 1.4, (n, 3)), scales=scales,
+            rotations=np.tile([1.0, 0, 0, 0], (n, 1)), opacities=rng.uniform(0.1, 1.0, n),
+            logits=np.vstack(kinds), frame="world",
+        )
+        whole = so.splat(gset, spec, keep_masses=True)
+        scores, labels, masses = naive_splat(gset, spec)
+        np.testing.assert_array_equal(whole.labels.ravel(), labels)
+        assert set(np.unique(labels)) == set(range(6))
+        assert np.abs(whole.scores.ravel() - scores).max() <= 1e-6
+        assert np.abs(whole.masses.reshape(-1, 6) - masses).max() <= 1e-6
+
+        # Two kernel sizes give few box shapes, so each kind's members share
+        # them; chunks of one pair hold one box each, so every group splits.
+        _, spans = splatting._cull_bounds(gset.means, SPLAT_CUTOFF * scales, spec)
+        for kind in np.split(spans, 5):
+            assert np.unique(kind, axis=0, return_counts=True)[1].max() > 1
+        monkeypatch.setattr(splatting, "_CHUNK_PAIRS", 1)
+        grid = so.splat(gset, spec, keep_masses=True)
+        np.testing.assert_array_equal(grid.labels, whole.labels)
+        assert np.abs(grid.scores - whole.scores).max() <= 1e-12
+        assert np.abs(grid.masses - whole.masses).max() <= 1e-12
+
+    def test_keep_masses_leaves_labels_and_scores_alone(self):
+        # Each member raises one of classes 1..3 above a shared logit, which
+        # classes 4 and 5 keep, so no member lifts them; class 0 sits 2 below
+        # it. Were class 0 to take part in the base share, every member would
+        # lift several rows and move to another chunk, which equal kernels
+        # (few box shapes, each shared by many members) show in the scores.
+        rng = np.random.default_rng(28)
+        spec = small_spec(nc=6)
+        n = 120
+        logits = np.repeat(rng.normal(size=(n, 1)), 6, axis=1)
+        logits[np.arange(n), rng.choice([1, 2, 3], n)] += rng.uniform(1.0, 4.0, n)
+        logits[:, 0] -= 2.0
+        gset = so.GaussianSet(
+            means=rng.uniform(0.2, 1.4, (n, 3)), scales=np.full((n, 3), 0.05),
+            rotations=np.tile([1.0, 0, 0, 0], (n, 1)), opacities=rng.uniform(0.2, 1.0, n),
+            logits=logits, frame="world",
+        )
+        kept = so.splat(gset, spec, keep_masses=True)
+        plain = so.splat(gset, spec)
+        np.testing.assert_array_equal(kept.labels, plain.labels)
+        np.testing.assert_array_equal(kept.scores, plain.scores)
+        np.testing.assert_array_equal(kept.masses[..., 4], kept.masses[..., 5])
+        empty, unlifted = kept.masses[..., 0], kept.masses[..., 4]
+        assert np.count_nonzero(empty) > 100 and np.all(unlifted[empty > 0] > empty[empty > 0])
+        scores, labels, masses = naive_splat(gset, spec)
+        np.testing.assert_array_equal(kept.labels.ravel(), labels)
+        assert np.abs(kept.masses.reshape(-1, 6) - masses).max() <= 1e-6
 
     @pytest.mark.parametrize("boxes_per_chunk", [1, 2])
     def test_chunk_spans_reach_both_grid_ends(self, monkeypatch, boxes_per_chunk):
@@ -446,20 +513,32 @@ class TestSplat:
             labels[1, 2, 3] = bad
             with pytest.raises(ValueError, match=r"labels must lie in \[0, num_classes\)"):
                 so.OccupancyGrid(spec=spec, labels=labels, scores=ones)
+        # A float label used to be truncated (2.5 stored as 2) and NaN stored as 0.
+        for labels in (np.full(spec.dims, 2.5), np.full(spec.dims, np.nan), np.ones(spec.dims),
+                       np.ones(spec.dims, dtype=bool)):
+            with pytest.raises(ValueError, match="labels must have an integer dtype"):
+                so.OccupancyGrid(spec=spec, labels=labels, scores=ones)
         spec = so.GridSpec((2, 3, 4), 0.1, np.zeros(3), 256)   # the most classes u8 labels hold
         grid = so.OccupancyGrid(spec=spec, labels=np.full(spec.dims, 255), scores=ones)
         assert grid.labels.dtype == np.uint8 and np.all(grid.labels == 255)
 
     def test_invalid_grid_spec_rejected(self):
-        for voxel_size in (0.0, -0.08, np.inf, np.nan):
+        # A bool voxel size used to make a 1 m grid.
+        for voxel_size in (0.0, -0.08, np.inf, np.nan, True, "0.08", None):
             with pytest.raises(ValueError, match="voxel_size"):
                 so.GridSpec((4, 4, 4), voxel_size, np.zeros(3))
-        with pytest.raises(ValueError, match="dims"):
-            so.GridSpec((4, 0, 4), 0.08, np.zeros(3))
+        # Float and bool counts used to be truncated: (4.5, 4, 4) became (4, 4, 4).
+        for dims in ((4, 0, 4), (4.5, 4, 4), (4.0, 4, 4), (True, 4, 4), (4, 4), (4, 4, 4, 4),
+                     (4, np.float64(4), 4)):
+            with pytest.raises(ValueError, match="dims"):
+                so.GridSpec(dims, 0.08, np.zeros(3))
+        spec = so.GridSpec(np.array([4, 5, 6]), np.float32(0.25), np.zeros(3), np.int64(5))
+        assert spec.dims == (4, 5, 6) and all(type(d) is int for d in spec.dims)
         with pytest.raises(ValueError, match="origin"):
             so.GridSpec((4, 4, 4), 0.08, [0.0, np.inf, 0.0])
         # Labels are stored as u8: a 300-class grid used to store label 299 as 43.
-        for nc in (1, 257, 300):
+        # A float class count used to pass here and raise a TypeError in splat.
+        for nc in (1, 257, 300, 12.0, True, np.float64(5)):
             with pytest.raises(ValueError, match=r"num_classes must lie in 2\.\.256"):
                 so.GridSpec((4, 4, 4), 0.08, np.zeros(3), nc)
         lo = np.array([-0.5, 0.0, 0.0])
