@@ -234,7 +234,10 @@ def _cmd_stream(args, settings, cfg) -> int:
     if "grid-dims" in settings:
         grid = _grid_spec(settings, nc)
     else:
-        grid = scene_grid(scene, nc)
+        try:
+            grid = scene_grid(scene, nc)
+        except ValueError as exc:
+            raise ValueError(f"{args.scene}: {exc}") from None
         _budgeted(args.scene, grid.num_voxels, _MAX_VOXELS, "voxels")
     cams = [_camera(settings, pose) for pose in poses]
     _samples_budgeted("k, stride, width, height", cams[0].width, cams[0].height, cfg)

@@ -53,7 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import MAX_CLASSES, GaussianSet, WORLD_FRAME, _row_sum, _shifted_exp
+from .gaussians import (
+    MAX_CLASSES, GaussianSet, WORLD_FRAME, _is_int, _is_real, _row_sum, _shifted_exp,
+)
 from .spatial_hash import SpatialHashGrid
 
 # Candidate (incoming, member) pairs measured per batch of whole columns, so
@@ -71,9 +73,9 @@ class FusionConfig:
     gamma: float = 0.4
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
+        if not (_is_real(self.epsilon) and 0 < self.epsilon < np.inf):
             raise ValueError("epsilon must be finite and > 0")
-        if not 0.0 < self.gamma < 1.0:
+        if not (_is_real(self.gamma) and 0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie strictly inside (0, 1)")
 
 
@@ -107,8 +109,8 @@ class GaussianMemoryBank:
     """
 
     def __init__(self, num_classes: int, config: FusionConfig = FusionConfig()):
-        if not 2 <= num_classes <= MAX_CLASSES:
-            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES}")
+        if not (_is_int(num_classes) and 2 <= num_classes <= MAX_CLASSES):
+            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES} and be an integer")
         self.config = config
         self.num_classes = int(num_classes)
         self.frame_stats: list = []   # one FusionStats per fused frame

@@ -16,6 +16,7 @@ standard deviations, a unit quaternion) enters only through the positional
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -31,6 +32,18 @@ WORLD_FRAME = "world"
 # Labels are stored as u8 (class maps, grids), so a run has at most 256
 # classes: 0 (empty) plus semantic ids 1..255.
 MAX_CLASSES = 256
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: a float or bool count or id is
+    rejected, not truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number (numpy's included), not a bool: a str or bool setting is
+    rejected, not coerced."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _checked_members(means, opacities, logits):
@@ -194,10 +207,12 @@ def factor_covariances(cov):
     return scales, quaternions.from_matrix(eigvecs)
 
 
-def inverse_covariances(cov) -> np.ndarray:
-    """Sigma^-1 = W^T W of (n, 3, 3) covariances (upper triangle read), W = L^-1
-    for the closed-form Cholesky factor Sigma = L L^T. Backward stable, so as
-    accurate as an LU inverse even for needles, where a determinant cancels."""
+def inverse_covariances(cov) -> tuple:
+    """The six unique entries (P00, P11, P22, P01, P02, P12) of P = Sigma^-1 =
+    W^T W of (n, 3, 3) covariances (upper triangle read), W = L^-1 for the
+    closed-form Cholesky factor Sigma = L L^T: six (n,) arrays, so no
+    (n, 3, 3) array is formed. Backward stable, so as accurate as an LU
+    inverse even for needles, where a determinant cancels."""
     a, b, c = cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2]
     d, e, f = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
     l00 = np.sqrt(a)
@@ -207,9 +222,8 @@ def inverse_covariances(cov) -> np.ndarray:
     w00, w11, w22 = 1.0 / l00, 1.0 / l11, 1.0 / np.sqrt(c - l20 * l20 - l21 * l21)
     w10, w21 = -l10 * w00 * w11, -l21 * w11 * w22
     w20 = -(l20 * w00 + l21 * w10) * w22
-    p01, p02, p12 = w10 * w11 + w20 * w21, w20 * w22, w21 * w22
-    return np.stack((w00 * w00 + w10 * w10 + w20 * w20, p01, p02, p01, w11 * w11 + w21 * w21,
-                     p12, p02, p12, w22 * w22), axis=-1).reshape(-1, 3, 3)
+    return (w00 * w00 + w10 * w10 + w20 * w20, w11 * w11 + w21 * w21, w22 * w22,
+            w10 * w11 + w20 * w21, w20 * w22, w21 * w22)
 
 
 def prune(gset: GaussianSet, tau: float = DEFAULT_PRUNE_TAU) -> GaussianSet:
@@ -239,9 +253,10 @@ class AttributeConfig:
     opacity_decay: float = 0.15
 
     def __post_init__(self):
-        if not 2 <= self.num_classes <= MAX_CLASSES:
-            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES}")
-        if not (0 < self.sigma_factor < np.inf and 0 <= self.opacity_decay < np.inf):
+        if not (_is_int(self.num_classes) and 2 <= self.num_classes <= MAX_CLASSES):
+            raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES} and be an integer")
+        if not (_is_real(self.sigma_factor) and 0 < self.sigma_factor < np.inf
+                and _is_real(self.opacity_decay) and 0 <= self.opacity_decay < np.inf):
             raise ValueError("sigma_factor must be finite and > 0, opacity_decay finite and >= 0")
 
 

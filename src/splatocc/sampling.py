@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import backproject
+from .gaussians import _is_int, _is_real
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,12 @@ class SamplingConfig:
     stride: int = 4
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 < self.scale < np.inf:
+        if not (_is_int(self.k) and self.k >= 1):
+            raise ValueError("k must be an integer >= 1")
+        if not (_is_real(self.scale) and 0 < self.scale < np.inf):
             raise ValueError("scale must be finite and > 0")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        if not (_is_int(self.stride) and self.stride >= 1):
+            raise ValueError("stride must be an integer >= 1")
 
     @property
     def spacing(self) -> float:

@@ -29,9 +29,18 @@ any score tolerance anyone would test against.
 
 Inside a box the squared Mahalanobis distance is a quadratic form in the
 integer voxel offset o from the box corner, m2(o) = c0 + b.o + o'Mo, with
-M = voxel_size^2 Sigma^-1 from ``gaussians.inverse_covariances``. The ten
-coefficients per Gaussian are computed once, so boxes of one shape need one
-matrix product of them with the shape's table of offset monomials.
+M = voxel_size^2 Sigma^-1 from the six unique entries that
+``gaussians.inverse_covariances`` returns. The ten coefficients per Gaussian
+are computed once, so boxes of one shape need one matrix product of them
+with the shape's table of offset monomials.
+
+The per-Gaussian set-up runs in two passes over blocks of ``_SETUP_ROWS``
+members, so its temporaries are block-sized. The first fills each member's
+box, its coefficients and its softmax column; the second, once equal
+softmax columns are merged, its base share, tag and lift. The one
+(classes, n) array, the class-major softmax, is freed before any pair is
+evaluated. Every value is computed per member, so no output depends on the
+block size.
 
 The working set is bounded: pairs are evaluated in chunks of at most the
 larger of ``_CHUNK_PAIRS`` and the biggest clipped box (a box of more voxels
@@ -46,12 +55,13 @@ Gaussians it sums, and so the scores' rounding, depends on their classes too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
-from .gaussians import MAX_CLASSES, GaussianSet, WORLD_FRAME, inverse_covariances, softmax
+from .gaussians import (
+    MAX_CLASSES, GaussianSet, WORLD_FRAME, _is_int, _is_real, inverse_covariances, softmax,
+)
 
 DEFAULT_THETA_OCC = 0.5
 SPLAT_CUTOFF = 7.0
@@ -63,11 +73,9 @@ _INDEX_GUARD = 1e-9
 # Cap on scratch (gaussian, voxel) pairs processed per vectorized chunk.
 _CHUNK_PAIRS = 131_072
 
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool: a float or bool count or id is
-    rejected, not truncated."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# Members per block of the per-Gaussian set-up: a temporary of one float per
+# member takes 64 kB, so a block's temporaries stay in cache.
+_SETUP_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,7 @@ class GridSpec:
         dims = tuple(self.dims)
         if len(dims) != 3 or not all(_is_int(d) and d >= 1 for d in dims):
             raise ValueError("dims must be three integer counts >= 1")
-        if not (isinstance(self.voxel_size, Real) and not isinstance(self.voxel_size, bool)
-                and 0 < self.voxel_size < np.inf):
+        if not (_is_real(self.voxel_size) and 0 < self.voxel_size < np.inf):
             raise ValueError("voxel_size must be a finite real number > 0")
         if not (_is_int(self.num_classes) and 2 <= self.num_classes <= MAX_CLASSES):
             raise ValueError(f"num_classes must lie in 2..{MAX_CLASSES} and be an integer")
@@ -103,13 +110,18 @@ class GridSpec:
     def for_extent(cls, min_corner, max_corner, voxel_size: float = 0.08,
                    num_classes: int = 12) -> "GridSpec":
         """Scene-level grid covering [min_corner, max_corner]: per-axis counts
-        are ceil(length / voxel_size)."""
+        are ceil(length / voxel_size), checked in floats before the cast."""
         lo = np.asarray(min_corner, dtype=np.float64)
         hi = np.asarray(max_corner, dtype=np.float64)
-        if np.any(hi <= lo):
+        if not np.all(hi > lo):
             raise ValueError("max_corner must exceed min_corner on every axis")
-        dims = np.maximum(1, np.ceil((hi - lo) / voxel_size - 1e-9).astype(int))
-        return cls(tuple(dims), voxel_size, lo, num_classes)
+        if not (_is_real(voxel_size) and 0 < voxel_size < np.inf):
+            raise ValueError("voxel_size must be a finite real number > 0")
+        with np.errstate(over="ignore"):   # an infinite count is reported below
+            counts = np.ceil((hi - lo) / voxel_size - 1e-9)
+        if not np.all(counts < 2.0**63):
+            raise ValueError(f"voxel counts {counts.tolist()} must be finite and fit in int64")
+        return cls(tuple(np.maximum(1, counts.astype(np.int64))), voxel_size, lo, num_classes)
 
     @property
     def num_voxels(self) -> int:
@@ -173,26 +185,79 @@ def _monomials(offs: np.ndarray) -> np.ndarray:
                      ox * oy, ox * oz, oy * oz))
 
 
-def _coefficients(gset: GaussianSet, lo, spec: GridSpec) -> np.ndarray:
-    """(n, 10) quadratic-form coefficients of each member's box, in the order
-    of ``_monomials``.
+def _coefficients(means, cov, lo, spec: GridSpec, out) -> None:
+    """Fill ``out`` with the (n, 10) quadratic-form coefficients of each
+    member's box, in the order of ``_monomials``.
 
     The center of voxel lo + o lies at corner + voxel_size * o from the mean
     for an integer offset o, so with P = Sigma^-1 its squared Mahalanobis
     distance is m2(o) = c0 + b.o + o'Mo with c0 = corner' P corner,
-    b = 2 voxel_size P corner and M = voxel_size^2 P.
+    b = 2 voxel_size P corner and M = voxel_size^2 P. They are formed from
+    P's six unique entries, each 3-term sum as (t0 + t2) + t1: the order in
+    which ``einsum`` adds them, so the values are its bit for bit.
     """
-    prec = inverse_covariances(gset.cov)
-    corner = spec.origin + (lo + 0.5) * spec.voxel_size - gset.means
-    pc = np.einsum("nij,nj->ni", prec, corner)
-    coef = np.empty((len(prec), 10))
-    coef[:, 0] = np.einsum("ni,ni->n", corner, pc)
-    coef[:, 1:4] = 2.0 * spec.voxel_size * pc
+    p00, p11, p22, p01, p02, p12 = inverse_covariances(cov)
+    cx, cy, cz = (o + (lo[:, i] + 0.5) * spec.voxel_size - means[:, i]
+                  for i, o in enumerate(spec.origin))
+    # A far mean's corner overflows its coefficients; its box misses the
+    # grid, so they are never read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pc = ((p00 * cx + p02 * cz) + p01 * cy, (p01 * cx + p12 * cz) + p11 * cy,
+              (p02 * cx + p22 * cz) + p12 * cy)
+        np.add(cx * pc[0] + cz * pc[2], cy * pc[1], out=out[:, 0])
+        for i, v in enumerate(pc):
+            np.multiply(2.0 * spec.voxel_size, v, out=out[:, 1 + i])
     # M's diagonal, then its off-diagonal entries doubled, as o'Mo counts each twice.
-    np.multiply(spec.voxel_size * spec.voxel_size, prec[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]],
-                out=coef[:, 4:])
-    coef[:, 7:] *= 2.0
-    return coef
+    for i, p in enumerate((p00, p11, p22, p01, p02, p12)):
+        np.multiply(spec.voxel_size * spec.voxel_size, p, out=out[:, 4 + i])
+    out[:, 7:] *= 2.0
+
+
+def _boxes_and_columns(gset: GaussianSet, spec: GridSpec, strides):
+    """Set-up pass 1, block by block: each member's box base (the flat index
+    of its lowest voxel), box spans (a span <= 0 where the box misses the
+    grid) and (n, 10) coefficients, and the class-major (C, n) softmax."""
+    n = len(gset)
+    base, spans = np.empty(n, np.int64), np.empty((n, 3), np.int64)
+    coef, soft = np.empty((n, 10)), np.empty((gset.num_classes, n))
+    for start in range(0, n, _SETUP_ROWS):
+        block = slice(start, start + _SETUP_ROWS)
+        means, cov = gset.means[block], gset.cov[block]
+        lo, spans[block] = _cull_bounds(
+            means, SPLAT_CUTOFF * np.sqrt(np.diagonal(cov, axis1=1, axis2=2)), spec)
+        np.matmul(lo, strides, out=base[block])
+        _coefficients(means, cov, lo, spec, coef[block])
+        soft[:, block] = softmax(gset.logits[block]).T
+    return base, spans, coef, soft
+
+
+def _rows_equal(soft, a: int, b: int) -> bool:
+    """Whether rows a and b of ``soft`` are equal, compared block by block up
+    to the first block that differs."""
+    return all(np.array_equal(soft[a, s:s + _SETUP_ROWS], soft[b, s:s + _SETUP_ROWS])
+               for s in range(0, soft.shape[1], _SETUP_ROWS))
+
+
+def _tags(soft, rows: list):
+    """Set-up pass 2, block by block over the semantic ``rows`` of the
+    class-major softmax: each member's base share low (its least entry), its
+    tag (its one row above low; len(rows) for none, len(rows) + 1 for
+    several) and lift (that row's entry less low)."""
+    nr, n = len(rows), soft.shape[1]
+    low, lift, tag = np.empty(n), np.empty(n), np.empty(n, np.intp)
+    for start in range(0, n, _SETUP_ROWS):
+        block = slice(start, start + _SETUP_ROWS)
+        sem = soft[rows, block]
+        block_low = np.min(sem, axis=0, out=low[block])
+        active = sem > block_low
+        count = np.count_nonzero(active, axis=0)
+        block_tag = np.argmax(active, axis=0)
+        np.subtract(np.take_along_axis(sem, block_tag[None], axis=0)[0], block_low,
+                    out=lift[block])
+        block_tag[count == 0] = nr
+        block_tag[count > 1] = nr + 1
+        tag[block] = block_tag
+    return low, tag, lift
 
 
 def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OCC,
@@ -200,7 +265,11 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     """Rasterize a world-frame GaussianSet into an occupancy grid.
 
     Every Gaussian is evaluated at the voxel centers of its culled box.
-    One stable sort groups the Gaussians by (box shape, tag): each shape's
+    The per-Gaussian set-up runs in two passes over blocks of
+    ``_SETUP_ROWS`` members: the first finds each box and its quadratic-form
+    coefficients and the softmax, the second, after equal softmax columns
+    are merged, each member's base share, tag and lift. One stable sort then
+    groups the Gaussians by (box shape, tag): each shape's
     table of offset monomials is built once for all its tag groups, and a
     group is evaluated in chunks of at most the larger of ``_CHUNK_PAIRS``
     (Gaussian, voxel) pairs and one clipped box: a chunk's squared
@@ -210,11 +279,11 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     scatter into the voxel span that the chunk's boxes reach, with one
     bincount over that span for the score, one for the base share, and one
     into its tag's active row (several: one per row a member lifts). The
-    base share is added to every semantic mass row at the end; a label maps
-    its argmax row back to the column's lowest semantic class. Scores may
+    base share is added to every semantic mass row at the end; a label is
+    the class of its best row, taken row by row. Scores may
     differ from a grouping by shape alone by rounding. Results agree with an
     unculled brute-force evaluation to well below 1e-6 even for thousands
-    of kernels.
+    of kernels, and do not depend on ``_SETUP_ROWS``.
     ``keep_masses`` also returns the per-class masses, shaped
     ``spec.dims + (num_classes,)``; without it the class-0 (empty) mass,
     which labels never read, is not accumulated.
@@ -229,13 +298,9 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         raise ValueError("theta_occ must lie in [0, 1]")
 
     nv = spec.num_voxels
-    lo, spans = _cull_bounds(gset.means,
-                             SPLAT_CUTOFF * np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2)), spec)
-    alive = np.flatnonzero((spans[:, 0] > 0) & (spans[:, 1] > 0) & (spans[:, 2] > 0))
-    coef = _coefficients(gset, lo, spec)
     strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
-    base = lo @ strides
-    del lo
+    base, spans, coef, soft = _boxes_and_columns(gset, spec, strides)
+    alive = np.flatnonzero((spans[:, 0] > 0) & (spans[:, 1] > 0) & (spans[:, 2] > 0))
 
     # One mass row per distinct softmax column: a class whose column is
     # bit-identical to an earlier one's gets bit-identical masses, so it
@@ -243,14 +308,12 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     # which labels never read, gets a row only when the caller asks for the
     # masses, and then last. softmax is class-major, so each column compared
     # is a contiguous row of soft.
-    soft = softmax(gset.logits).T
     scattered, row = [], {}
     for c in [*range(1, spec.num_classes), *([0] if keep_masses else [])]:
-        row[c] = next((i for i, s in enumerate(scattered) if np.array_equal(soft[s], soft[c])),
+        row[c] = next((i for i, s in enumerate(scattered) if _rows_equal(soft, s, c)),
                       len(scattered))
         if row[c] == len(scattered):
             scattered.append(c)
-    soft = soft[scattered]
     nr = len(scattered) - (scattered[-1] == 0)
     # Each Gaussian gives every semantic row its base share low, the least of
     # its semantic softmax entries, and only its active rows (those above
@@ -258,17 +321,11 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     # and nr + 1 for several. A one-row Gaussian keeps one lift and only the
     # several-active keep a lift per row, so no (rows, n) array lives
     # through the chunk loop; class 0 keeps its own softmax entry.
-    low = soft[:nr].min(axis=0)
-    active = soft[:nr] > low
-    count = np.count_nonzero(active, axis=0)
-    tag = np.argmax(active, axis=0)
-    lift = np.take_along_axis(soft, tag[None], axis=0)[0] - low
-    tag[count == 0] = nr
-    tag[count > 1] = nr + 1
-    several = np.flatnonzero(count > 1)
-    lifts = soft[:nr, several] - low[several]
-    empty_soft = soft[nr].copy() if nr < len(scattered) else None
-    del soft, active, count
+    low, tag, lift = _tags(soft, scattered[:nr])
+    several = np.flatnonzero(tag == nr + 1)
+    lifts = soft[np.ix_(scattered[:nr], several)] - low[several]
+    empty_soft = soft[0].copy() if nr < len(scattered) else None
+    del soft
     mass = np.zeros((len(scattered), nv))
     share = np.zeros(nv)
     log_free = np.zeros(nv)
@@ -277,13 +334,20 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     # Boxes of one shape share an offset table, and a chunk holds one shape
     # and one tag. One stable sort of a packed (shape, tag) key, which sorts
     # like the (sx, sy, sz, tag) rows, groups them with members in set
-    # order; a group ends where the sorted key changes.
-    ry, rz = spec.dims[1] + 1, spec.dims[2] + 1
-    keys = ((spans[alive, 0] * ry + spans[alive, 1]) * rz + spans[alive, 2]) * (nr + 2) + tag[alive]
+    # order; a group ends where the sorted key changes. Its radices are the
+    # largest spans + 1, and it is sorted at the least unsigned type that
+    # holds it: a key of 16 bits or less takes numpy's radix sort.
+    shapes = np.take(spans, alive, axis=0)
+    ry, rz = (shapes[:, i].max(initial=0) + 1 for i in (1, 2))
+    keys = ((shapes[:, 0] * ry + shapes[:, 1]) * rz + shapes[:, 2]) * (nr + 2) + tag[alive]
+    del shapes
+    keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
     by_key = np.argsort(keys, kind="stable")
     order = alive[by_key]
     keys = keys[by_key]
-    bounds = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), order.size)
+    # An alive box spans at least one voxel per axis, so every key is > 0
+    # and keys[0] - 1 marks the first group's start.
+    bounds = np.append(np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1)), order.size)
     volumes = np.prod(spans[order[bounds[:-1]]], axis=1)
     chunks = np.minimum(np.diff(bounds), np.maximum(1, _CHUNK_PAIRS // volumes))
     cap = int(np.max(chunks * volumes, initial=0))
@@ -291,7 +355,7 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     # pairs are gathered out.
     m2_buf, ok_buf, flat_buf = np.empty(cap), np.empty(cap, dtype=bool), np.empty(cap, np.int64)
     kept_buf, kept_flat_buf = np.empty(cap), np.empty(cap, np.int64)
-    shape_key = -1
+    shape_key = None
     for begin, end, chunk in zip(bounds[:-1], bounds[1:], chunks):
         group_tag = tag[order[begin]]
         if keys[begin] // (nr + 2) != shape_key:
@@ -355,11 +419,13 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     scores = 1.0 - np.exp(log_free)
     semantic = mass[:nr]
     semantic += share
-    labels = np.where(
-        (scores >= theta_occ) & (semantic.max(axis=0) > 0),
-        np.asarray(scattered)[np.argmax(semantic, axis=0)],
-        0,
-    )
+    # The argmax row by row: a strict > leaves a tie with the lowest row.
+    top = semantic[0].copy()
+    labels = np.full(nv, scattered[0], dtype=np.uint8)
+    for i in range(1, nr):
+        np.copyto(labels, scattered[i], where=semantic[i] > top)
+        np.maximum(top, semantic[i], out=top)
+    labels[(scores < theta_occ) | (top <= 0)] = 0
     return OccupancyGrid(
         spec=spec,
         labels=labels.reshape(spec.dims),

@@ -91,6 +91,34 @@ def neighbor_cull(g, spec, mahalanobis=CULL_MAHALANOBIS):
     return lo, hi
 
 
+def einsum_coefficients(means, cov, lo, spec):
+    """(n, 10) quadratic-form coefficients of splat's boxes in the (n, 3, 3)
+    form: the full closed-form Cholesky precision P = W^T W, then P corner
+    and corner' P corner by ``einsum``. splat forms them from P's six unique
+    entries and must match this bit for bit."""
+    a, b, c = cov[:, 0, 0], cov[:, 1, 1], cov[:, 2, 2]
+    d, e, f = cov[:, 0, 1], cov[:, 0, 2], cov[:, 1, 2]
+    l00 = np.sqrt(a)
+    l10, l20 = d / l00, e / l00
+    l11 = np.sqrt(b - l10 * l10)
+    l21 = (f - l20 * l10) / l11
+    w00, w11, w22 = 1.0 / l00, 1.0 / l11, 1.0 / np.sqrt(c - l20 * l20 - l21 * l21)
+    w10, w21 = -l10 * w00 * w11, -l21 * w11 * w22
+    w20 = -(l20 * w00 + l21 * w10) * w22
+    p01, p02, p12 = w10 * w11 + w20 * w21, w20 * w22, w21 * w22
+    prec = np.stack((w00 * w00 + w10 * w10 + w20 * w20, p01, p02, p01, w11 * w11 + w21 * w21,
+                     p12, p02, p12, w22 * w22), axis=-1).reshape(-1, 3, 3)
+    corner = spec.origin + (lo + 0.5) * spec.voxel_size - means
+    pc = np.einsum("nij,nj->ni", prec, corner)
+    coef = np.empty((len(prec), 10))
+    coef[:, 0] = np.einsum("ni,ni->n", corner, pc)
+    coef[:, 1:4] = 2.0 * spec.voxel_size * pc
+    np.multiply(spec.voxel_size * spec.voxel_size, prec[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]],
+                out=coef[:, 4:])
+    coef[:, 7:] *= 2.0
+    return coef
+
+
 def classify_voxel(score, masses, theta_occ=0.5):
     """Label for one voxel: 0 when the score is below theta_occ, otherwise
     the semantic class (1..num_classes-1) with the largest mass; ties break

@@ -880,7 +880,7 @@ class TestFuseFrame:
             bank.fuse_frame(GaussianSet.empty(6, frame="world"))
 
     def test_class_count_bounded_by_u8_labels(self):
-        for nc in (1, 257):
+        for nc in (1, 257, 12.0, True):
             with pytest.raises(ValueError, match=r"num_classes must lie in 2\.\.256"):
                 so.GaussianMemoryBank(nc)
         assert so.GaussianMemoryBank(256).logits.shape == (0, 256)
@@ -901,3 +901,8 @@ class TestFuseFrame:
         for eps in (np.inf, np.nan):
             with pytest.raises(ValueError, match="epsilon"):
                 so.FusionConfig(epsilon=eps)
+        # True used to count as a radius of 1 m, and "0.4" to raise a TypeError.
+        for key, value in (("epsilon", True), ("epsilon", "0.08"), ("gamma", "0.4"),
+                           ("gamma", False)):
+            with pytest.raises(ValueError, match=key):
+                so.FusionConfig(**{key: value})

@@ -90,7 +90,9 @@ class TestCovariance:
 
 
 class TestEvaluate:
-    """Kernel values as ``splat`` computes them, through ``inverse_covariances``."""
+    """Kernel values as ``splat`` computes them: its quadratic-form
+    coefficients come from the six unique precision entries that
+    ``inverse_covariances`` returns, with no (n, 3, 3) precision."""
 
     def test_isotropic_unit_distance(self):
         values = splat_at(iso(), [[1, 0, 0], [-1, 0, 0]])
@@ -219,10 +221,15 @@ class TestHeuristicAttributes:
                 so.AttributeConfig(**{key: value})
 
     def test_class_count_bounded_by_u8_labels(self):
-        for nc in (1, 257):
+        # 12.0 used to pass here and raise a TypeError in the attribute provider.
+        for nc in (1, 257, 12.0, True):
             with pytest.raises(ValueError, match=r"num_classes must lie in 2\.\.256"):
                 so.AttributeConfig(num_classes=nc)
         assert so.AttributeConfig(num_classes=256).num_classes == 256
+        for key in ("sigma_factor", "opacity_decay"):
+            for value in (True, "0.5"):
+                with pytest.raises(ValueError, match=key):
+                    so.AttributeConfig(**{key: value})
 
     def test_label_out_of_range_rejected(self):
         s = sample_row(1, np.ones(3), 0.05)

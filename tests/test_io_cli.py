@@ -427,6 +427,21 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith(f"error: {source}: "), err
             assert str(2**24) in err[0] and not out.exists()
 
+    @pytest.mark.filterwarnings("error")   # the count's cast used to warn, then clamp to 1
+    def test_scene_grid_past_int64_is_one_line_error(self, tmp_path, capsys):
+        # The grid used to be one voxel wide, so the voxel budget passed it
+        # and the stream splatted nothing and exited 0.
+        scene_path, poses = tmp_path / "hall.json", tmp_path / "poses.txt"
+        scene_path.write_text(json.dumps({"extent": [1e20, 5.04, 2.88], "shell_thickness": 0.48}))
+        poses.write_text("0.3 2.4 1.44 0\n")
+        out = tmp_path / "o.ogrid"
+        code = main(["stream", "--scene", str(scene_path), "--poses", str(poses),
+                     "--out-grid", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {scene_path}: voxel counts"), err
+        assert "int64" in err[0] and not out.exists()
+
     def test_voxel_budget_is_inclusive(self):
         assert cli._grid_spec({"grid-dims": (256, 256, 256)}, 12).num_voxels == 2**24
         with pytest.raises(ValueError, match="grid-dims: 16842752 voxels exceed"):

@@ -42,6 +42,14 @@ class TestSampleOffsets:
         for scale in (np.inf, np.nan):
             with pytest.raises(ValueError, match="scale"):
                 so.SamplingConfig(scale=scale)
+        # k=2.5 used to pass here and raise a TypeError in sampling; a bool
+        # stride used to count as 1.
+        for key, value in (("k", 2.5), ("k", 16.0), ("k", True), ("stride", True),
+                           ("stride", 4.0), ("scale", True), ("scale", "0.48")):
+            with pytest.raises(ValueError, match=key):
+                so.SamplingConfig(**{key: value})
+        cfg = so.SamplingConfig(k=np.int64(4), scale=np.float32(0.5), stride=np.int32(2))
+        assert cfg.spacing == pytest.approx(0.5 / 3)
 
 
 class TestVolumetricSample:

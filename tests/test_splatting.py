@@ -1,6 +1,8 @@
 """Splatting: culling and voxel classification references, superposition
 semantics, oracle equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from splatocc.splatting import SPLAT_CUTOFF
 from oracles import (
     classify_voxel,
     dense_evaluate,
+    einsum_coefficients,
     naive_splat,
     neighbor_cull,
     random_gaussian_set,
@@ -522,6 +525,7 @@ class TestSplat:
         grid = so.OccupancyGrid(spec=spec, labels=np.full(spec.dims, 255), scores=ones)
         assert grid.labels.dtype == np.uint8 and np.all(grid.labels == 255)
 
+    @pytest.mark.filterwarnings("error")   # for_extent's counts used to warn as they were cast
     def test_invalid_grid_spec_rejected(self):
         # A bool voxel size used to make a 1 m grid.
         for voxel_size in (0.0, -0.08, np.inf, np.nan, True, "0.08", None):
@@ -542,9 +546,21 @@ class TestSplat:
             with pytest.raises(ValueError, match=r"num_classes must lie in 2\.\.256"):
                 so.GridSpec((4, 4, 4), 0.08, np.zeros(3), nc)
         lo = np.array([-0.5, 0.0, 0.0])
-        for hi in (lo, lo + [1.0, 0.0, 1.0], lo + [1.0, 1.0, -1.0]):
+        for hi in (lo, lo + [1.0, 0.0, 1.0], lo + [1.0, 1.0, -1.0], lo + [np.nan, 1.0, 1.0]):
             with pytest.raises(ValueError, match="max_corner must exceed min_corner"):
                 so.GridSpec.for_extent(lo, hi)
+        # A count past int64 used to cast to INT64_MIN and clamp to 1: the
+        # first two made dims (1, 13, 13) and the third (1, 1, 1).
+        for lo, hi, voxel_size in (((0, 0, 0), (1e300, 1, 1), 0.08),
+                                   ((0, 0, 0), (np.inf, 1, 1), 0.08),
+                                   ((0, 0, 0), (1, 1, 1), 1e-300),
+                                   ((-1e308, 0, 0), (1e308, 1, 1), 0.08)):
+            with pytest.raises(ValueError, match="voxel counts .* must be finite and fit in int64"):
+                so.GridSpec.for_extent(lo, hi, voxel_size)
+        for voxel_size in (0.0, np.nan, -0.08, True, "0.08"):
+            with pytest.raises(ValueError, match="voxel_size must be a finite real number > 0"):
+                so.GridSpec.for_extent((0, 0, 0), (1, 1, 1), voxel_size)
+        assert so.GridSpec.for_extent((0, 0, 0), (1, 1, 1), 1e-6).dims == (10**6,) * 3
 
     def test_monocular_default_geometry(self):
         spec = so.frontal_grid(so.standard_camera([0.0, 0.0, 0.0]))
@@ -552,3 +568,83 @@ class TestSplat:
         assert spec.voxel_size == 0.08
         np.testing.assert_allclose(spec.extent, [4.8, 4.8, 2.88])
         assert spec.num_classes == 12
+
+
+class TestSetUp:
+    """splat's per-Gaussian set-up, which runs in blocks of ``_SETUP_ROWS`` members."""
+
+    def test_coefficients_match_the_einsum_oracle_bit_for_bit(self):
+        # Random anisotropic kernels, and needles at TestEvaluate's scales
+        # (two of 1e-4 or 1e-3 m, one of 1 or 10 m), from their culled box
+        # corners and from random ones.
+        rng = np.random.default_rng(41)
+        spec = so.GridSpec((40, 40, 40), 0.05, np.array([-0.3, 0.1, -0.2]), 4)
+        n = 3000
+        needle_scales = np.repeat([[1e-4, 1e-4, 1.0], [1e-3, 1e-3, 1.0], [1e-4, 1e-4, 10.0]],
+                                  n // 3, axis=0)
+        for scales in (rng.uniform(1e-3, 0.5, (n, 3)), needle_scales):
+            gset = so.GaussianSet(rng.uniform(-0.5, 2.5, (n, 3)), scales, rng.normal(size=(n, 4)),
+                                  np.ones(n), np.zeros((n, 4)), frame="world")
+            culled, _ = splatting._cull_bounds(
+                gset.means, SPLAT_CUTOFF * np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2)), spec)
+            for lo in (culled, rng.integers(0, 41, (n, 3))):
+                coef = np.empty((n, 10))
+                splatting._coefficients(gset.means, gset.cov, lo, spec, coef)
+                oracle = einsum_coefficients(gset.means, gset.cov, lo, spec)
+                np.testing.assert_array_equal(coef.view(np.uint64), oracle.view(np.uint64))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch, rows):
+        # 1,000 members, a multiple of neither block size: one-hot members,
+        # members with two equal top logits or random logits (several
+        # active rows) and uniform ones, with classes 1 and 3 sharing one
+        # softmax column, and some boxes clear of the grid.
+        rng = np.random.default_rng(43)
+        spec = small_spec(nc=6)
+        n = 1000
+        logits = np.zeros((n, 6))
+        logits[:400][np.arange(400), rng.choice([2, 4, 5], 400)] = 6.0
+        logits[400:600, [2, 4]] = 4.0
+        logits[600:800] = rng.normal(size=(200, 6)) * 2.0
+        logits[:, 3] = logits[:, 1]
+        means = rng.uniform(-0.4, 2.0, (n, 3))
+        means[::40, 0] += 3.0
+        gset = so.GaussianSet(means=means, scales=rng.uniform(0.02, 0.1, (n, 3)),
+                              rotations=rng.normal(size=(n, 4)), opacities=rng.uniform(0.1, 1.0, n),
+                              logits=logits, frame="world")
+        _, spans = splatting._cull_bounds(
+            means, SPLAT_CUTOFF * np.sqrt(np.diagonal(gset.cov, axis1=1, axis2=2)), spec)
+        assert 25 <= np.count_nonzero(spans.min(axis=1) <= 0) < n // 2
+
+        whole = so.splat(gset, spec, keep_masses=True)
+        np.testing.assert_array_equal(whole.masses[..., 1], whole.masses[..., 3])
+        assert set(np.unique(whole.labels)) == {0, 1, 2, 4, 5}
+        monkeypatch.setattr(splatting, "_SETUP_ROWS", rows)
+        kept = so.splat(gset, spec, keep_masses=True)
+        np.testing.assert_array_equal(kept.masses.view(np.uint64), whole.masses.view(np.uint64))
+        for grid in (kept, so.splat(gset, spec)):
+            np.testing.assert_array_equal(grid.labels, whole.labels)
+            np.testing.assert_array_equal(grid.scores.view(np.uint64), whole.scores.view(np.uint64))
+
+    def test_peak_memory_is_bounded(self):
+        # tracemalloc's peak reproduces to a few kB. Measured with numpy
+        # 2.4.6: 13.67 MB above entry. A set-up that also holds an (n, 3, 3)
+        # precision, a copy of the (classes, n) softmax and a (classes, n)
+        # bool peaks at 15.33 MB; the bound leaves 0.8 MB of margin.
+        rng = np.random.default_rng(47)
+        n, nc = 50_000, 12
+        logits = np.zeros((n, nc))
+        logits[np.arange(n), rng.integers(1, nc, n)] = 6.0
+        gset = so.GaussianSet(means=rng.uniform(0.0, 2.4, (n, 3)),
+                              scales=rng.uniform(0.01, 0.04, (n, 3)),
+                              rotations=rng.normal(size=(n, 4)),
+                              opacities=rng.uniform(0.1, 1.0, n), logits=logits, frame="world")
+        spec = so.GridSpec((30, 30, 30), 0.08, np.zeros(3), nc)
+        tracemalloc.start()
+        try:
+            grid = so.splat(gset, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.labels.any()
+        assert peak <= 14.5e6, peak
