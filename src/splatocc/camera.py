@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussians import CAMERA_FRAME, GaussianSet, WORLD_FRAME
+from .gaussians import CAMERA_FRAME, GaussianSet, WORLD_FRAME, _is_int, _is_real
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,10 @@ class CameraModel:
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
+        if not all(_is_real(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("intrinsics must be real numbers")
+        if not (_is_int(self.width) and _is_int(self.height)):
+            raise ValueError("image width and height must be integers")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be > 0")
         if self.width < 1 or self.height < 1:

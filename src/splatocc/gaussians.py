@@ -232,7 +232,7 @@ def prune(gset: GaussianSet, tau: float = DEFAULT_PRUNE_TAU) -> GaussianSet:
     Idempotent; tau = 0 keeps everything. A set that loses no member is
     returned as is: its arrays are read-only, so no copy is needed.
     """
-    if not 0.0 <= tau <= 1.0:
+    if not (_is_real(tau) and 0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
     keep = gset.opacities >= tau
     return gset if keep.all() else gset.subset(keep)

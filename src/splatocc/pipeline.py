@@ -12,6 +12,7 @@ from .gaussians import (
     DEFAULT_PRUNE_TAU,
     AttributeConfig,
     GaussianSet,
+    _is_real,
     heuristic_attributes_batch,
     prune,
 )
@@ -28,9 +29,9 @@ class PipelineConfig:
     theta_occ: float = DEFAULT_THETA_OCC
 
     def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
+        if not (_is_real(self.tau) and 0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
-        if not 0.0 <= self.theta_occ <= 1.0:
+        if not (_is_real(self.theta_occ) and 0.0 <= self.theta_occ <= 1.0):
             raise ValueError("theta_occ must lie in [0, 1]")
 
 

@@ -7,18 +7,20 @@ The occupancy score uses the complement product
 
 which is bounded in [0, 1], monotone under adding Gaussians, and reduces to
 a * g for a single kernel. Semantics accumulate opacity-weighted softmax
-masses per class, in one mass row per distinct softmax column (one-hot logits
-make most classes share one); the voxel label is the argmax over semantic
-classes (ties go to the lowest class id) when the score clears ``theta_occ``,
-otherwise 0 (empty).
+masses per class; the voxel label is the argmax over semantic classes (ties
+go to the lowest class id) when the score clears ``theta_occ``, otherwise 0
+(empty).
 
-Each Gaussian gives every semantic row a base share, ``low``, the least of
-its semantic softmax entries, and only its active rows (entry above ``low``)
-the rest, ``soft - low``: exact in real arithmetic, so masses move only by
-rounding. Heuristic attributes give a Gaussian one active row, so a kept
-(Gaussian, voxel) pair is binned twice, not once per mass row. The class-0
-(empty) mass, kept on request, is a full row of its own outside ``low``, so
-labels and semantic masses do not depend on whether it is kept.
+Each Gaussian gives every semantic class a base share, ``low``, the least of
+its semantic softmax entries, and only its active classes (entry above
+``low``) the rest, its lift ``soft - low``: exact in real arithmetic, so
+masses move only by rounding. One shared row holds the base share, and each
+class that some Gaussian lifts has a mass row of its own; a class that none
+lifts has exactly the base share as its mass. Heuristic attributes give a
+Gaussian one active class, so a kept (Gaussian, voxel) pair is binned twice,
+not once per class. The class-0 (empty) mass, kept on request, is a full row
+of its own outside ``low``, so labels and semantic masses do not depend on
+whether it is kept.
 
 ``splat`` evaluates every Gaussian the same way. Its box is the exact
 axis-aligned extent of the ellipsoid of ``SPLAT_CUTOFF`` (7) standard
@@ -34,13 +36,11 @@ M = voxel_size^2 Sigma^-1 from the six unique entries that
 are computed once, so boxes of one shape need one matrix product of them
 with the shape's table of offset monomials.
 
-The per-Gaussian set-up runs in two passes over blocks of ``_SETUP_ROWS``
-members, so its temporaries are block-sized. The first fills each member's
-box, its coefficients and its softmax column; the second, once equal
-softmax columns are merged, its base share, tag and lift. The one
-(classes, n) array, the class-major softmax, is freed before any pair is
-evaluated. Every value is computed per member, so no output depends on the
-block size.
+The per-Gaussian set-up runs in one pass over blocks of ``_SETUP_ROWS``
+members, so its temporaries, the block's softmax among them, are
+block-sized: it fills each member's box, its coefficients, its base share,
+tag and lift. Every value is computed per member, so no output depends on
+the block size.
 
 The working set is bounded: pairs are evaluated in chunks of at most the
 larger of ``_CHUNK_PAIRS`` and the biggest clipped box (a box of more voxels
@@ -213,13 +213,20 @@ def _coefficients(means, cov, lo, spec: GridSpec, out) -> None:
     out[:, 7:] *= 2.0
 
 
-def _boxes_and_columns(gset: GaussianSet, spec: GridSpec, strides):
-    """Set-up pass 1, block by block: each member's box base (the flat index
-    of its lowest voxel), box spans (a span <= 0 where the box misses the
-    grid) and (n, 10) coefficients, and the class-major (C, n) softmax."""
-    n = len(gset)
+def _set_up(gset: GaussianSet, spec: GridSpec, strides, keep_masses: bool):
+    """The per-Gaussian set-up, in one pass over blocks of ``_SETUP_ROWS``
+    members. Per member: its box base (the flat index of its lowest voxel),
+    box spans (a span <= 0 where the box misses the grid), (n, 10)
+    coefficients, base share low (the least of its semantic softmax
+    entries), tag (c - 1 for its one semantic class c above low, C - 1 for
+    none, C for several) and lift (that class's entry less low). Also the
+    several-active members' lifts, (C - 1, several) in member order, and,
+    under ``keep_masses``, each member's class-0 entry."""
+    n, sem = len(gset), gset.num_classes - 1
     base, spans = np.empty(n, np.int64), np.empty((n, 3), np.int64)
-    coef, soft = np.empty((n, 10)), np.empty((gset.num_classes, n))
+    coef, low, lift, tag = np.empty((n, 10)), np.empty(n), np.empty(n), np.empty(n, np.intp)
+    empty_soft = np.empty(n) if keep_masses else None
+    lifts = [np.empty((sem, 0))]
     for start in range(0, n, _SETUP_ROWS):
         block = slice(start, start + _SETUP_ROWS)
         means, cov = gset.means[block], gset.cov[block]
@@ -227,37 +234,22 @@ def _boxes_and_columns(gset: GaussianSet, spec: GridSpec, strides):
             means, SPLAT_CUTOFF * np.sqrt(np.diagonal(cov, axis1=1, axis2=2)), spec)
         np.matmul(lo, strides, out=base[block])
         _coefficients(means, cov, lo, spec, coef[block])
-        soft[:, block] = softmax(gset.logits[block]).T
-    return base, spans, coef, soft
-
-
-def _rows_equal(soft, a: int, b: int) -> bool:
-    """Whether rows a and b of ``soft`` are equal, compared block by block up
-    to the first block that differs."""
-    return all(np.array_equal(soft[a, s:s + _SETUP_ROWS], soft[b, s:s + _SETUP_ROWS])
-               for s in range(0, soft.shape[1], _SETUP_ROWS))
-
-
-def _tags(soft, rows: list):
-    """Set-up pass 2, block by block over the semantic ``rows`` of the
-    class-major softmax: each member's base share low (its least entry), its
-    tag (its one row above low; len(rows) for none, len(rows) + 1 for
-    several) and lift (that row's entry less low)."""
-    nr, n = len(rows), soft.shape[1]
-    low, lift, tag = np.empty(n), np.empty(n), np.empty(n, np.intp)
-    for start in range(0, n, _SETUP_ROWS):
-        block = slice(start, start + _SETUP_ROWS)
-        sem = soft[rows, block]
-        block_low = np.min(sem, axis=0, out=low[block])
-        active = sem > block_low
+        # softmax is class-major, so each class's entries are a contiguous row.
+        soft = softmax(gset.logits[block]).T
+        if keep_masses:
+            empty_soft[block] = soft[0]
+        sem_soft = soft[1:]
+        block_low = np.min(sem_soft, axis=0, out=low[block])
+        active = sem_soft > block_low
         count = np.count_nonzero(active, axis=0)
         block_tag = np.argmax(active, axis=0)
-        np.subtract(np.take_along_axis(sem, block_tag[None], axis=0)[0], block_low,
+        np.subtract(np.take_along_axis(sem_soft, block_tag[None], axis=0)[0], block_low,
                     out=lift[block])
-        block_tag[count == 0] = nr
-        block_tag[count > 1] = nr + 1
+        block_tag[count == 0] = sem
+        block_tag[count > 1] = sem + 1
         tag[block] = block_tag
-    return low, tag, lift
+        lifts.append(sem_soft[:, count > 1] - block_low[count > 1])
+    return base, spans, coef, low, tag, lift, np.concatenate(lifts, axis=1), empty_soft
 
 
 def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OCC,
@@ -265,22 +257,22 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     """Rasterize a world-frame GaussianSet into an occupancy grid.
 
     Every Gaussian is evaluated at the voxel centers of its culled box.
-    The per-Gaussian set-up runs in two passes over blocks of
-    ``_SETUP_ROWS`` members: the first finds each box and its quadratic-form
-    coefficients and the softmax, the second, after equal softmax columns
-    are merged, each member's base share, tag and lift. One stable sort then
-    groups the Gaussians by (box shape, tag): each shape's
-    table of offset monomials is built once for all its tag groups, and a
-    group is evaluated in chunks of at most the larger of ``_CHUNK_PAIRS``
-    (Gaussian, voxel) pairs and one clipped box: a chunk's squared
-    Mahalanobis distances are its (rows, 10) quadratic-form coefficients
-    times that (10, voxels) table, written with its cutoff mask, flat voxel
-    indices and kept pairs into buffers allocated once per call. Kept pairs
-    scatter into the voxel span that the chunk's boxes reach, with one
-    bincount over that span for the score, one for the base share, and one
-    into its tag's active row (several: one per row a member lifts). The
-    base share is added to every semantic mass row at the end; a label is
-    the class of its best row, taken row by row. Scores may
+    The per-Gaussian set-up runs in one pass over blocks of ``_SETUP_ROWS``
+    members: it finds each box, its quadratic-form coefficients, and each
+    member's base share, tag and lift, and each semantic class that some
+    member lifts gets a mass row. One stable sort then groups the Gaussians
+    by (box shape, tag): each shape's table of offset monomials is built
+    once for all its tag groups, and a group is evaluated in chunks of at
+    most the larger of ``_CHUNK_PAIRS`` (Gaussian, voxel) pairs and one
+    clipped box: a chunk's squared Mahalanobis distances are its (rows, 10)
+    quadratic-form coefficients times that (10, voxels) table, written with
+    its cutoff mask, flat voxel indices and kept pairs into buffers
+    allocated once per call. Kept pairs scatter into the voxel span that
+    the chunk's boxes reach, with one bincount over that span for the
+    score, one for the base share, and one into its tag's mass row
+    (several: one per row a member lifts). The base share is added to every
+    semantic mass row at the end; a label is the argmax over the base share (for
+    class 1) and the rows, taken row by row in class order. Scores may
     differ from a grouping by shape alone by rounding. Results agree with an
     unculled brute-force evaluation to well below 1e-6 even for thousands
     of kernels, and do not depend on ``_SETUP_ROWS``.
@@ -294,39 +286,31 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
         raise ValueError(
             f"class count mismatch: set has {gset.num_classes}, grid {spec.num_classes}"
         )
-    if not 0.0 <= theta_occ <= 1.0:
+    if not (_is_real(theta_occ) and 0.0 <= theta_occ <= 1.0):
         raise ValueError("theta_occ must lie in [0, 1]")
 
     nv = spec.num_voxels
     strides = np.array([spec.dims[1] * spec.dims[2], spec.dims[2], 1], dtype=np.int64)
-    base, spans, coef, soft = _boxes_and_columns(gset, spec, strides)
+    base, spans, coef, low, tag, lift, lifts, empty_soft = _set_up(gset, spec, strides, keep_masses)
     alive = np.flatnonzero((spans[:, 0] > 0) & (spans[:, 1] > 0) & (spans[:, 2] > 0))
 
-    # One mass row per distinct softmax column: a class whose column is
-    # bit-identical to an earlier one's gets bit-identical masses, so it
-    # reads that row. Semantic classes come first, in class order; class 0,
-    # which labels never read, gets a row only when the caller asks for the
-    # masses, and then last. softmax is class-major, so each column compared
-    # is a contiguous row of soft.
-    scattered, row = [], {}
-    for c in [*range(1, spec.num_classes), *([0] if keep_masses else [])]:
-        row[c] = next((i for i, s in enumerate(scattered) if _rows_equal(soft, s, c)),
-                      len(scattered))
-        if row[c] == len(scattered):
-            scattered.append(c)
-    nr = len(scattered) - (scattered[-1] == 0)
-    # Each Gaussian gives every semantic row its base share low, the least of
-    # its semantic softmax entries, and only its active rows (those above
-    # low) their lift, soft - low. Its tag is its one active row, nr for none
-    # and nr + 1 for several. A one-row Gaussian keeps one lift and only the
-    # several-active keep a lift per row, so no (rows, n) array lives
-    # through the chunk loop; class 0 keeps its own softmax entry.
-    low, tag, lift = _tags(soft, scattered[:nr])
+    # Each Gaussian gives every semantic class its base share low and only
+    # its active classes (those above low) their lift, soft - low, so a
+    # class that no Gaussian lifts has just the share as its mass. The
+    # others get one mass row each, in class order: the class of some
+    # single tag, or one that some several-active Gaussian lifts. row maps a
+    # semantic class to its row and renumbers the tags, none to nr and
+    # several to nr + 1, keeping their order. Class 0, which labels never
+    # read, gets a row of its own (its softmax entry, outside low) only when
+    # the caller asks for the masses, and then last.
+    sem = spec.num_classes - 1
+    lifted = np.flatnonzero((np.bincount(tag, minlength=sem + 2)[:sem] > 0) | lifts.any(axis=1))
+    nr = lifted.size
+    row = np.zeros(sem + 2, np.intp)
+    row[lifted], row[sem:] = np.arange(nr), (nr, nr + 1)
+    tag = row[tag]
     several = np.flatnonzero(tag == nr + 1)
-    lifts = soft[np.ix_(scattered[:nr], several)] - low[several]
-    empty_soft = soft[0].copy() if nr < len(scattered) else None
-    del soft
-    mass = np.zeros((len(scattered), nv))
+    mass = np.zeros((nr + keep_masses, nv))
     share = np.zeros(nv)
     log_free = np.zeros(nv)
     cutoff_sq = SPLAT_CUTOFF * SPLAT_CUTOFF
@@ -410,7 +394,7 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
             elif group_tag > nr:
                 chunk_lifts = lifts[:, np.searchsorted(several, rows)]
                 for i in np.flatnonzero(chunk_lifts.any(axis=1)):
-                    scatter(mass[i], chunk_lifts[i])
+                    scatter(mass[row[i]], chunk_lifts[i])
             if empty_soft is not None:
                 scatter(mass[nr], empty_soft[rows])
 
@@ -419,17 +403,20 @@ def splat(gset: GaussianSet, spec: GridSpec, theta_occ: float = DEFAULT_THETA_OC
     scores = 1.0 - np.exp(log_free)
     semantic = mass[:nr]
     semantic += share
-    # The argmax row by row: a strict > leaves a tie with the lowest row.
-    top = semantic[0].copy()
-    labels = np.full(nv, scattered[0], dtype=np.uint8)
-    for i in range(1, nr):
-        np.copyto(labels, scattered[i], where=semantic[i] > top)
-        np.maximum(top, semantic[i], out=top)
+    # The argmax row by row from class 1 at the base share, the mass of
+    # every class no Gaussian lifts: a strict > leaves a tie with the lowest
+    # class, so of those classes only class 1 can win.
+    top = share.copy()
+    labels = np.ones(nv, dtype=np.uint8)
+    for c, m in zip((lifted + 1).tolist(), semantic):
+        np.copyto(labels, c, where=m > top)
+        np.maximum(top, m, out=top)
     labels[(scores < theta_occ) | (top <= 0)] = 0
-    return OccupancyGrid(
-        spec=spec,
-        labels=labels.reshape(spec.dims),
-        scores=scores.reshape(spec.dims),
-        masses=(mass[[row[c] for c in range(spec.num_classes)]].T.reshape(
-            spec.dims + (spec.num_classes,)) if keep_masses else None),
-    )
+    masses = None
+    if keep_masses:
+        masses = np.empty((spec.num_classes, nv))
+        masses[0], masses[1:] = mass[nr], share
+        masses[lifted + 1] = semantic
+        masses = masses.T.reshape(spec.dims + (spec.num_classes,))
+    return OccupancyGrid(spec=spec, labels=labels.reshape(spec.dims),
+                         scores=scores.reshape(spec.dims), masses=masses)

@@ -17,6 +17,22 @@ def unit_cam(**kwargs):
     return so.CameraModel(**defaults)
 
 
+class TestCameraModel:
+    def test_invalid_intrinsics_and_size_rejected(self):
+        # width=2.5 used to be accepted, and render_depth then returned a
+        # (2, 3) map for a declared 2.5 x 2 image; a bool width counted as 1,
+        # and a str focal length raised a TypeError from its comparison.
+        for key, value in (("width", 2.5), ("width", True), ("height", 4.0), ("height", False),
+                           ("fx", "100"), ("fy", True), ("cx", "0"), ("cy", None),
+                           ("fx", 0.0), ("width", 0), ("cx", np.inf)):
+            with pytest.raises(ValueError):
+                unit_cam(**{key: value})
+
+    def test_numpy_scalars_accepted(self):
+        cam = unit_cam(fx=np.float32(2.0), cy=np.int64(3), width=np.int64(4), height=np.uint16(5))
+        assert (cam.width, cam.height) == (4, 5)
+
+
 class TestRayDirection:
     def test_principal_point_ray(self):
         np.testing.assert_allclose(so.ray_direction(unit_cam(), (0, 0)), [0, 0, 1])

@@ -175,6 +175,10 @@ class TestPrune:
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):
             so.prune(self._set([0.5]), 1.5)
+        # A bool tau used to prune as 1.0, and a str one to raise a TypeError.
+        for tau in (True, "0.5"):
+            with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+                so.prune(self._set([0.5]), tau)
 
     def test_score_change_bounded_by_pruned_opacity(self):
         rng = np.random.default_rng(5)

@@ -33,6 +33,16 @@ def fixed_kernel_config(k, scale=0.48, reference_k=16, **kwargs):
     )
 
 
+class TestPipelineConfig:
+    def test_invalid_thresholds_rejected(self):
+        # A bool tau or theta_occ used to be accepted as 1.0, and a str one
+        # to raise a TypeError from its comparison.
+        for key in ("tau", "theta_occ"):
+            for value in (-0.1, 1.5, np.nan, True, "0.5"):
+                with pytest.raises(ValueError, match=rf"{key} must lie in \[0, 1\]"):
+                    so.PipelineConfig(**{key: value})
+
+
 class TestRunMonocular:
     def test_flat_wall_scene_reconstruction(self):
         scene, cam = so.generate_frontal_room(0, num_patches=(0, 0))

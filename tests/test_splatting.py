@@ -121,7 +121,8 @@ class TestSplat:
         with pytest.raises(ValueError, match="world"):
             so.splat(gset, small_spec())
 
-    @pytest.mark.parametrize("theta_occ", [np.nan, -0.1, 1.1])
+    # A bool theta_occ used to splat as 1.0, and a str one to raise a TypeError.
+    @pytest.mark.parametrize("theta_occ", [np.nan, -0.1, 1.1, True, "0.5"])
     def test_theta_occ_outside_unit_interval_rejected(self, theta_occ):
         gset = single(np.full(3, 0.8), 0.05, 0.9, {2: 5.0})
         with pytest.raises(ValueError, match=r"theta_occ must lie in \[0, 1\]"):
@@ -188,7 +189,8 @@ class TestSplat:
     def test_one_hot_logits_share_columns_and_match_brute_force_oracle(self):
         # One-hot logits as heuristic attributes give them: members favour
         # classes 2 and 4 only, so classes 0, 1, 3 and 5 have one softmax
-        # column, and splat keeps one mass row that all four read.
+        # column. splat lifts only classes 2 and 4; the other three semantic
+        # classes read the base share, and class 0 its own row.
         rng = np.random.default_rng(21)
         spec = small_spec(nc=6)
         n = 120
@@ -209,6 +211,31 @@ class TestSplat:
             np.testing.assert_array_equal(grid.masses[..., c], grid.masses[..., 0])
         assert grid.masses[..., 0].max() > 0
         np.testing.assert_array_equal(so.splat(gset, spec).labels, grid.labels)
+
+    def test_voxels_only_unlifted_members_reach_take_class_1(self):
+        # Uniform logits give a member the same base share in every class
+        # and no lift, and one-hot members lift class 3 alone. Where only
+        # the uniform members reach, every semantic class has the same mass,
+        # so the tie goes to class 1, which no member lifts.
+        rng = np.random.default_rng(25)
+        spec = small_spec(nc=6)
+        n = 40
+        means = np.vstack([rng.uniform(0.2, 0.5, (n // 2, 3)), rng.uniform(1.1, 1.4, (n // 2, 3))])
+        logits = np.zeros((n, 6))
+        logits[n // 2:, 3] = 6.0
+        gset = so.GaussianSet(
+            means=means, scales=np.full((n, 3), 0.1), rotations=np.tile([1.0, 0, 0, 0], (n, 1)),
+            opacities=rng.uniform(0.5, 1.0, n), logits=logits, frame="world",
+        )
+        grid = so.splat(gset, spec)
+        scores, labels, _ = naive_splat(gset, spec)
+        assert np.abs(grid.scores.ravel() - scores).max() <= 1e-6
+        np.testing.assert_array_equal(grid.labels.ravel(), labels)
+        uniform = so.splat(gset.subset(range(n // 2)), spec).scores > 0
+        one_hot = so.splat(gset.subset(range(n // 2, n)), spec).scores > 0
+        assert np.count_nonzero(grid.labels[uniform & ~one_hot] == 1) > 50
+        assert set(np.unique(grid.labels[uniform & ~one_hot])) == {0, 1}
+        assert set(np.unique(grid.labels[one_hot & ~uniform])) == {0, 3}
 
     def test_columns_differing_in_one_member_are_scattered_apart(self):
         # Classes 1 and 2 share a column except at member 0, whose class-2
@@ -628,9 +655,10 @@ class TestSetUp:
 
     def test_peak_memory_is_bounded(self):
         # tracemalloc's peak reproduces to a few kB. Measured with numpy
-        # 2.4.6: 13.67 MB above entry. A set-up that also holds an (n, 3, 3)
-        # precision, a copy of the (classes, n) softmax and a (classes, n)
-        # bool peaks at 15.33 MB; the bound leaves 0.8 MB of margin.
+        # 2.4.6: 12.01 MB above entry. A set-up that holds a (classes, n)
+        # class-major softmax peaks at 13.67 MB, and one that also holds an
+        # (n, 3, 3) precision, a copy of that softmax and a (classes, n)
+        # bool at 15.33 MB; the bound leaves 0.8 MB of margin.
         rng = np.random.default_rng(47)
         n, nc = 50_000, 12
         logits = np.zeros((n, nc))
@@ -647,4 +675,4 @@ class TestSetUp:
         finally:
             tracemalloc.stop()
         assert grid.labels.any()
-        assert peak <= 14.5e6, peak
+        assert peak <= 12.8e6, peak
